@@ -31,7 +31,7 @@ print(f"rest-frame evolution at N={N}: time step = {time_step_over_full_turn(psi
 print("component phases (turns) under successive steps:")
 state = psi
 for step in range(4):
-    phases = [str(hilbert_shadow(c).phase_turns.as_fraction()) for c in state.components]
+    phases = [str(hilbert_shadow(c).phase_turns) for c in state.components]
     print(f"  step {step}: {phases}")
     state = rest_step(state, 1)
 print(f"  after {half} steps the state returns exactly (period 2**(N-1))")
@@ -61,4 +61,4 @@ psi = spinor(N, comps, mass=3, wavevector=(4, 0, 0))
 print(f"  omega = {psi.omega}, x-step = {space_step_over_full_turn(psi, 0)} of a period")
 evolved = full_evolve(psi, 2, 1, 0, 0)
 for i, c in enumerate(evolved.components):
-    print(f"  component {i+1}: phase {hilbert_shadow(c).phase_turns.as_fraction()} turns")
+    print(f"  component {i+1}: phase {hilbert_shadow(c).phase_turns} turns")

@@ -11,7 +11,6 @@ admissibility of counterfactual settings by number theory.
 """
 
 from .exactmath import (
-    Dyadic,
     ExactAngle,
     NoAdmissibleAngle,
     NotOnInvariantSet,

@@ -25,6 +25,7 @@ from .exactmath import (
     ExactAngle,
     NoAdmissibleAngle,
     NotOnInvariantSet,
+    ResourceBound,
     fraction_str,
 )
 from .experiments import ChshConfig, MzConfig, PbrConfig, chsh_run, mz_run, pbr_run
@@ -121,10 +122,10 @@ def cmd_chsh(args) -> int:
     window = Fraction(str(cfg["window_turns"])) if "window_turns" in cfg else None
     config = ChshConfig(
         n_bits,
-        ExactAngle.parse(str(angles["A1"])),
-        ExactAngle.parse(str(angles["A2"])),
-        ExactAngle.parse(str(angles["B1"])),
-        ExactAngle.parse(str(angles["B2"])),
+        _angle(angles, "A1"),
+        _angle(angles, "A2"),
+        _angle(angles, "B1"),
+        _angle(angles, "B2"),
         window,
     )
     report = chsh_run(config)
@@ -202,10 +203,10 @@ def cmd_sample(args) -> int:
             "n_bits": n_bits,
             "string": to_text(s),
             "descriptor": s.descriptor.record(),
-            "fraction": fraction_str(fraction(s).as_fraction()),
+            "fraction": fraction_str(fraction(s)),
             "shadow": {
-                "amplitude_sq": fraction_str(shadow.amplitude_sq.as_fraction()),
-                "phase_turns": fraction_str(shadow.phase_turns.as_fraction()),
+                "amplitude_sq": fraction_str(shadow.amplitude_sq),
+                "phase_turns": fraction_str(shadow.phase_turns),
                 "phase_relevant": shadow.phase_relevant,
             },
         }
@@ -269,8 +270,7 @@ def cmd_dirac(args) -> int:
     for step in range(trace_length + 1):
         entry = []
         for idx, comp in enumerate(state.components):
-            shadow = hilbert_shadow(comp)
-            turns = shadow.phase_turns.as_fraction()
+            turns = hilbert_shadow(comp).phase_turns
             count = first_label_count(comp)
             entry.append({"component": idx + 1, "phase_turns": fraction_str(turns), "first_count": count})
             rows.append([step, idx + 1, fraction_str(turns), count])
@@ -368,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NotOnInvariantSet, NoAdmissibleAngle) as exc:
         print(f"off the invariant set: {exc}", file=sys.stderr)
         return EXIT_EXCLUDED
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError, ZeroDivisionError, ResourceBound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

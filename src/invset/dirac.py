@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .exactmath import RationalLike, as_fraction, rational_sqrt
+from .exactmath import ZERO_ANGLE, RationalLike, rational_sqrt
 from .samplespace import BitString, pair_shift, phase_string, quarter_turn
 
 Entry = tuple[int, int]  # (quarter-turns mod 4, pair-shifts mod 2**(N-1))
@@ -180,21 +180,15 @@ def spinor(
     omega: RationalLike | None = None,
 ) -> SpinorSample:
     if components is None:
-        components = tuple(phase_string(n_bits, _zero_angle(), tag) for tag in ("s1", "s2", "s3", "s4"))
+        components = tuple(phase_string(n_bits, ZERO_ANGLE, tag) for tag in ("s1", "s2", "s3", "s4"))
     if len(components) != 4 or any(c.n_bits != n_bits for c in components):
         raise ValueError("four components of matching length required")
-    m = as_fraction(mass)
-    k = tuple(as_fraction(x) for x in wavevector)
+    m = Fraction(mass)
+    k = tuple(Fraction(x) for x in wavevector)
     omega_sq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2 + m * m
-    w = rational_sqrt(omega_sq) if omega is None else as_fraction(omega)
+    w = rational_sqrt(omega_sq) if omega is None else Fraction(omega)
     physical = w is not None and w * w == omega_sq
     return SpinorSample(n_bits, tuple(components), m, k, w, omega_sq, physical)
-
-
-def _zero_angle():
-    from .exactmath import ZERO_ANGLE
-
-    return ZERO_ANGLE
 
 
 def time_step_over_full_turn(psi: SpinorSample) -> Fraction | None:
@@ -247,8 +241,8 @@ class DispersionResult:
 def dispersion_check(mass: RationalLike, wavevector: tuple[RationalLike, RationalLike, RationalLike]) -> DispersionResult:
     """omega^2 = |k|^2 + m^2 exactly; flags whether omega itself is rational
     (perfect square) or must be carried as omega^2 only."""
-    m = as_fraction(mass)
-    k = [as_fraction(x) for x in wavevector]
+    m = Fraction(mass)
+    k = [Fraction(x) for x in wavevector]
     omega_sq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2 + m * m
     w = rational_sqrt(omega_sq)
     return DispersionResult(omega_sq, w, w is not None)

@@ -3,7 +3,7 @@ number-theoretic predicates that gate invariant-set membership.
 
 Everything in this module is exact: values are arbitrary-precision integers
 and fractions, and every predicate is decided by integer arithmetic, never by
-floating-point comparison.  Floats appear only in ``*_float`` display helpers.
+floating-point comparison.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Union
 
-RationalLike = Union[int, Fraction, "Dyadic"]
+RationalLike = Union[int, Fraction]
 
 PYTHAGOREAN_SCAN_BOUND = 20  # largest exponent the brute-force witness will scan
 
@@ -28,86 +28,6 @@ class NoAdmissibleAngle(ValueError):
 
 class ResourceBound(RuntimeError):
     """A brute-force or enumeration bound was exceeded."""
-
-
-def as_fraction(x: RationalLike) -> Fraction:
-    if isinstance(x, Dyadic):
-        return x.as_fraction()
-    return Fraction(x)
-
-
-@dataclass(frozen=True)
-class Dyadic:
-    """An exact dyadic rational num / 2**exp.
-
-    Canonical form: ``num`` odd, or ``num == 0 and exp == 0``.  Dyadics carry
-    probabilities of the form n/2^N and phase fractions n/2^(N-1) exactly.
-    """
-
-    num: int
-    exp: int
-
-    def __post_init__(self) -> None:
-        num, exp = self.num, self.exp
-        if exp < 0:
-            num <<= -exp
-            exp = 0
-        if num == 0:
-            exp = 0
-        else:
-            while num % 2 == 0 and exp > 0:
-                num //= 2
-                exp -= 1
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
-
-    @classmethod
-    def from_ratio(cls, numerator: int, power_of_two_exp: int) -> "Dyadic":
-        return cls(numerator, power_of_two_exp)
-
-    @classmethod
-    def from_fraction(cls, fr: RationalLike) -> "Dyadic":
-        fr = as_fraction(fr)
-        den = fr.denominator
-        k = den.bit_length() - 1
-        if den != 1 << k:
-            raise ValueError(f"{fr} is not dyadic (denominator {den})")
-        return cls(fr.numerator, k)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.exp)
-
-    def as_float(self) -> float:
-        return self.num / (1 << self.exp)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Dyadic):
-            return (self.num, self.exp) == (other.num, other.exp)
-        if isinstance(other, (int, Fraction)):
-            return self.as_fraction() == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.as_fraction())
-
-    def __add__(self, other: RationalLike) -> "Dyadic":
-        return Dyadic.from_fraction(self.as_fraction() + as_fraction(other))
-
-    def __sub__(self, other: RationalLike) -> "Dyadic":
-        return Dyadic.from_fraction(self.as_fraction() - as_fraction(other))
-
-    def __mul__(self, other: RationalLike) -> "Dyadic":
-        return Dyadic.from_fraction(self.as_fraction() * as_fraction(other))
-
-    def __lt__(self, other: RationalLike) -> bool:
-        return self.as_fraction() < as_fraction(other)
-
-    def __le__(self, other: RationalLike) -> bool:
-        return self.as_fraction() <= as_fraction(other)
-
-    def __str__(self) -> str:
-        fr = self.as_fraction()
-        return f"{fr.numerator}/{fr.denominator}" if fr.denominator != 1 else str(fr.numerator)
 
 
 @dataclass(frozen=True)
@@ -146,19 +66,11 @@ class ExactAngle:
 
     __rmul__ = __mul__
 
-    def radians_float(self) -> float:
-        """Display-only float value; never used in predicates."""
-        import math
-
-        return 2.0 * math.pi * float(self.turns)
-
     def __str__(self) -> str:
         return f"{self.turns} turns"
 
 
 ZERO_ANGLE = ExactAngle(Fraction(0))
-HALF_TURN = ExactAngle(Fraction(1, 2))
-QUARTER_TURN = ExactAngle(Fraction(1, 4))
 
 
 def is_describable(x: RationalLike, n_bits: int) -> bool:
@@ -169,13 +81,13 @@ def is_describable(x: RationalLike, n_bits: int) -> bool:
     """
     if n_bits < 1:
         raise ValueError("n_bits must be >= 1")
-    den = as_fraction(x).denominator
+    den = Fraction(x).denominator
     return den & (den - 1) == 0 and den <= (1 << n_bits)
 
 
 def dyadic_exponent(x: RationalLike) -> int | None:
     """Exponent k with lowest-terms denominator 2**k, or None if not dyadic."""
-    den = as_fraction(x).denominator
+    den = Fraction(x).denominator
     if den & (den - 1):
         return None
     return den.bit_length() - 1
@@ -213,9 +125,39 @@ def sin_exact(angle: ExactAngle) -> Fraction | None:
     return cos_exact(ExactAngle(angle.turns - Fraction(1, 4)))
 
 
+def gate_amplitude(theta: ExactAngle, n_bits: int) -> int:
+    """The amplitude gate: the first-label count 2**n_bits * cos^2(theta/2).
+
+    cos(theta) must be rational (the rational-cosine exceptional set) and
+    (1 + cos)/2 must be of the form n/2**n_bits; otherwise theta is off the
+    invariant set.  The exceptional set is symmetric under t -> 1 - t, so no
+    folding into [0, pi] is needed.
+    """
+    c = cos_exact(theta)
+    if c is None:
+        raise NotOnInvariantSet(f"cos(theta) for theta={theta} is irrational")
+    amp = (1 + c) / 2
+    if not is_describable(amp, n_bits):
+        raise NotOnInvariantSet(f"cos^2(theta/2)={amp} is not describable by {n_bits} bits")
+    return amp.numerator * ((1 << n_bits) // amp.denominator)
+
+
+def gate_phase(phi: ExactAngle, n_bits: int) -> int:
+    """The phase gate: the pair-shift count phi * 2**(n_bits-1).
+
+    phi (as a fraction of a full turn) must be of the form n/2**(n_bits-1),
+    exactly the phases the pair-shift group of a 2**n_bits-label string can
+    realize; otherwise phi is off the invariant set.
+    """
+    turns = phi.turns
+    if not is_describable(turns, n_bits - 1):
+        raise NotOnInvariantSet(f"phase {phi} is not a multiple of 1/2**{n_bits - 1} of a turn")
+    return turns.numerator * ((1 << (n_bits - 1)) // turns.denominator)
+
+
 def rational_sqrt(x: RationalLike) -> Fraction | None:
     """Exact square root of a rational if it is a perfect square, else None."""
-    fr = as_fraction(x)
+    fr = Fraction(x)
     if fr < 0:
         return None
     rn, rd = isqrt(fr.numerator), isqrt(fr.denominator)
@@ -293,7 +235,7 @@ def simultaneous_describability(cos_a: RationalLike, cos_b: RationalLike, n_bits
     rational even though both sines are irrational; this engine implements the
     independent-angles argument and reports exclusion in that case too.
     """
-    ca, cb = as_fraction(cos_a), as_fraction(cos_b)
+    ca, cb = Fraction(cos_a), Fraction(cos_b)
     for name, c in (("cos_a", ca), ("cos_b", cb)):
         if not -1 <= c <= 1:
             raise ValueError(f"{name}={c} outside [-1, 1]")
@@ -316,7 +258,7 @@ def combine_degenerate_cosine(cos_a: Fraction, cos_b: Fraction) -> Fraction:
     then at least one sine is zero, or both angles have cosine zero.  Angles
     are taken in [0, pi] so sines are nonnegative.
     """
-    ca, cb = as_fraction(cos_a), as_fraction(cos_b)
+    ca, cb = Fraction(cos_a), Fraction(cos_b)
     sa2, sb2 = 1 - ca * ca, 1 - cb * cb
     if sa2 == 0 or sb2 == 0:
         # sin A = 0 (cos A = +-1): cos(A+B) = cos A * cos B, and symmetrically.
@@ -328,5 +270,5 @@ def combine_degenerate_cosine(cos_a: Fraction, cos_b: Fraction) -> Fraction:
 
 def fraction_str(x: RationalLike) -> str:
     """Serialize a rational as 'numerator/denominator'."""
-    fr = as_fraction(x)
+    fr = Fraction(x)
     return f"{fr.numerator}/{fr.denominator}"

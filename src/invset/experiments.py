@@ -19,12 +19,15 @@ import mpmath
 from .exactmath import (
     ExactAngle,
     NoAdmissibleAngle,
+    NotOnInvariantSet,
     ObstructionVerdict,
     REASON_DESCRIBABLE,
     ZERO_ANGLE,
     combine_degenerate_cosine,
     cos_exact,
     fraction_str,
+    gate_amplitude,
+    gate_phase,
     is_describable,
     simultaneous_describability,
     sin_exact,
@@ -262,10 +265,15 @@ def mz_gates(phi: ExactAngle, n_bits: int) -> tuple[bool, bool]:
     cosine set - the number-theoretic incommensurateness of a phase and its
     cosine.
     """
-    phase_ok = is_describable(phi.turns, n_bits - 1)
-    c = cos_exact(phi)
-    amplitude_ok = c is not None and is_describable((1 + c) / 2, n_bits)
-    return phase_ok, amplitude_ok
+    return _passes(gate_phase, phi, n_bits), _passes(gate_amplitude, phi, n_bits)
+
+
+def _passes(gate, angle: ExactAngle, n_bits: int) -> bool:
+    try:
+        gate(angle, n_bits)
+    except NotOnInvariantSet:
+        return False
+    return True
 
 
 def mz_run(cfg: MzConfig) -> MzReport:
@@ -277,12 +285,12 @@ def mz_run(cfg: MzConfig) -> MzReport:
     quarter = ExactAngle(Fraction(1, 4))
     if cfg.mode == WHICH_WAY:
         s = sample(cfg.n_bits, quarter, cfg.phi, tag="b")  # raises if phase gate fails
-        p = fraction(s).as_fraction()
+        p = fraction(s)
         probs = {"D_b": p, "D_not_b": 1 - p}
         counterfactual, cf_ok = INTERFERENCE, amplitude_ok
     elif cfg.mode == INTERFERENCE:
         s = sample(cfg.n_bits, cfg.phi, ZERO_ANGLE, tag="c")  # raises if amplitude gate fails
-        p = fraction(s).as_fraction()
+        p = fraction(s)
         probs = {"D_c": p, "D_not_c": 1 - p}
         counterfactual, cf_ok = WHICH_WAY, phase_ok
     else:

@@ -38,12 +38,6 @@ def acos_as_turns(x, prec: int = DEFAULT_PREC) -> mpmath.mpf:
         return mpmath.acos(x) / (2 * mpmath.pi)
 
 
-def expi_turns(turns: Fraction, prec: int = DEFAULT_PREC) -> mpmath.mpc:
-    """exp(2*pi*i*turns)."""
-    with mpmath.workprec(prec):
-        return mpmath.expjpi(2 * to_mpf(turns, prec))
-
-
 def mpf_to_fraction(x: mpmath.mpf, bits: int = 180) -> Fraction:
     """Fixed-point rationalization of an mpf (error at most 2**-(bits+1))."""
     with mpmath.workprec(max(bits + 40, DEFAULT_PREC)):

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import mpmath
 
-from .exactmath import ExactAngle, NotOnInvariantSet, cos_exact, is_describable
+from .exactmath import ExactAngle, NotOnInvariantSet, gate_amplitude, gate_phase, is_describable
 from .highprec import DEFAULT_PREC, to_mpf
 from .samplespace import (
     BitString,
@@ -30,24 +30,6 @@ from .samplespace import (
 )
 
 _DEFAULT_TAGS = "abcdefgh"
-
-
-def amplitude_of(theta: ExactAngle, n_bits: int) -> Fraction:
-    """cos^2(theta/2) as an exact fraction, gated on describability by N bits.
-
-    theta is normalized into [0, pi] first; its cosine must be rational (the
-    rational-cosine exceptional set) and (1+cos)/2 must be of the form n/2^N.
-    """
-    turns = theta.turns
-    if turns > Fraction(1, 2):
-        turns = 1 - turns
-    c = cos_exact(ExactAngle(turns))
-    if c is None:
-        raise NotOnInvariantSet(f"cos(theta) for theta={theta} is irrational")
-    amp = (1 + c) / 2
-    if not is_describable(amp, n_bits):
-        raise NotOnInvariantSet(f"cos^2(theta/2)={amp} is not describable by {n_bits} bits")
-    return amp
 
 
 @dataclass(frozen=True)
@@ -163,37 +145,39 @@ def row_descriptor_status(ms: MultiSample) -> list[bool]:
     return [r.descriptor is not None for r in ms.rows]
 
 
-def _fill(blocks: list[tuple[int, int]], amp: Fraction):
-    """Per-block proportional fill: the first amp-share of every block gets
-    the first-regime label.  Returns (negated-label bits, first-label blocks,
-    negated-label blocks)."""
+def _fill(blocks: list[tuple[int, int]], count: int, n_bits: int):
+    """Per-block proportional fill at amplitude count/2**n_bits: the first
+    count/2**n_bits share of every block gets the first-regime label.
+    Returns (negated-label bits, first-label blocks, negated-label blocks)."""
     bits = 0
     firsts: list[tuple[int, int]] = []
     seconds: list[tuple[int, int]] = []
+    low = (1 << n_bits) - 1
     for lo, hi in blocks:
         w = hi - lo
         if w == 0:
             continue
-        share = amp * w
-        if share.denominator != 1:
+        share = count * w
+        if share & low:
             raise NotOnInvariantSet(
-                f"conditional count {share} is not an integer: joint amplitude not describable"
+                f"conditional count {Fraction(share, 1 << n_bits)} is not an integer: "
+                "joint amplitude not describable"
             )
-        c = share.numerator
+        c = share >> n_bits
         firsts.append((lo, lo + c))
         seconds.append((lo + c, hi))
         bits |= ((1 << (w - c)) - 1) << (lo + c)
     return bits, firsts, seconds
 
 
-def _realize(amps: Sequence[Fraction], blocks: list[tuple[int, int]], full: int) -> list[int]:
-    head_bits, firsts, seconds = _fill(blocks, amps[0])
-    if len(amps) == 1:
+def _realize(counts: Sequence[int], blocks: list[tuple[int, int]], full: int, n_bits: int) -> list[int]:
+    head_bits, firsts, seconds = _fill(blocks, counts[0], n_bits)
+    if len(counts) == 1:
         return [head_bits]
-    h = (len(amps) - 1) // 2
+    h = (len(counts) - 1) // 2
     cover = firsts + seconds
-    left = _realize(amps[1 : 1 + h], cover, full)
-    right = _realize(amps[1 + h :], cover, full)
+    left = _realize(counts[1 : 1 + h], cover, full, n_bits)
+    right = _realize(counts[1 + h :], cover, full, n_bits)
     rows = [head_bits]
     for lb, rb in zip(left, right):
         rows.append(_select(head_bits, lb, rb, full))
@@ -207,9 +191,9 @@ def multi_sample(n_bits: int, thetas: Sequence[ExactAngle], tags: Sequence[str] 
     m = (len(thetas) + 1).bit_length() - 1
     if (1 << m) - 1 != len(thetas) or m < 1:
         raise ValueError("need 2**m - 1 angles")
-    amps = [amplitude_of(t, n_bits) for t in thetas]
+    counts = [gate_amplitude(t, n_bits) for t in thetas]
     length = 1 << n_bits
-    rows_bits = _realize(amps, [(0, length)], (1 << length) - 1)
+    rows_bits = _realize(counts, [(0, length)], (1 << length) - 1, n_bits)
     if tags is None:
         tags = [_DEFAULT_TAGS[i] if i < len(_DEFAULT_TAGS) else f"q{i}" for i in range(m)]
     if len(tags) != m:
@@ -221,14 +205,11 @@ def multi_sample(n_bits: int, thetas: Sequence[ExactAngle], tags: Sequence[str] 
 def two_qubit_sample(params: "TwoQubitParams", n_bits: int) -> MultiSample:
     """Realize the 2-qubit correspondence through the literal composition
     rule, with source strings built to be exactly independent of the head."""
-    amp1 = amplitude_of(params.theta1, n_bits)
-    amp2 = amplitude_of(params.theta2, n_bits)
-    amp3 = amplitude_of(params.theta3, n_bits)
-    length = 1 << n_bits
-    head_bits, firsts, seconds = _fill([(0, length)], amp1)
+    c1, c2, c3 = (gate_amplitude(t, n_bits) for t in (params.theta1, params.theta2, params.theta3))
+    head_bits, firsts, seconds = _fill([(0, 1 << n_bits)], c1, n_bits)
     cover = firsts + seconds
-    sb1_bits, _, _ = _fill(cover, amp2)
-    sb2_bits, _, _ = _fill(cover, amp3)
+    sb1_bits, _, _ = _fill(cover, c2, n_bits)
+    sb2_bits, _, _ = _fill(cover, c3, n_bits)
     head = BitString(n_bits, head_bits, "a", None)
     sb1 = BitString(n_bits, sb1_bits, "b", None)
     sb2 = BitString(n_bits, sb2_bits, "b", None)
@@ -260,19 +241,14 @@ class PredictedTwoQubit:
     phases: tuple[ExactAngle, ExactAngle, ExactAngle, ExactAngle]
 
 
-def _gate_phase(phi: ExactAngle, n_bits: int) -> ExactAngle:
-    if not is_describable(phi.turns, n_bits - 1):
-        raise NotOnInvariantSet(f"phase {phi} is not a multiple of 1/2**{n_bits - 1} of a turn")
-    return phi
-
-
 def two_qubit_predict(params: TwoQubitParams, n_bits: int) -> PredictedTwoQubit:
     """Probabilities (gamma_0^2 .. gamma_3^2) and phases (0, chi_1..chi_3)."""
-    amp1 = amplitude_of(params.theta1, n_bits)
-    amp2 = amplitude_of(params.theta2, n_bits)
-    amp3 = amplitude_of(params.theta3, n_bits)
+    length = 1 << n_bits
+    amp1, amp2, amp3 = (
+        Fraction(gate_amplitude(t, n_bits), length) for t in (params.theta1, params.theta2, params.theta3)
+    )
     for phi in (params.phi1, params.phi2, params.phi3):
-        _gate_phase(phi, n_bits)
+        gate_phase(phi, n_bits)
     probs = (
         amp1 * amp2,
         amp1 * (1 - amp2),
@@ -301,8 +277,8 @@ def amplitude_table(
     zero = ExactAngle(Fraction(0))
 
     def rec(th: Sequence[ExactAngle], ph: Sequence[ExactAngle]) -> list[tuple[Fraction, ExactAngle]]:
-        amp = amplitude_of(th[0], n_bits)
-        _gate_phase(ph[0], n_bits)
+        amp = Fraction(gate_amplitude(th[0], n_bits), 1 << n_bits)
+        gate_phase(ph[0], n_bits)
         if len(th) == 1:
             return [(amp, zero), (1 - amp, ph[0])]
         h = (len(th) - 1) // 2
@@ -356,7 +332,7 @@ def bell_sample_from_amplitude(amp: Fraction, n_bits: int) -> MultiSample:
 def bell_sample(theta2: ExactAngle, n_bits: int) -> MultiSample:
     """Bell construction at relative orientation theta2 (cos^2(theta2/2) must
     be describable by N bits; the head amplitude is fixed at 1/2)."""
-    return bell_sample_from_amplitude(amplitude_of(theta2, n_bits), n_bits)
+    return bell_sample_from_amplitude(Fraction(gate_amplitude(theta2, n_bits), 1 << n_bits), n_bits)
 
 
 def bell_agreement(ms: MultiSample) -> Fraction:

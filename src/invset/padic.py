@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
-from .exactmath import RationalLike, ResourceBound, as_fraction, fraction_str
+from .exactmath import RationalLike, ResourceBound, fraction_str
 
 CANTOR_ITERATE_BOUND = 1 << 20  # max number of intervals cantor_iterates will build
 
@@ -55,7 +55,7 @@ def ord_p(x: RationalLike, p: int):
     """The p-adic order: highest power of p dividing x (ord of a minus ord of
     b for x = a/b); +infinity for x = 0."""
     _require_prime(p)
-    fr = as_fraction(x)
+    fr = Fraction(x)
     if fr == 0:
         return Infinity
     return _int_ord(fr.numerator, p) - _int_ord(fr.denominator, p)
@@ -71,7 +71,7 @@ def padic_norm(x: RationalLike, p: int) -> Fraction:
 
 def padic_dist(a: RationalLike, b: RationalLike, p: int) -> Fraction:
     """The ultrametric d_p(a, b) = |a - b|_p, exact."""
-    return padic_norm(as_fraction(a) - as_fraction(b), p)
+    return padic_norm(Fraction(a) - Fraction(b), p)
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ class CantorInterval:
         return self.right - self.left
 
     def contains(self, x: RationalLike) -> bool:
-        fx = as_fraction(x)
+        fx = Fraction(x)
         return self.left <= fx <= self.right
 
     def record(self) -> dict:
@@ -238,7 +238,7 @@ def euclid_padic_probe(a: PadicInt, b_off: RationalLike) -> ProbeReport:
     Euclidean gap on the coordinate line.  (No inverse map from arbitrary unit
     interval rationals is assumed; the probe works in p-adic coordinates.)
     """
-    b = as_fraction(b_off)
+    b = Fraction(b_off)
     if ord_p(b, a.p) >= 0:
         raise ValueError(f"ord_{a.p}({b}) >= 0: probe point must lie outside the p-adic integers")
     av = a.value()

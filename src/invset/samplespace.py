@@ -38,14 +38,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import (
-    Dyadic,
-    ExactAngle,
-    NotOnInvariantSet,
-    ResourceBound,
-    cos_exact,
-    is_describable,
-)
+from .exactmath import ExactAngle, ResourceBound, gate_amplitude, gate_phase
 
 EXPLICIT_LABEL_LIMIT = 1 << 24
 
@@ -203,10 +196,10 @@ def first_label_count(s: BitString) -> int:
     return s.descriptor.first_count
 
 
-def fraction(s: BitString) -> Dyadic:
+def fraction(s: BitString) -> Fraction:
     """Probability that a randomly chosen label is the first regime: exact
     count over 2**N."""
-    return Dyadic(first_label_count(s), s.n_bits)
+    return Fraction(first_label_count(s), s.size)
 
 
 def _shift_descriptor(desc: OrbitDescriptor | None, n_bits: int, n: int) -> OrbitDescriptor | None:
@@ -278,12 +271,7 @@ def phase_string(n_bits: int, phi: ExactAngle, tag: str = "a") -> BitString:
     n/2**(N-1): exactly the phases whose exponential the pair-shift group can
     realize.
     """
-    if not is_describable(phi.turns, n_bits - 1):
-        raise NotOnInvariantSet(
-            f"phase {phi} is not a multiple of 1/2**{n_bits - 1} of a turn"
-        )
-    rotation = int(phi.turns * (1 << (n_bits - 1)))
-    return sample_from_counts(n_bits, 1 << (n_bits - 1), rotation, tag)
+    return sample_from_counts(n_bits, 1 << (n_bits - 1), gate_phase(phi, n_bits), tag)
 
 
 def sample(n_bits: int, theta: ExactAngle, phi: ExactAngle, tag: str = "a") -> BitString:
@@ -295,21 +283,8 @@ def sample(n_bits: int, theta: ExactAngle, phi: ExactAngle, tag: str = "a") -> B
     when pi/2 <= theta <= pi.  Gates: cos^2(theta/2) must be describable by N
     bits and the phase by N-1 bits.
     """
-    turns = theta.turns
-    if turns > Fraction(1, 2):
-        turns = 1 - turns  # normalize into [0, pi]
-    c = cos_exact(ExactAngle(turns))
-    if c is None:
-        raise NotOnInvariantSet(f"cos(theta) for theta={theta} is irrational")
-    amp = (1 + c) / 2
-    if not is_describable(amp, n_bits):
-        raise NotOnInvariantSet(f"cos^2(theta/2)={amp} is not describable by {n_bits} bits")
-    if not is_describable(phi.turns, n_bits - 1):
-        raise NotOnInvariantSet(
-            f"phase {phi} is not a multiple of 1/2**{n_bits - 1} of a turn"
-        )
-    rotation = int(phi.turns * (1 << (n_bits - 1)))
-    return sample_from_counts(n_bits, int(amp * (1 << n_bits)), rotation, tag)
+    first_count = gate_amplitude(theta, n_bits)
+    return sample_from_counts(n_bits, first_count, gate_phase(phi, n_bits), tag)
 
 
 def sample_equivalent(x: BitString, y: BitString) -> bool:
@@ -324,8 +299,8 @@ class HilbertShadow:
     """Exact parameters of the unit vector a constructed string corresponds
     to: cos(theta/2)|first> + e^(i phi) sin(theta/2)|negated>."""
 
-    amplitude_sq: Dyadic  # cos^2(theta/2)
-    phase_turns: Dyadic  # phi as a fraction of a full turn
+    amplitude_sq: Fraction  # cos^2(theta/2)
+    phase_turns: Fraction  # phi as a fraction of a full turn
     phase_relevant: bool  # False for the pure states theta = 0, pi
 
 
@@ -339,8 +314,8 @@ def hilbert_shadow(s: BitString) -> HilbertShadow:
     if d is None:
         raise ValueError("raw string: no Hilbert correspondence without a construction descriptor")
     return HilbertShadow(
-        amplitude_sq=Dyadic(d.first_count, s.n_bits),
-        phase_turns=Dyadic(d.rotation, s.n_bits - 1),
+        amplitude_sq=Fraction(d.first_count, s.size),
+        phase_turns=Fraction(d.rotation, s.size >> 1),
         phase_relevant=d.first_count not in (0, s.size),
     )
 
@@ -384,7 +359,7 @@ class TrajectoryBundle:
         return first_label_count(self.children)
 
 
-def haar(b: TrajectoryBundle) -> Dyadic:
+def haar(b: TrajectoryBundle) -> Fraction:
     """Counting-measure probability: the fraction of children attracted to
     the bundle's first regime."""
     return fraction(b.children)

@@ -188,6 +188,26 @@ class TestDiracCommand:
         assert (out / "report.csv").read_text().splitlines()[0] == "step,component,phase_turns,first_count"
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            ("mz", {"n_bits": 10, "mode": "which_way", "phi_turns": "1/0"}, "error: Fraction(1, 0)"),
+            ("sample", {"n_bits": 30, "theta_turns": "1/4", "phi_turns": "1/8"},
+             "error: 2**30 labels exceed the explicit limit"),
+            ("padic", {"p": 2, "cantor_level": 30}, "error: 2**30 intervals exceed the bound 1048576"),
+            ("chsh", {"n_bits": 16, "angles": {"A1": "0", "A2": "1/4", "B1": "1/8"}},
+             "error: config is missing 'B2'"),
+        ],
+    )
+    def test_exits_one_with_one_line(self, tmp_path, capsys, command, payload, message):
+        cfg = write_config(tmp_path, "bad.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [message]
+        assert "Traceback" not in err
+
+
 class TestCheckCommand:
     def test_unknown_suite_exits_one(self):
         assert main(["check", "--suite", "foo"]) == 1

@@ -133,8 +133,8 @@ class TestRestEvolution:
         stepped = rest_step(psi, 6)
         half = 1 << (n_bits - 1)
         for idx, sign in ((0, 1), (1, 1), (2, -1), (3, -1)):
-            before = hilbert_shadow(psi.components[idx]).phase_turns.as_fraction()
-            after = hilbert_shadow(stepped.components[idx]).phase_turns.as_fraction()
+            before = hilbert_shadow(psi.components[idx]).phase_turns
+            after = hilbert_shadow(stepped.components[idx]).phase_turns
             assert (after - before) % 1 == (Fraction(sign * 6, half)) % 1
 
 
@@ -155,13 +155,13 @@ class TestFullEvolution:
         for axis in (1, 2, 3):
             mat = mat @ evolution_matrix(axis, steps[axis], n_bits)
         evolved = full_evolve(psi, *steps)
-        in_turns = [hilbert_shadow(c).phase_turns.as_fraction() for c in psi.components]
+        in_turns = [hilbert_shadow(c).phase_turns for c in psi.components]
         for row in range(4):
             col = next(j for j in range(4) if mat.entries[row][j] is not None)
             predicted = (mat.entry_phase_turns(row, col) + in_turns[col]) % 1
             shadow = hilbert_shadow(evolved.components[row])
-            assert shadow.phase_turns.as_fraction() == predicted
-            assert shadow.amplitude_sq.as_fraction() == Fraction(1, 2)
+            assert shadow.phase_turns == predicted
+            assert shadow.amplitude_sq == Fraction(1, 2)
 
     def test_full_period_identity_trace(self):
         n_bits = 6

@@ -1,18 +1,21 @@
 import random
+import re
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
 from invset.exactmath import (
-    Dyadic,
     ExactAngle,
+    NotOnInvariantSet,
     REASON_DESCRIBABLE,
     REASON_IRRATIONAL_SINE,
     ResourceBound,
     combine_degenerate_cosine,
     cos_exact,
     dyadic_exponent,
+    gate_amplitude,
+    gate_phase,
     is_describable,
     pythagorean_solutions,
     rational_sqrt,
@@ -21,7 +24,10 @@ from invset.exactmath import (
 )
 import mpmath
 
+from invset.experiments import MzConfig, mz_run
 from invset.highprec import best_rational_approx, cos_turns, nearest_describable, sin_turns, to_mpf
+from invset.multiqubit import TwoQubitParams, multi_sample, two_qubit_predict
+from invset.samplespace import phase_string, sample
 
 TINY_150 = mpmath.mpf(2) ** -150
 GAP_100 = mpmath.mpf(2) ** -100
@@ -34,27 +40,6 @@ def assert_far_from_rationals(approx) -> None:
     assert abs(approx - to_mpf(nearest_describable(approx, 64))) > GAP_100
     best = best_rational_approx(approx, 1 << 40)
     assert abs(approx - to_mpf(best)) > GAP_100
-
-
-class TestDyadic:
-    def test_canonical_form(self):
-        assert Dyadic(4, 3) == Dyadic(1, 1)
-        assert Dyadic(0, 7) == Dyadic(0, 0)
-        assert Dyadic(6, 0).as_fraction() == 6
-
-    def test_cross_type_equality(self):
-        assert Dyadic(3, 2) == Fraction(3, 4)
-        assert Dyadic(8, 3) == 1
-        assert hash(Dyadic(3, 2)) == hash(Fraction(3, 4))
-
-    def test_from_fraction_rejects_non_dyadic(self):
-        with pytest.raises(ValueError):
-            Dyadic.from_fraction(Fraction(1, 3))
-
-    def test_arithmetic(self):
-        assert Dyadic(1, 1) + Dyadic(1, 2) == Fraction(3, 4)
-        assert Dyadic(3, 2) * Dyadic(1, 1) == Fraction(3, 8)
-        assert Dyadic(1, 3) < Dyadic(1, 2)
 
 
 class TestExactAngle:
@@ -145,6 +130,69 @@ class TestRationalCosine:
         assert rational_sqrt(Fraction(9, 16)) == Fraction(3, 4)
         assert rational_sqrt(Fraction(7, 16)) is None
         assert rational_sqrt(Fraction(-1, 4)) is None
+
+
+def turns(text: str) -> ExactAngle:
+    return ExactAngle(Fraction(text))
+
+
+# cos(2 pi t) on the eight Niven residues, written out independently of cos_exact.
+NIVEN_COS = {
+    "0": 1, "1/6": Fraction(1, 2), "1/4": 0, "1/3": Fraction(-1, 2),
+    "1/2": -1, "2/3": Fraction(-1, 2), "3/4": 0, "5/6": Fraction(1, 2),
+}
+
+
+class TestGates:
+    @pytest.mark.parametrize("n_bits", range(1, 13))
+    def test_amplitude_count_on_niven_residues(self, n_bits):
+        for t, c in NIVEN_COS.items():
+            share = (1 + Fraction(c)) / 2 * (1 << n_bits)
+            if share.denominator == 1:
+                assert gate_amplitude(turns(t), n_bits) == share
+            else:
+                with pytest.raises(NotOnInvariantSet):
+                    gate_amplitude(turns(t), n_bits)
+
+    def test_amplitude_symmetric_under_reflection(self):
+        for t in NIVEN_COS:
+            theta = turns(t)
+            assert gate_amplitude(theta, 8) == gate_amplitude(ExactAngle(1 - theta.turns), 8)
+
+    def test_amplitude_irrational_cosine_raises(self):
+        with pytest.raises(NotOnInvariantSet):
+            gate_amplitude(turns("1/5"), 12)
+
+    @pytest.mark.parametrize("n_bits", range(2, 13))
+    def test_phase_count(self, n_bits):
+        half = 1 << (n_bits - 1)
+        for k in range(half):
+            assert gate_phase(ExactAngle(Fraction(k, half)), n_bits) == k
+        with pytest.raises(NotOnInvariantSet):
+            gate_phase(ExactAngle(Fraction(1, 1 << n_bits)), n_bits)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: sample(5, turns("1/5"), turns("0")), "cos(theta) for theta=1/5 turns is irrational"),
+            (lambda: sample(5, turns("1/6"), turns("1/3")), "phase 1/3 turns is not a multiple of 1/2**4 of a turn"),
+            (lambda: phase_string(5, turns("1/32")), "phase 1/32 turns is not a multiple of 1/2**4 of a turn"),
+            (lambda: multi_sample(1, [turns("1/6")]), "cos^2(theta/2)=3/4 is not describable by 1 bits"),
+            (
+                lambda: multi_sample(3, [turns("1/6")] * 3),
+                "conditional count 9/2 is not an integer: joint amplitude not describable",
+            ),
+            (
+                lambda: two_qubit_predict(TwoQubitParams(*[turns("0")] * 5, turns("1/64")), 6),
+                "phase 1/64 turns is not a multiple of 1/2**5 of a turn",
+            ),
+            (lambda: mz_run(MzConfig("interference", turns("1/8"), 10)), "cos(theta) for theta=1/8 turns is irrational"),
+            (lambda: mz_run(MzConfig("which_way", turns("1/5"), 10)), "phase 1/5 turns is not a multiple of 1/2**9 of a turn"),
+        ],
+    )
+    def test_exclusion_messages(self, call, message):
+        with pytest.raises(NotOnInvariantSet, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestPythagoreanObstruction:

@@ -4,11 +4,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from invset.exactmath import ExactAngle, NotOnInvariantSet
+from invset.exactmath import ExactAngle, NotOnInvariantSet, gate_amplitude
 from invset.multiqubit import (
     MultiSample,
     TwoQubitParams,
-    amplitude_of,
     amplitude_table,
     amplitude_table_mp,
     bell_agreement,
@@ -45,11 +44,11 @@ def params_for(a1, a2, a3, phis=(ZERO, ZERO, ZERO)):
 class TestAmplitudeGate:
     def test_quarter_amplitudes(self):
         for amp, theta in THETAS.items():
-            assert amplitude_of(theta, 6) == amp
+            assert gate_amplitude(theta, 6) == amp * 64
 
     def test_irrational_cos_rejected(self):
         with pytest.raises(NotOnInvariantSet):
-            amplitude_of(ExactAngle(Fraction(1, 5)), 6)
+            gate_amplitude(ExactAngle(Fraction(1, 5)), 6)
 
 
 class TestComposePair:
@@ -189,10 +188,9 @@ class TestComposeMany:
         # rebuild the sources the harness used
         from invset.multiqubit import _fill
 
-        amp1 = amplitude_of(params.theta1, 6)
-        _, firsts, seconds = _fill([(0, 64)], amp1)
-        sb1_bits, _, _ = _fill(firsts + seconds, amplitude_of(params.theta2, 6))
-        sb2_bits, _, _ = _fill(firsts + seconds, amplitude_of(params.theta3, 6))
+        _, firsts, seconds = _fill([(0, 64)], gate_amplitude(params.theta1, 6), 6)
+        sb1_bits, _, _ = _fill(firsts + seconds, gate_amplitude(params.theta2, 6), 6)
+        sb2_bits, _, _ = _fill(firsts + seconds, gate_amplitude(params.theta3, 6), 6)
         sb1 = BitString(6, sb1_bits, "b", None)
         sb2 = BitString(6, sb2_bits, "b", None)
         many = compose_many(head, MultiSample(6, (sb1,)), MultiSample(6, (sb2,)))

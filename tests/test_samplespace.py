@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from invset.exactmath import Dyadic, ExactAngle, NotOnInvariantSet, ResourceBound
+from invset.exactmath import ExactAngle, NotOnInvariantSet, ResourceBound
 from invset.samplespace import (
     BitString,
     OrbitDescriptor,
@@ -131,7 +131,7 @@ class TestPhaseString:
             phi = angle(k, 1 << (n_bits - 1))
             shadow = hilbert_shadow(pair_shift(phase_string(n_bits, phi), n))
             expected = (phi.turns + Fraction(n, 1 << (n_bits - 1))) % 1
-            assert shadow.phase_turns.as_fraction() == expected
+            assert shadow.phase_turns == expected
 
 
 class TestSample:
@@ -221,9 +221,9 @@ class TestHilbertShadow:
                 s = sample(n_bits, theta, angle(k, half))
                 shadow = hilbert_shadow(s)
                 # reading the shadow gives back exactly the construction parameters
-                assert shadow.amplitude_sq.as_fraction() == Fraction(amp, 4)
-                assert shadow.phase_turns.as_fraction() == Fraction(k, half)
-                key = (shadow.amplitude_sq.as_fraction(), shadow.phase_turns.as_fraction() if shadow.phase_relevant else None)
+                assert shadow.amplitude_sq == Fraction(amp, 4)
+                assert shadow.phase_turns == Fraction(k, half)
+                key = (shadow.amplitude_sq, shadow.phase_turns if shadow.phase_relevant else None)
                 if key in seen:
                     assert seen[key] == s.bits  # same shadow only from the same string
                 seen[key] = s.bits
