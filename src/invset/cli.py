@@ -28,7 +28,7 @@ from .exactmath import (
     ResourceBound,
     fraction_str,
 )
-from .experiments import ChshConfig, MzConfig, PbrConfig, chsh_run, mz_run, pbr_run
+from .experiments import WHICH_WAY, ChshConfig, MzConfig, PbrConfig, chsh_run, mz_run, pbr_run
 from .padic import PadicInt, cantor_iterates, euclid_padic_probe, padic_dist, similarity_dimension
 from .samplespace import first_label_count, fraction, hilbert_shadow, rotation_table, sample, to_text
 from . import dirac as dirac_mod
@@ -42,162 +42,198 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0).isoformat()
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _stable_json(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
 
 
-def _load_config(args) -> dict:
-    if args.config is None:
-        return {}
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
+def _exact_str(value) -> str:
+    """JSON form of the parsed config values JSON lacks: rationals and angles."""
+    return str(value.turns if isinstance(value, ExactAngle) else value)
+
+
+REQUIRED = object()  # schema default of a key that every config must give
+
+
+def _int(least: int | None = None):
+    """Parser for an integer (a JSON number or decimal string), at least `least`."""
+    def parse(value) -> int:
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise TypeError(f"expected an integer, got {value!r}")
+        if least is not None and int(value) < least:
+            raise ValueError(f"{value} is below the minimum {least}")
+        return int(value)
+    return parse
+
+
+def _fraction(value) -> Fraction:
+    return Fraction(str(value))
+
+
+def _turns(value) -> ExactAngle:
+    return ExactAngle(_fraction(value))
+
+
+def _list_of(item, length: int | None = None):
+    """Parser for a JSON list of `item` values, of exactly `length` when given."""
+    shape = "a list" if length is None else f"a list of {length} items"
+
+    def parse(value) -> list:
+        if not isinstance(value, list) or length not in (None, len(value)):
+            raise TypeError(f"expected {shape}, got {value!r}")
+        return [item(v) for v in value]
+    return parse
+
+
+#: command -> {key: (parser or nested schema, default)}.  A default is written
+#: as a config would give it and parsed like one.  REQUIRED keys must be given;
+#: an optional key whose default is None stays out of the parsed config.
+SCHEMAS: dict[str, dict] = {
+    "chsh": {
+        "n_bits": (_int(3), REQUIRED),
+        "angles": ({key: (_turns, REQUIRED) for key in ("A1", "A2", "B1", "B2")}, REQUIRED),  # ChshConfig order
+        "window_turns": (_fraction, None),  # absent: ChshConfig's 2**-(N-2)
+    },
+    "mz": {"n_bits": (_int(3), REQUIRED), "mode": (str, WHICH_WAY), "phi_turns": (_turns, REQUIRED)},
+    "pbr": {"n_bits": (_int(1), REQUIRED),
+            **{key: (_turns, REQUIRED) for key in ("alpha_turns", "beta_turns", "theta_turns")}},
+    # both angles: one string; neither: the rotation table
+    "sample": {"n_bits": (_int(3), 4), "theta_turns": (_turns, None), "phi_turns": (_turns, None)},
+    "padic": {
+        "p": (_int(2), 2),
+        "pairs": (_list_of(_list_of(_fraction, 2)), [["7", "3"], ["15", "7"]]),
+        "cantor_level": (_int(0), None),
+        "probe": ({"a_digits": (_list_of(_int(0)), REQUIRED), "b_off": (_fraction, REQUIRED)}, None),
+    },
+    "dirac": {
+        "n_bits": (_int(3), 6),
+        "mass": (_fraction, "1"),
+        "wavevector": (_list_of(_fraction, 3), ["0", "0", "0"]),
+        "steps": (_list_of(_int(), 4), [1, 0, 0, 0]),
+        "trace_length": (_int(0), 4),
+    },
+}
+
+
+def _parse(schema: dict, raw, where: str = "config") -> dict:
+    """Read a JSON object against `schema`: reject unknown keys, require the
+    REQUIRED ones, fill defaults and parse every value, naming the key in
+    each error."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(raw) - set(schema))
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}; expected one of {', '.join(sorted(schema))}")
+    cfg = {}
+    for key, (parser, default) in schema.items():
+        value = raw.get(key, default)
+        if value is REQUIRED:
+            raise ValueError(f"config is missing {key!r}")
+        if value is None and key not in raw:
+            continue
+        if isinstance(parser, dict):
+            cfg[key] = _parse(parser, value, f"config key {key!r}")
+            continue
+        try:
+            cfg[key] = parser(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
     return cfg
 
 
-def _angle(cfg: dict, key: str) -> ExactAngle:
-    try:
-        return ExactAngle.parse(str(cfg[key]))
-    except KeyError:
-        raise ValueError(f"config is missing {key!r}")
+def _config(args) -> dict:
+    """The command's JSON config (no file: all defaults), with ``--n-bits``
+    in place of ``n_bits``, parsed against its schema."""
+    raw = {}
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            try:
+                raw = json.load(fh)
+            except RecursionError:
+                raise ValueError("config nests JSON too deeply") from None
+    if getattr(args, "n_bits", None) is not None and isinstance(raw, dict):
+        raw = {**raw, "n_bits": args.n_bits}
+    return _parse(SCHEMAS[args.command], raw)
 
 
-def _n_bits(cfg: dict, args, default: int | None = None) -> int:
-    if getattr(args, "n_bits", None) is not None:
-        return args.n_bits
-    if "n_bits" in cfg:
-        return int(cfg["n_bits"])
-    if default is not None:
-        return default
-    raise ValueError("n_bits missing (config key 'n_bits' or --n-bits)")
-
-
-def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().encode()
-
-
-def _emit(args, command: str, config_echo: dict, report: dict, csv_payload: bytes | None) -> None:
+def _emit(args, cfg: dict, report: dict, header: list[str], rows: list[list]) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fmt = args.format
     written: dict[str, bytes] = {}
-    if fmt in ("json", "both"):
+    if args.format in ("json", "both"):
         written["report.json"] = _stable_json(report)
-    if fmt in ("csv", "both") and csv_payload is not None:
-        written["report.csv"] = csv_payload
+    if args.format in ("csv", "both"):
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        written["report.csv"] = buf.getvalue().encode()
     for name, data in written.items():
         (out / name).write_bytes(data)
     digest = hashlib.sha256()
     for name in sorted(written):
         digest.update(name.encode() + b"\0" + written[name])
+    echo = json.loads(json.dumps(cfg, default=_exact_str))
     manifest = {
         "tool": "invset",
         "version": __version__,
-        "command": command,
-        "config": config_echo,
-        "input_sha256": _sha256(_stable_json(config_echo)),
+        "command": args.command,
+        "config": echo,
+        "input_sha256": hashlib.sha256(_stable_json(echo)).hexdigest(),
         "timestamp_utc": _utc_now(),
         "output_sha256": digest.hexdigest(),
     }
     (out / "manifest.json").write_bytes(_stable_json(manifest))
-    print(f"{command}: wrote {', '.join(sorted(written))} and manifest.json to {out} "
+    print(f"{args.command}: wrote {', '.join(sorted(written))} and manifest.json to {out} "
           f"(output_sha256={manifest['output_sha256'][:16]}...)")
 
 
 def cmd_chsh(args) -> int:
-    cfg = _load_config(args)
-    if "angles" not in cfg:
-        raise ValueError("chsh config needs an 'angles' object with A1, A2, B1, B2 turn strings")
-    angles = cfg["angles"]
-    n_bits = _n_bits(cfg, args)
-    window = Fraction(str(cfg["window_turns"])) if "window_turns" in cfg else None
-    config = ChshConfig(
-        n_bits,
-        _angle(angles, "A1"),
-        _angle(angles, "A2"),
-        _angle(angles, "B1"),
-        _angle(angles, "B2"),
-        window,
-    )
+    cfg = _config(args)
+    config = ChshConfig(cfg["n_bits"], *cfg["angles"].values(), cfg.get("window_turns"))
     report = chsh_run(config)
     rec = report.record()
-    rows = [
-        [
-            pair,
-            fraction_str(se.substitution.requested_turns),
-            se.substitution.first_count,
-            fraction_str(se.substitution.cos_value),
-            fraction_str(se.correlation),
-            float(se.correlation),
-        ]
-        for pair, se in report.sub_ensembles.items()
-    ]
-    payload = _csv_bytes(
-        ["pair", "requested_turns", "first_count", "cos_substitute", "correlation", "correlation_float"],
-        rows,
-    )
-    _emit(args, "chsh", {"angles": angles, "n_bits": n_bits, "window_turns": str(config.window)}, rec, payload)
+    rows = [[pair, fraction_str(se.substitution.requested_turns), se.substitution.first_count,
+             fraction_str(se.substitution.cos_value), fraction_str(se.correlation), float(se.correlation)]
+            for pair, se in report.sub_ensembles.items()]
+    header = ["pair", "requested_turns", "first_count", "cos_substitute", "correlation", "correlation_float"]
+    _emit(args, {**cfg, "window_turns": config.window}, rec, header, rows)
     print(f"S = {rec['s_value']} ({rec['s_value_float_derived']:.6f})")
     return EXIT_OK
 
 
 def cmd_mz(args) -> int:
-    cfg = _load_config(args)
-    n_bits = _n_bits(cfg, args)
-    config = MzConfig(str(cfg.get("mode", "which_way")), _angle(cfg, "phi_turns"), n_bits)
-    report = mz_run(config)
-    rec = report.record()
-    rows = [
-        [detector, fraction_str(p), float(p)] for detector, p in sorted(report.probabilities.items())
-    ]
-    payload = _csv_bytes(["detector", "probability", "probability_float"], rows)
-    _emit(args, "mz", {"mode": config.mode, "phi_turns": str(config.phi.turns), "n_bits": n_bits}, rec, payload)
+    cfg = _config(args)
+    report = mz_run(MzConfig(cfg["mode"], cfg["phi_turns"], cfg["n_bits"]))
+    rows = [[detector, fraction_str(p), float(p)] for detector, p in sorted(report.probabilities.items())]
+    _emit(args, cfg, report.record(), ["detector", "probability", "probability_float"], rows)
     return EXIT_OK
 
 
 def cmd_pbr(args) -> int:
-    cfg = _load_config(args)
-    n_bits = _n_bits(cfg, args)
-    config = PbrConfig(
-        _angle(cfg, "alpha_turns"), _angle(cfg, "beta_turns"), _angle(cfg, "theta_turns"), n_bits
-    )
-    report = pbr_run(config)
+    cfg = _config(args)
+    report = pbr_run(PbrConfig(cfg["alpha_turns"], cfg["beta_turns"], cfg["theta_turns"], cfg["n_bits"]))
     rec = report.record()
     rows = [
         ["X", rec["X"]["exact"], rec["X"]["float_derived"]],
         ["Z", rec["Z"]["exact"], rec["Z"]["float_derived"]],
     ]
-    payload = _csv_bytes(["quantity", "exact", "float"], rows)
-    echo = {
-        "alpha_turns": str(config.alpha.turns),
-        "beta_turns": str(config.beta.turns),
-        "theta_turns": str(config.theta.turns),
-        "n_bits": n_bits,
-    }
-    _emit(args, "pbr", echo, rec, payload)
+    _emit(args, cfg, rec, ["quantity", "exact", "float"], rows)
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
-    cfg = _load_config(args)
-    n_bits = _n_bits(cfg, args, default=4)
+    cfg = _config(args)
+    n_bits, theta, phi = cfg["n_bits"], cfg.get("theta_turns"), cfg.get("phi_turns")
     if args.golden:
         table = "\n".join(rotation_table(4)) + "\n"
         if table != golden_table_text():
             print("golden mismatch: generated table differs from the stored table", file=sys.stderr)
             return EXIT_USAGE
         print("golden table check: PASS (4 strings, byte-identical)")
-    if "theta_turns" in cfg or "phi_turns" in cfg:
-        s = sample(n_bits, _angle(cfg, "theta_turns"), _angle(cfg, "phi_turns"))
+    if theta is not None or phi is not None:
+        if theta is None or phi is None:
+            raise ValueError(f"config is missing {'theta_turns' if theta is None else 'phi_turns'!r}")
+        s = sample(n_bits, theta, phi)
         shadow = hilbert_shadow(s)
         report = {
             "n_bits": n_bits,
@@ -213,28 +249,17 @@ def cmd_sample(args) -> int:
         rows = [["sample", report["string"]]]
     else:
         table_lines = rotation_table(n_bits)
-        report = {
-            "n_bits": n_bits,
-            "table_shifts": [0, 1, 2, 4],
-            "strings": table_lines,
-        }
+        report = {"n_bits": n_bits, "table_shifts": [0, 1, 2, 4], "strings": table_lines}
         rows = [[f"shift_{k}", line] for k, line in zip((0, 1, 2, 4), table_lines)]
-    payload = _csv_bytes(["name", "labels"], rows)
-    _emit(args, "sample", {"n_bits": n_bits, **{k: str(v) for k, v in cfg.items() if k != "n_bits"}}, report, payload)
+    _emit(args, cfg, report, ["name", "labels"], rows)
     return EXIT_OK
 
 
 def cmd_padic(args) -> int:
-    cfg = _load_config(args)
-    p = int(cfg.get("p", 2))
-    pairs = cfg.get("pairs", [["7", "3"], ["15", "7"]])
+    cfg = _config(args)
+    p = cfg["p"]
     distances = [
-        {
-            "a": str(a),
-            "b": str(b),
-            "distance": fraction_str(padic_dist(Fraction(str(a)), Fraction(str(b)), p)),
-        }
-        for a, b in pairs
+        {"a": str(a), "b": str(b), "distance": fraction_str(padic_dist(a, b, p))} for a, b in cfg["pairs"]
     ]
     if args.golden:
         text = "".join(d["distance"] + "\n" for d in distances)
@@ -244,26 +269,19 @@ def cmd_padic(args) -> int:
         print("golden distance check: PASS")
     report: dict = {"p": p, "distances": distances, "similarity_dimension_float": similarity_dimension(p)}
     if "cantor_level" in cfg:
-        level = int(cfg["cantor_level"])
-        report["cantor_intervals"] = [iv.record() for iv in cantor_iterates(p, level)]
+        report["cantor_intervals"] = [iv.record() for iv in cantor_iterates(p, cfg["cantor_level"])]
     if "probe" in cfg:
-        probe_cfg = cfg["probe"]
-        a = PadicInt(p, tuple(int(d) for d in probe_cfg["a_digits"]))
-        report["probe"] = euclid_padic_probe(a, Fraction(str(probe_cfg["b_off"]))).record()
+        a = PadicInt(p, tuple(cfg["probe"]["a_digits"]))
+        report["probe"] = euclid_padic_probe(a, cfg["probe"]["b_off"]).record()
     rows = [[d["a"], d["b"], d["distance"]] for d in distances]
-    payload = _csv_bytes(["a", "b", "distance"], rows)
-    _emit(args, "padic", {"p": p, "pairs": pairs}, report, payload)
+    _emit(args, cfg, report, ["a", "b", "distance"], rows)
     return EXIT_OK
 
 
 def cmd_dirac(args) -> int:
-    cfg = _load_config(args)
-    n_bits = _n_bits(cfg, args, default=6)
-    mass = Fraction(str(cfg.get("mass", "1")))
-    wavevector = tuple(Fraction(str(x)) for x in cfg.get("wavevector", ["0", "0", "0"]))
-    steps = [int(x) for x in cfg.get("steps", [1, 0, 0, 0])]
-    trace_length = int(cfg.get("trace_length", 4))
-    psi = dirac_mod.spinor(n_bits, mass=mass, wavevector=wavevector)
+    cfg = _config(args)
+    n_bits, steps, trace_length = cfg["n_bits"], cfg["steps"], cfg["trace_length"]
+    psi = dirac_mod.spinor(n_bits, mass=cfg["mass"], wavevector=cfg["wavevector"])
     trace = []
     rows = []
     state = psi
@@ -279,23 +297,15 @@ def cmd_dirac(args) -> int:
             state = dirac_mod.full_evolve(state, *steps)
     report = {
         "n_bits": n_bits,
-        "mass": fraction_str(mass),
-        "wavevector": [fraction_str(k) for k in wavevector],
+        "mass": fraction_str(psi.mass),
+        "wavevector": [fraction_str(k) for k in psi.wavevector],
         "omega_sq": fraction_str(psi.omega_sq),
         "omega": fraction_str(psi.omega) if psi.omega is not None else None,
         "physical": psi.physical,
         "steps_per_application": steps,
         "trace": trace,
     }
-    payload = _csv_bytes(["step", "component", "phase_turns", "first_count"], rows)
-    echo = {
-        "n_bits": n_bits,
-        "mass": str(mass),
-        "wavevector": [str(k) for k in wavevector],
-        "steps": steps,
-        "trace_length": trace_length,
-    }
-    _emit(args, "dirac", echo, report, payload)
+    _emit(args, cfg, report, ["step", "component", "phase_turns", "first_count"], rows)
     return EXIT_OK
 
 
@@ -319,38 +329,23 @@ def cmd_check(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="invset", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, func, help_text in (
+        ("chsh", cmd_chsh, "four sub-ensemble correlations, S value, counterfactual matrix"),
+        ("mz", cmd_mz, "which-way / interference run with gate verdicts"),
+        ("pbr", cmd_pbr, "closed-form outcome values and the preparation obstruction"),
+        ("sample", cmd_sample, "construct strings; golden-table comparison with --golden"),
+        ("padic", cmd_padic, "p-adic distances, Cantor intervals, probes"),
+        ("dirac", cmd_dirac, "granular evolution trace"),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=str, default=None, help="JSON config path")
         p.add_argument("--out", type=str, default="invset_reports", help="output directory")
         p.add_argument("--format", choices=["json", "csv", "both"], default="both")
-        p.add_argument("--n-bits", type=int, default=None, help="override config n_bits")
-
-    p_chsh = sub.add_parser("chsh", help="four sub-ensemble correlations, S value, counterfactual matrix")
-    common(p_chsh)
-    p_chsh.set_defaults(func=cmd_chsh)
-
-    p_mz = sub.add_parser("mz", help="which-way / interference run with gate verdicts")
-    common(p_mz)
-    p_mz.set_defaults(func=cmd_mz)
-
-    p_pbr = sub.add_parser("pbr", help="closed-form outcome values and the preparation obstruction")
-    common(p_pbr)
-    p_pbr.set_defaults(func=cmd_pbr)
-
-    p_sample = sub.add_parser("sample", help="construct strings; golden-table comparison with --golden")
-    common(p_sample)
-    p_sample.add_argument("--golden", action="store_true")
-    p_sample.set_defaults(func=cmd_sample)
-
-    p_padic = sub.add_parser("padic", help="p-adic distances, Cantor intervals, probes")
-    common(p_padic)
-    p_padic.add_argument("--golden", action="store_true")
-    p_padic.set_defaults(func=cmd_padic)
-
-    p_dirac = sub.add_parser("dirac", help="granular evolution trace")
-    common(p_dirac)
-    p_dirac.set_defaults(func=cmd_dirac)
+        if "n_bits" in SCHEMAS[name]:
+            p.add_argument("--n-bits", type=int, default=None, help="override config n_bits")
+        if name in ("sample", "padic"):
+            p.add_argument("--golden", action="store_true")
+        p.set_defaults(func=func)
 
     p_check = sub.add_parser("check", help="run an invariant suite")
     p_check.add_argument("--suite", type=str, default="all")
@@ -368,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NotOnInvariantSet, NoAdmissibleAngle) as exc:
         print(f"off the invariant set: {exc}", file=sys.stderr)
         return EXIT_EXCLUDED
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, ZeroDivisionError, ResourceBound) as exc:
+    except (OSError, ValueError, ZeroDivisionError, ResourceBound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

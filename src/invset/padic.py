@@ -22,18 +22,37 @@ CANTOR_ITERATE_BOUND = 1 << 20  # max number of intervals cantor_iterates will b
 Infinity = math.inf
 
 
+#: The first 13 primes: as Miller-Rabin bases they decide primality exactly
+#: below MILLER_RABIN_LIMIT (Sorenson & Webster 2015), the least n that is a
+#: strong pseudoprime to all of them.
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality, exact for every p below
+    MILLER_RABIN_LIMIT or with a factor among the bases; any other p raises
+    ResourceBound rather than get a probable answer."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for a in MILLER_RABIN_BASES:
+        if p % a == 0:
+            return p == a
+    if p >= MILLER_RABIN_LIMIT:
+        raise ResourceBound(f"primality of {p} is decided exactly only below {MILLER_RABIN_LIMIT}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -1,8 +1,13 @@
+import io
 import json
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from invset.cli import main
+from invset.cli import SCHEMAS, main
 
 OPTIMAL_CHSH = {
     "n_bits": 12,
@@ -198,6 +203,23 @@ class TestMalformedInput:
             ("padic", {"p": 2, "cantor_level": 30}, "error: 2**30 intervals exceed the bound 1048576"),
             ("chsh", {"n_bits": 16, "angles": {"A1": "0", "A2": "1/4", "B1": "1/8"}},
              "error: config is missing 'B2'"),
+            ("chsh", {"n_bits": 16, "angles": "x"}, "error: config key 'angles' must be a JSON object"),
+            ("dirac", {"steps": 5}, "error: config key 'steps': expected a list of 4 items, got 5"),
+            ("dirac", {"wavevector": ["1", "2"]},
+             "error: config key 'wavevector': expected a list of 3 items, got ['1', '2']"),
+            ("padic", {"p": 2, "probe": {"a_digits": [1, 0, 0, 0]}}, "error: config is missing 'b_off'"),
+            ("sample", {"n_bits": 0}, "error: config key 'n_bits': 0 is below the minimum 3"),
+            ("sample", {"n_bits": -3}, "error: config key 'n_bits': -3 is below the minimum 3"),
+            ("dirac", {"n_bits": 0}, "error: config key 'n_bits': 0 is below the minimum 3"),
+            ("dirac", {"n_bits": -3}, "error: config key 'n_bits': -3 is below the minimum 3"),
+            ("chsh", dict(OPTIMAL_CHSH, n_bits=1), "error: config key 'n_bits': 1 is below the minimum 3"),
+            ("dirac", {"trace_length": -1}, "error: config key 'trace_length': -1 is below the minimum 0"),
+            ("chsh", dict(OPTIMAL_CHSH, window_turn="1/64"),
+             "error: unknown config key 'window_turn'; expected one of angles, n_bits, window_turns"),
+            ("mz", {"n_bits": 10.5, "phi_turns": "0"}, "error: config key 'n_bits': expected an integer, got 10.5"),
+            ("pbr", ["n_bits", 8], "error: config must be a JSON object"),
+            ("padic", {"p": 2**89 - 1},
+             f"error: primality of {2**89 - 1} is decided exactly only below 3317044064679887385961981"),
         ],
     )
     def test_exits_one_with_one_line(self, tmp_path, capsys, command, payload, message):
@@ -206,6 +228,127 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.splitlines() == [message]
         assert "Traceback" not in err
+
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"n_bits": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["sample", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: config nests JSON too deeply\n"
+
+
+class TestNBitsOption:
+    def test_override_is_checked_like_the_config_key(self, tmp_path, capsys):
+        assert main(["sample", "--n-bits", "0", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: config key 'n_bits': 0 is below the minimum 3\n"
+
+    def test_padic_has_no_n_bits_option(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["padic", "--n-bits", "4", "--out", str(tmp_path / "o")])
+
+
+class TestMillerRabinPrime:
+    def test_mersenne_61_runs_in_under_a_second(self, tmp_path):
+        cfg = write_config(tmp_path, "p.json", {"p": 2**61 - 1, "pairs": [["1/3", "5"], ["7", "7"]]})
+        start = time.perf_counter()
+        assert main(["padic", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert read_json(tmp_path / "o" / "report.json")["distances"][1]["distance"] == "0/1"
+
+
+# The six README example configs and the output_sha256 each gave before the
+# config schema replaced the per-command parsers: refactors keep these bytes.
+README_CONFIGS = {
+    "chsh": ({"n_bits": 20, "angles": {"A1": "0", "A2": "1/4", "B1": "1/8", "B2": "3/8"},
+              "window_turns": "1/262144"},
+             "21ce8ad789f02b6f7bcfc218bd18cf451e67a0ef90428698ffc7dc3d897433d9"),
+    "mz": ({"n_bits": 10, "mode": "which_way", "phi_turns": "5/256"},
+           "758d1398fa393210ee9ec1b5c1929e411dc900f27cae2a51029879efdd3308dc"),
+    "pbr": ({"n_bits": 8, "alpha_turns": "1/2", "beta_turns": "1/6", "theta_turns": "1/4"},
+            "186a3c190caffb84f01fdd1e5b36b7fec3f88659e551417c2f31d98cc46e5e98"),
+    "sample": ({"n_bits": 5, "theta_turns": "1/6", "phi_turns": "1/16"},
+               "3ddbbdc1f3a4b20276484d2dcb194ff96e7c5e3657fd1d8ef98a090318d8a9d7"),
+    "padic": ({"p": 2, "pairs": [["7", "3"], ["15", "7"]], "cantor_level": 2,
+               "probe": {"a_digits": [1, 0, 0, 0], "b_off": "5/4"}},
+              "bd89a14f8e995d50347d5ec5dcf635e303caab4d68f42af2879c2bf8b7c526d5"),
+    "dirac": ({"n_bits": 6, "mass": "3", "wavevector": ["4", "0", "0"], "steps": [1, 1, 0, 0], "trace_length": 4},
+              "6a3cca48e921c0f87461beab4156a5eb2bc01c4848486dc0c905832733f51a75"),
+}
+
+
+class TestReadmeConfigs:
+    @pytest.mark.parametrize("command", sorted(README_CONFIGS))
+    def test_output_sha256_is_pinned(self, tmp_path, command):
+        payload, sha = README_CONFIGS[command]
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert read_json(tmp_path / "o" / "manifest.json")["output_sha256"] == sha
+
+    def test_manifest_echoes_the_parsed_config_with_defaults(self, tmp_path):
+        payload = README_CONFIGS["padic"][0]
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main(["padic", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert read_json(tmp_path / "o" / "manifest.json")["config"] == payload
+        cfg = write_config(tmp_path, "d.json", {"mass": "6/2"})
+        assert main(["dirac", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+        assert read_json(tmp_path / "d" / "manifest.json")["config"] == {
+            "n_bits": 6, "mass": "3", "wavevector": ["0", "0", "0"], "steps": [1, 0, 0, 0], "trace_length": 4}
+
+
+def _rationals(max_den_bits=6):
+    return st.builds(lambda n, k: f"{n}/{2 ** k}", st.integers(-70, 70), st.integers(0, max_den_bits))
+
+
+# Well-formed values, bounded so every run is small (N <= 12, Cantor level <= 4);
+# a key not listed takes a rational.  _JUNK is JSON of any other shape.
+_GOOD = {
+    "n_bits": st.one_of(st.integers(1, 12), st.integers(3, 12).map(str)),
+    "window_turns": _rationals(16),
+    "mode": st.sampled_from(["which_way", "interference", "which-way"]),
+    "p": st.sampled_from([2, 3, 5, 7, 4, "3", 2**61 - 1]),
+    "pairs": st.lists(st.lists(_rationals(), min_size=2, max_size=2), max_size=4),
+    "cantor_level": st.integers(-1, 4),
+    "a_digits": st.lists(st.integers(0, 6), min_size=1, max_size=6),
+    "wavevector": st.lists(_rationals(), min_size=3, max_size=3),
+    "steps": st.lists(st.integers(-40, 40), min_size=4, max_size=4),
+    "trace_length": st.integers(-1, 6),
+}
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-2, 2), st.text(max_size=4),
+                  st.lists(st.one_of(st.integers(-2, 2), st.text(max_size=2)), max_size=5),
+                  st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@st.composite
+def _configs(draw, schema):
+    """A config object for `schema`: each key mostly well-formed, sometimes
+    junk or absent, and now and then an unknown key."""
+    payload = {}
+    for key, (parser, _) in schema.items():
+        roll = draw(st.integers(0, 9))
+        if roll < 8:
+            payload[key] = draw(_configs(parser) if isinstance(parser, dict) else _GOOD.get(key, _rationals()))
+        elif roll == 8:
+            payload[key] = draw(_JUNK)
+    if draw(st.integers(0, 9)) == 9:
+        payload[draw(st.sampled_from(["window_turn", "nbits", "A3"]))] = draw(_JUNK)
+    return payload
+
+
+class TestConfigProperty:
+    @pytest.mark.parametrize("command", sorted(SCHEMAS))
+    def test_any_config_ends_in_a_defined_exit(self, tmp_path, command):
+        @settings(max_examples=50, deadline=None, derandomize=True, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(_configs(SCHEMAS[command]))
+        def run(payload):
+            cfg = write_config(tmp_path, "c.json", payload)
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+            assert code in (0, 1, 2)
+            assert len(err.getvalue().splitlines()) == (code != 0)
+            assert "Traceback" not in err.getvalue()
+
+        run()
 
 
 class TestCheckCommand:

@@ -6,6 +6,7 @@ import pytest
 
 from invset.exactmath import ResourceBound
 from invset.padic import (
+    MILLER_RABIN_LIMIT,
     CantorInterval,
     PadicInt,
     cantor_iterates,
@@ -13,6 +14,7 @@ from invset.padic import (
     euclid_padic_probe,
     interval_for,
     interval_for_path,
+    is_prime,
     ord_p,
     padic_dist,
     padic_norm,
@@ -22,6 +24,40 @@ from invset.padic import (
 
 def rand_fraction(rng, bound=80):
     return Fraction(rng.randrange(-bound, bound + 1), rng.randrange(1, bound + 1))
+
+
+def trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division_below_1e5(self):
+        assert [n for n in range(10**5) if is_prime(n) != trial_division(n)] == []
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,  # strong pseudoprimes
+            341550071728321, 3825123056546413051, 318665857834031151167461,
+            561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,  # Carmichael numbers
+            (2**61 - 1) * 1_000_003,
+        ],
+    )
+    def test_rejects_pseudoprimes_and_carmichael_numbers(self, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [1_000_003, 1_000_000_007, 2**61 - 1, 2**64 - 59])
+    def test_accepts_large_primes(self, n):
+        assert is_prime(n)
+
+    def test_the_least_strong_pseudoprime_to_all_bases_is_a_resource_bound(self):
+        # 3317044064679887385961981 is composite and passes every base, so it
+        # and everything above it without a small factor is refused, not guessed.
+        with pytest.raises(ResourceBound):
+            is_prime(MILLER_RABIN_LIMIT)
+        with pytest.raises(ResourceBound):
+            is_prime(2**89 - 1)
+        assert not is_prime(MILLER_RABIN_LIMIT + 1)  # even: decided by a base
 
 
 class TestOrder:
