@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import hashlib
 import io
 import json
@@ -29,7 +30,7 @@ from .exactmath import (
     fraction_str,
 )
 from .experiments import WHICH_WAY, ChshConfig, MzConfig, PbrConfig, chsh_run, mz_run, pbr_run
-from .padic import PadicInt, cantor_iterates, euclid_padic_probe, padic_dist, similarity_dimension
+from .padic import PadicInt, cantor_iterates, euclid_padic_probe, is_prime, padic_dist, similarity_dimension
 from .samplespace import first_label_count, fraction, hilbert_shadow, rotation_table, sample, to_text
 from . import dirac as dirac_mod
 
@@ -63,6 +64,14 @@ def _int(least: int | None = None):
             raise ValueError(f"{value} is below the minimum {least}")
         return int(value)
     return parse
+
+
+def _prime(value) -> int:
+    """Parser for a prime: the p-adic metric and C(p) are defined for primes."""
+    p = _int(2)(value)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p
 
 
 def _fraction(value) -> Fraction:
@@ -99,7 +108,7 @@ SCHEMAS: dict[str, dict] = {
     # both angles: one string; neither: the rotation table
     "sample": {"n_bits": (_int(3), 4), "theta_turns": (_turns, None), "phi_turns": (_turns, None)},
     "padic": {
-        "p": (_int(2), 2),
+        "p": (_prime, 2),
         "pairs": (_list_of(_list_of(_fraction, 2)), [["7", "3"], ["15", "7"]]),
         "cantor_level": (_int(0), None),
         "probe": ({"a_digits": (_list_of(_int(0)), REQUIRED), "b_off": (_fraction, REQUIRED)}, None),
@@ -326,8 +335,20 @@ def cmd_check(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_USAGE
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error like every other usage error: one line on stderr
+    and exit 1, since exit 2 means an invariant-set exclusion.  Subparsers
+    are made of this class too."""
+
+    def error(self, message: str):
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="invset", description=__doc__)
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
+    parser = _ArgumentParser(prog="invset", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, help_text in (
         ("chsh", cmd_chsh, "four sub-ensemble correlations, S value, counterfactual matrix"),

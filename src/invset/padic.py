@@ -145,6 +145,15 @@ class PadicInt:
         return self.shared_prefix(other) >= n
 
 
+def _left_numerator(q: int, path: Iterable[int]) -> int:
+    """Numerator over q**len(path) of sum 2*c_k/q**(k+1), by Horner's rule:
+    each digit maps n to q*n + 2c."""
+    n = 0
+    for c in path:
+        n = q * n + 2 * c
+    return n
+
+
 def cantor_map(z: PadicInt) -> Fraction:
     """K-digit truncation of the homeomorphism into C(p).
 
@@ -152,10 +161,7 @@ def cantor_map(z: PadicInt) -> Fraction:
     level-K interval selected by the digits.
     """
     q = 2 * z.p - 1
-    total = Fraction(0)
-    for k, d in enumerate(z.digits):
-        total += Fraction(2 * d, q ** (k + 1))
-    return total
+    return Fraction(_left_numerator(q, z.digits), q**z.precision)
 
 
 @dataclass(frozen=True)
@@ -191,11 +197,8 @@ def interval_for_path(p: int, path: Iterable[int]) -> CantorInterval:
     if any(not 0 <= c < p for c in path):
         raise ValueError(f"path entries must lie in 0..{p - 1}")
     q = 2 * p - 1
-    left = Fraction(0)
-    for k, c in enumerate(path):
-        left += Fraction(2 * c, q ** (k + 1))
-    width = Fraction(1, q ** len(path))
-    return CantorInterval(p, len(path), path, left, left + width)
+    n, den = _left_numerator(q, path), q ** len(path)
+    return CantorInterval(p, len(path), path, Fraction(n, den), Fraction(n + 1, den))
 
 
 def interval_for(z: PadicInt, level: int) -> CantorInterval:
@@ -215,7 +218,13 @@ def cantor_iterates(p: int, level: int, *, bound: int = CANTOR_ITERATE_BOUND) ->
         raise ValueError("level must be >= 0")
     if p**level > bound:
         raise ResourceBound(f"{p}**{level} intervals exceed the bound {bound}")
-    return [interval_for_path(p, path) for path in product(range(p), repeat=level)]
+    q = 2 * p - 1
+    numerators = [0]
+    for _ in range(level):  # the Horner step of _left_numerator, for every path at once
+        numerators = [q * n + 2 * c for n in numerators for c in range(p)]
+    den = q**level
+    return [CantorInterval(p, level, path, Fraction(n, den), Fraction(n + 1, den))
+            for path, n in zip(product(range(p), repeat=level), numerators)]
 
 
 def similarity_dimension(p: int) -> float:

@@ -324,7 +324,7 @@ def to_text(s: BitString) -> str:
     """Serialize: one character per label, first label leftmost, 0 = first
     regime, 1 = negated."""
     s = expand(s)
-    return "".join("1" if (s.bits >> j) & 1 else "0" for j in range(s.size))
+    return format(s.bits, f"0{s.size}b")[::-1]
 
 
 def from_text(line: str, tag: str = "a") -> BitString:
@@ -333,10 +333,10 @@ def from_text(line: str, tag: str = "a") -> BitString:
     n_bits = length.bit_length() - 1
     if length != 1 << n_bits or n_bits < 3:
         raise ValueError("line length must be 2**N with N >= 3")
-    if set(line) - {"0", "1"}:
+    # int(..., 2) alone would also accept "_", a sign and non-ASCII digits
+    if line.count("0") + line.count("1") != length:
         raise ValueError("labels must be 0 or 1")
-    bits = sum(1 << j for j, ch in enumerate(line) if ch == "1")
-    return BitString(n_bits, bits, tag, None)
+    return BitString(n_bits, int(line[::-1], 2), tag, None)
 
 
 def rotation_table(n_bits: int, shifts: tuple[int, ...] = (0, 1, 2, 4)) -> list[str]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from invset.cli import SCHEMAS, main
+from invset.cli import SCHEMAS, build_parser, main
 
 OPTIMAL_CHSH = {
     "n_bits": 12,
@@ -142,6 +142,12 @@ class TestSampleCommand:
         cfg = write_config(tmp_path, "s.json", {"n_bits": 5, "theta_turns": "1/5", "phi_turns": "0"})
         assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_n20_table_is_linear_time(self, tmp_path):
+        # four strings of 2**20 labels; label-by-label text I/O took about 2 minutes on a 2-vCPU VM
+        start = time.perf_counter()
+        assert main(["sample", "--n-bits", "20", "--out", str(tmp_path / "o")]) == 0
+        assert time.perf_counter() - start < 3.0
+
 
 class TestPadicCommand:
     def test_golden_distances(self, tmp_path):
@@ -220,6 +226,7 @@ class TestMalformedInput:
             ("pbr", ["n_bits", 8], "error: config must be a JSON object"),
             ("padic", {"p": 2**89 - 1},
              f"error: primality of {2**89 - 1} is decided exactly only below 3317044064679887385961981"),
+            ("padic", {"p": 4, "pairs": [], "cantor_level": 2}, "error: config key 'p': 4 is not prime"),
         ],
     )
     def test_exits_one_with_one_line(self, tmp_path, capsys, command, payload, message):
@@ -244,6 +251,43 @@ class TestNBitsOption:
     def test_padic_has_no_n_bits_option(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["padic", "--n-bits", "4", "--out", str(tmp_path / "o")])
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["padic", "--n-bits", "4"], "error: unrecognized arguments: --n-bits 4"),
+            (["sample", "--bogus"], "error: unrecognized arguments: --bogus"),
+            (["sample", "--n-bits", "abc"], "error: argument --n-bits: invalid int value: 'abc'"),
+            ([], "error: the following arguments are required: command"),
+        ],
+    )
+    def test_usage_error_exits_one_with_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--help"])
+        assert exc.value.code == 0
+        assert "--n-bits" in capsys.readouterr().out
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_cached_parser_keeps_no_state(self, tmp_path):
+        cfg = write_config(tmp_path, "s.json", {"n_bits": 6, "theta_turns": "1/6", "phi_turns": "1/32"})
+        padic_cfg = write_config(tmp_path, "p.json", README_CONFIGS["padic"][0])
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        assert main(["padic", "--config", padic_cfg, "--format", "json", "--out", str(tmp_path / "p")]) == 0
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        shas = [read_json(tmp_path / d / "manifest.json")["output_sha256"] for d in "ab"]
+        assert shas[0] == shas[1]
+        assert sorted(path.name for path in (tmp_path / "b").iterdir()) == ["manifest.json", "report.csv",
+                                                                             "report.json"]
 
 
 class TestMillerRabinPrime:

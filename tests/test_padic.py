@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -158,6 +159,26 @@ class TestCantor:
     def test_resource_bound(self):
         with pytest.raises(ResourceBound):
             cantor_iterates(2, 25)
+
+    @pytest.mark.parametrize("p,levels", [(2, range(0, 9)), (3, range(0, 6)), (5, range(0, 4)), (7, range(0, 3))])
+    def test_iterates_are_the_path_intervals(self, p, levels):
+        # reference: left endpoints summed term by term, 2c_k/(2p-1)^(k+1)
+        q = 2 * p - 1
+        for level in levels:
+            iterates = cantor_iterates(p, level)
+            paths = list(itertools.product(range(p), repeat=level))
+            assert iterates == [interval_for_path(p, path) for path in paths]
+            assert [i.record() for i in iterates] == [interval_for_path(p, path).record() for path in paths]
+            for i, path in zip(iterates, paths):
+                left = sum((Fraction(2 * c, q ** (k + 1)) for k, c in enumerate(path)), Fraction(0))
+                assert (i.left, i.right) == (left, left + Fraction(1, q**level))
+
+    def test_map_is_the_left_endpoint_of_its_interval(self):
+        rng = random.Random(47)
+        for p in (2, 3, 5, 7):
+            for precision in range(1, 9):
+                z = PadicInt(p, tuple(rng.randrange(p) for _ in range(precision)))
+                assert cantor_map(z) == interval_for(z, z.precision).left
 
     def test_map_lands_in_its_interval(self):
         rng = random.Random(31)

@@ -301,6 +301,27 @@ class TestSerialization:
         with pytest.raises(ValueError):
             from_text("00000002")
 
+    # int(..., 2) accepts each of these read in one direction or the other
+    @pytest.mark.parametrize("line", ["0_010101", "+0010101", "1010100+", "0000000\uff10"])
+    def test_from_text_rejects_what_int_accepts(self, line):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            from_text(line)
+
+    @pytest.mark.parametrize("n_bits", range(3, 15))
+    def test_text_io_agrees_with_the_per_label_loop(self, n_bits):
+        def per_label_text(s):  # the definition: character j is label j
+            return "".join("1" if (s.bits >> j) & 1 else "0" for j in range(s.size))
+
+        rng = random.Random(n_bits)
+        for bits in (0, (1 << (1 << n_bits)) - 1, rng.getrandbits(1 << n_bits)):
+            s = BitString(n_bits, bits)
+            line = per_label_text(s)
+            assert to_text(s) == line
+            assert from_text(line).bits == sum(1 << j for j, ch in enumerate(line) if ch == "1") == bits
+        desc_only = BitString(n_bits, None, "a", OrbitDescriptor(n_bits, rng.randrange(1 << n_bits),
+                                                                 rng.randrange((1 << n_bits) + 1)))
+        assert to_text(desc_only) == per_label_text(expand(desc_only))
+
 
 class TestTrajectoryBundles:
     def test_haar_is_label_fraction(self):
