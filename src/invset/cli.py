@@ -16,6 +16,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -38,13 +39,103 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_EXCLUDED = 2
 
+TRACE_LENGTH_BOUND = 1 << 12  # max evolution steps a dirac trace will take
+
 
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0).isoformat()
 
 
 def _stable_json(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+    """The bytes of ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.
+
+    json writes an indented document with its pure-Python encoder; this
+    writer makes the same choices (sorted keys, ASCII-escaped strings, the
+    same number, key and error forms) with fewer calls per value."""
+    chunks: list[str] = []
+    _write_json(obj, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks).encode()
+
+
+def _json_float(value: float) -> str:
+    """A float as json writes it: NaN and the infinities by name, else its repr."""
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+_json_str = json.encoder.encode_basestring_ascii
+#: JSON text of each scalar type, looked up by exact type; a subclass is
+#: found through the first of str, int, float it is an instance of.
+_JSON_SCALARS = {
+    str: _json_str,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+_INT_TYPE = frozenset((int,))
+
+
+def _json_scalar(value) -> str | None:
+    """JSON text of a str, int, float, bool or None; None for anything else."""
+    encode = _JSON_SCALARS.get(type(value))
+    if encode is not None:
+        return encode(value)
+    for base in (str, int, float):
+        if isinstance(value, base):  # a subclass: json writes it as its base
+            return _JSON_SCALARS[base](value)
+    return None
+
+
+def _write_json(value, newline: str, out) -> None:
+    """Append the JSON text of `value`, indented 2 per level, to `out`;
+    `newline` is a newline followed by the indent of the line `value` is on.
+    Items of exact scalar type are written in their container's loop."""
+    if isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner = newline + "  "
+        comma, sep = "," + inner, "{" + inner
+        for key, item in sorted(value.items()):
+            text = key if isinstance(key, str) else _json_scalar(key)
+            if text is None:
+                raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+            encode = _JSON_SCALARS.get(type(item))
+            if encode is not None:
+                out(sep + _json_str(text) + ": " + encode(item))
+            else:
+                out(sep + _json_str(text) + ": ")
+                _write_json(item, inner, out)
+            sep = comma
+        out(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out("[]")
+            return
+        inner = newline + "  "
+        comma, sep = "," + inner, "[" + inner
+        if _INT_TYPE.issuperset(map(type, value)):  # exact ints: str is int.__repr__
+            out(sep + comma.join(map(str, value)) + newline + "]")
+            return
+        for item in value:
+            encode = _JSON_SCALARS.get(type(item))
+            if encode is not None:
+                out(sep + encode(item))
+            else:
+                out(sep)
+                _write_json(item, inner, out)
+            sep = comma
+        out(newline + "]")
+    else:
+        text = _json_scalar(value)
+        if text is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        out(text)
 
 
 def _exact_str(value) -> str:
@@ -55,13 +146,16 @@ def _exact_str(value) -> str:
 REQUIRED = object()  # schema default of a key that every config must give
 
 
-def _int(least: int | None = None):
-    """Parser for an integer (a JSON number or decimal string), at least `least`."""
+def _int(least: int | None = None, bound: int | None = None):
+    """Parser for an integer (a JSON number or decimal string), at least
+    `least` and at most `bound`."""
     def parse(value) -> int:
         if isinstance(value, bool) or not isinstance(value, (int, str)):
             raise TypeError(f"expected an integer, got {value!r}")
         if least is not None and int(value) < least:
             raise ValueError(f"{value} is below the minimum {least}")
+        if bound is not None and int(value) > bound:
+            raise ValueError(f"{value} exceeds the bound {bound}")
         return int(value)
     return parse
 
@@ -118,7 +212,7 @@ SCHEMAS: dict[str, dict] = {
         "mass": (_fraction, "1"),
         "wavevector": (_list_of(_fraction, 3), ["0", "0", "0"]),
         "steps": (_list_of(_int(), 4), [1, 0, 0, 0]),
-        "trace_length": (_int(0), 4),
+        "trace_length": (_int(0, TRACE_LENGTH_BOUND), 4),
     },
 }
 

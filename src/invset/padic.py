@@ -166,13 +166,21 @@ def cantor_map(z: PadicInt) -> Fraction:
 
 @dataclass(frozen=True)
 class CantorInterval:
-    """A level-k interval of C(p), addressed by its digit path."""
+    """A level-k interval of C(p), addressed by its digit path: the interval
+    [n/q**k, (n+1)/q**k] for q = 2p-1 and the left numerator n."""
 
     p: int
     level: int
     path: tuple[int, ...]
-    left: Fraction
-    right: Fraction
+    numerator: int
+
+    @property
+    def left(self) -> Fraction:
+        return Fraction(self.numerator, (2 * self.p - 1) ** self.level)
+
+    @property
+    def right(self) -> Fraction:
+        return Fraction(self.numerator + 1, (2 * self.p - 1) ** self.level)
 
     def width(self) -> Fraction:
         return self.right - self.left
@@ -182,13 +190,16 @@ class CantorInterval:
         return self.left <= fx <= self.right
 
     def record(self) -> dict:
-        """JSON-serializable record with exact endpoints."""
+        """JSON-serializable record with exact endpoints, each in lowest
+        terms as ``fraction_str`` writes it."""
+        n, den = self.numerator, (2 * self.p - 1) ** self.level
+        g, h = math.gcd(n, den), math.gcd(n + 1, den)
         return {
             "p": self.p,
             "level": self.level,
             "path": list(self.path),
-            "left": fraction_str(self.left),
-            "right": fraction_str(self.right),
+            "left": f"{n // g}/{den // g}",
+            "right": f"{(n + 1) // h}/{den // h}",
         }
 
 
@@ -196,9 +207,7 @@ def interval_for_path(p: int, path: Iterable[int]) -> CantorInterval:
     path = tuple(path)
     if any(not 0 <= c < p for c in path):
         raise ValueError(f"path entries must lie in 0..{p - 1}")
-    q = 2 * p - 1
-    n, den = _left_numerator(q, path), q ** len(path)
-    return CantorInterval(p, len(path), path, Fraction(n, den), Fraction(n + 1, den))
+    return CantorInterval(p, len(path), path, _left_numerator(2 * p - 1, path))
 
 
 def interval_for(z: PadicInt, level: int) -> CantorInterval:
@@ -216,15 +225,14 @@ def cantor_iterates(p: int, level: int, *, bound: int = CANTOR_ITERATE_BOUND) ->
         raise ValueError("p must be >= 2")
     if level < 0:
         raise ValueError("level must be >= 0")
-    if p**level > bound:
+    # p**level >= 2**level > bound once level >= bound.bit_length(): no need to compute p**level
+    if level >= bound.bit_length() or p**level > bound:
         raise ResourceBound(f"{p}**{level} intervals exceed the bound {bound}")
     q = 2 * p - 1
     numerators = [0]
     for _ in range(level):  # the Horner step of _left_numerator, for every path at once
         numerators = [q * n + 2 * c for n in numerators for c in range(p)]
-    den = q**level
-    return [CantorInterval(p, level, path, Fraction(n, den), Fraction(n + 1, den))
-            for path, n in zip(product(range(p), repeat=level), numerators)]
+    return [CantorInterval(p, level, path, n) for path, n in zip(product(range(p), repeat=level), numerators)]
 
 
 def similarity_dimension(p: int) -> float:

@@ -1,13 +1,16 @@
+import enum
 import io
 import json
+import math
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from invset.cli import SCHEMAS, build_parser, main
+from invset.cli import SCHEMAS, TRACE_LENGTH_BOUND, _stable_json, build_parser, main
 
 OPTIMAL_CHSH = {
     "n_bits": 12,
@@ -198,6 +201,14 @@ class TestDiracCommand:
         assert report["omega"] == "5/1"
         assert (out / "report.csv").read_text().splitlines()[0] == "step,component,phase_turns,first_count"
 
+    def test_trace_at_the_bound_runs_in_seconds(self, tmp_path):
+        cfg = write_config(tmp_path, "d.json", {"mass": "3", "wavevector": ["4", "0", "0"], "steps": [1, 1, 0, 0],
+                                                "trace_length": TRACE_LENGTH_BOUND})
+        start = time.perf_counter()
+        assert main(["dirac", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert time.perf_counter() - start < 10.0
+        assert len(read_json(tmp_path / "o" / "report.json")["trace"]) == TRACE_LENGTH_BOUND + 1
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize(
@@ -235,6 +246,25 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.splitlines() == [message]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            ("padic", {"p": 3, "pairs": [], "cantor_level": 100_000_000},
+             "error: 3**100000000 intervals exceed the bound 1048576"),
+            ("padic", {"p": 2, "pairs": [], "cantor_level": 1_000_000_000},
+             "error: 2**1000000000 intervals exceed the bound 1048576"),
+            ("dirac", {"trace_length": 100_000_000},
+             "error: config key 'trace_length': 100000000 exceeds the bound 4096"),
+            ("dirac", {"trace_length": 4097}, "error: config key 'trace_length': 4097 exceeds the bound 4096"),
+        ],
+    )
+    def test_huge_sizes_exit_one_at_once(self, tmp_path, capsys, command, payload, message):
+        cfg = write_config(tmp_path, "big.json", payload)
+        start = time.perf_counter()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.splitlines() == [message]
 
     def test_deeply_nested_config(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
@@ -336,6 +366,82 @@ class TestReadmeConfigs:
         assert main(["dirac", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
         assert read_json(tmp_path / "d" / "manifest.json")["config"] == {
             "n_bits": 6, "mass": "3", "wavevector": ["0", "0", "0"], "steps": [1, 0, 0, 0], "trace_length": 4}
+
+
+# Scaled padic configs (Cantor levels up to 2**11 intervals, with pairs and a
+# probe) and the output_sha256 each gave before the report writer and the
+# Cantor intervals were rewritten: both changes keep these bytes.
+SCALED_PADIC_CONFIGS = {
+    "2-8": ({"p": 2, "pairs": [["7", "3"], ["15", "7"], ["1/3", "5/9"]], "cantor_level": 8,
+             "probe": {"a_digits": [1, 0, 1, 1], "b_off": "5/4"}},
+            "82f82c39f7b4763537ab14622fbc809e24dc52d4b8463952437e5d6653f0fef2"),
+    "3-5": ({"p": 3, "pairs": [["7", "3"], ["1/9", "2/3"]], "cantor_level": 5,
+             "probe": {"a_digits": [2, 1, 0], "b_off": "1/3"}},
+            "2fae1b9fd50ef4af384f48c4586dc42c383e6217c9689e4898f12b68c71b553f"),
+    "5-4": ({"p": 5, "pairs": [["25", "3/5"], ["7", "2"]], "cantor_level": 4,
+             "probe": {"a_digits": [4, 0, 3], "b_off": "2/25"}},
+            "35f01737120bed6c479130eeee15b1bc38f91ea6091df9758ec8e95ad928b9cd"),
+    "2-11": ({"p": 2, "pairs": [["7", "3"], ["15", "7"]], "cantor_level": 11,
+              "probe": {"a_digits": [1, 0, 0, 0], "b_off": "5/4"}},
+             "853da15b56547ebe1cafa583e06c104562e189a975e4c568cd1347f021daab8b"),
+}
+
+
+class TestScaledPadicConfigs:
+    @pytest.mark.parametrize("name", sorted(SCALED_PADIC_CONFIGS))
+    def test_output_sha256_is_pinned(self, tmp_path, name):
+        payload, sha = SCALED_PADIC_CONFIGS[name]
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main(["padic", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert read_json(tmp_path / "o" / "manifest.json")["output_sha256"] == sha
+
+
+def _json_oracle(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+
+
+# Strings mix any code point with the characters JSON escapes or that look like
+# its syntax; numbers include the big, the negative and the non-finite.
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/[]{},:\x00\x1f\x7f\n\t\u2028\ud800\U0001f600')),
+                max_size=8)
+_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -1e-300, 5e-324]))
+_INTS = st.one_of(st.integers(), st.integers(-(10**40), 10**40), st.sampled_from([2**64, -(2**63) - 1]))
+_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _TEXT)
+# json sorts a dict's items, so a dict's keys must be mutually comparable:
+# all strings, all numbers (int, float and bool mix), or the one None key.
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(_INTS, max_size=4),
+        st.dictionaries(_TEXT, children, max_size=4),
+        st.dictionaries(st.one_of(_INTS, _FLOATS, st.booleans()), children, max_size=4),
+        st.dictionaries(st.none(), children, max_size=1),
+    ),
+    max_leaves=20,
+)
+
+
+class TestStableJson:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_TREES)
+    def test_equals_json_dumps_indent_2(self, tree):
+        assert _stable_json(tree) == _json_oracle(tree)
+
+    def test_subclasses_are_written_as_their_base(self):
+        label = type("Label", (str,), {})
+        tree = {label("k"): [enum.IntEnum("E", "A B").B, label("v"), type("F", (float,), {})(0.5), True]}
+        assert _stable_json(tree) == _json_oracle(tree)
+
+    @pytest.mark.parametrize("tree", [Fraction(1, 3), [1, {1, 2}], {"a": {"b": [frozenset()]}}, b"x", object(),
+                                      complex(1, 2), {(1, 2): 0}, {Fraction(1, 2): 0}, {"a": 1, 2: 3},
+                                      {None: 0, "a": 1}])
+    def test_raises_type_error_where_json_does(self, tree):
+        with pytest.raises(TypeError):
+            _json_oracle(tree)
+        with pytest.raises(TypeError):
+            _stable_json(tree)
 
 
 def _rationals(max_den_bits=6):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from invset.exactmath import ResourceBound
+from invset.exactmath import ResourceBound, fraction_str
 from invset.padic import (
     MILLER_RABIN_LIMIT,
     CantorInterval,
@@ -172,6 +172,16 @@ class TestCantor:
             for i, path in zip(iterates, paths):
                 left = sum((Fraction(2 * c, q ** (k + 1)) for k, c in enumerate(path)), Fraction(0))
                 assert (i.left, i.right) == (left, left + Fraction(1, q**level))
+
+    @pytest.mark.parametrize("p,level", [(2, 8), (3, 5), (5, 3), (7, 3)])
+    def test_record_endpoints_are_the_term_sums(self, p, level):
+        # reference: both endpoints summed term by term, written by fraction_str
+        q = 2 * p - 1
+        for i in cantor_iterates(p, level):
+            left = sum((Fraction(2 * c, q ** (k + 1)) for k, c in enumerate(i.path)), Fraction(0))
+            record = i.record()
+            assert (record["left"], record["right"]) == (fraction_str(left), fraction_str(left + Fraction(1, q**level)))
+            assert (record["p"], record["level"], record["path"]) == (p, level, list(i.path))
 
     def test_map_is_the_left_endpoint_of_its_interval(self):
         rng = random.Random(47)
