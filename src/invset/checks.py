@@ -1,24 +1,34 @@
-"""Named invariant suites behind the ``check`` subcommand.
+"""Named invariant suites behind the ``check`` subcommand, and the invariants
+they share with the acceptance suite.
 
-Each suite returns a list of (name, passed, detail) rows; randomized checks
-take an explicit seed so runs are reproducible.
+Each shared invariant is one function of its sizes, and of a seed where it
+draws random inputs, that returns ``CheckResult`` rows: ``invset check``
+calls it at small sizes and ``tests/test_acceptance.py`` at full sizes.  A
+failing row's detail names the first input that broke the law.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
+import mpmath
+
 from . import dirac, exactmath, highprec, multiqubit, padic, samplespace
-from .exactmath import ExactAngle
+from .exactmath import ZERO_ANGLE, ExactAngle
 
 DEFAULT_SEED = 12345
 
 #: Amplitude angles admissible for rational-turn inputs: the exceptional
 #: cosine set mapped into [0, pi].
 NIVEN_THETAS = [ExactAngle(Fraction(t)) for t in ("0", "1/6", "1/4", "1/3", "1/2")]
+
+#: The only rational values of a cosine at a rational multiple of pi.
+NIVEN_COSINES = frozenset(Fraction(c) for c in ("0", "1/2", "-1/2", "1", "-1"))
 
 
 @dataclass(frozen=True)
@@ -29,7 +39,14 @@ class CheckResult:
 
 
 def _row(name: str, passed: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, bool(passed), detail)
+    return CheckResult(name, bool(passed), "" if passed else detail)
+
+
+def _first_failure(name: str, failures: Iterable[str]) -> CheckResult:
+    """A row that passes when ``failures`` yields nothing; otherwise its detail
+    is the first failure, and later inputs are not tried."""
+    detail = next(iter(failures), "")
+    return CheckResult(name, not detail, detail)
 
 
 def golden_table_text() -> str:
@@ -40,29 +57,190 @@ def golden_d2_text() -> str:
     return resources.files("invset.data").joinpath("padic_d2.txt").read_text()
 
 
-def _random_fraction(rng: random.Random, bound: int = 60) -> Fraction:
-    num = rng.randrange(-bound, bound + 1)
-    den = rng.randrange(1, bound + 1)
+def _random_fraction(rng: random.Random) -> Fraction:
+    num = rng.randrange(-90, 91)
+    den = rng.randrange(1, 91)
     return Fraction(num, den)
 
 
-def suite_algebra(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def golden_table() -> list[CheckResult]:
+    """The canonical N=4 string table equals the stored golden file, byte for byte."""
+    produced = "\n".join(samplespace.rotation_table(4)) + "\n"
+    return [_row("golden-table-n4", produced == golden_table_text(), "rotation_table(4) differs from the golden file")]
+
+
+def operator_algebra(n_range: Iterable[int], seed: int) -> list[CheckResult]:
+    """One row per N: the pair shift is cyclic of order exactly 2^(N-1) on the
+    canonical string, the quarter turn has order 4 and its square negates a
+    seeded random string, one quarter turn of the canonical string is the pair
+    shift by 2^(N-3), and the canonical string has fraction 1/2."""
     rng = random.Random(seed)
     rows = []
-    ok_golden = "\n".join(samplespace.rotation_table(4)) + "\n" == golden_table_text()
-    rows.append(_row("golden-table-n4", ok_golden))
-    for n_bits in range(3, 13):
+    for n_bits in n_range:
         base = samplespace.canonical_string(n_bits)
+        length = 1 << n_bits
+        half = length >> 1
+        raw = samplespace.BitString(n_bits, rng.getrandbits(length), "a", None)
+        laws = {
+            "pair_shift(base, 2^(N-1)) == base": samplespace.pair_shift(base, half) == base,
+            "quarter_turn(raw, 4) == raw": samplespace.quarter_turn(raw, 4) == raw,
+            "quarter_turn(raw, 2) negates raw": samplespace.quarter_turn(raw, 2).bits == raw.bits ^ ((1 << length) - 1),
+            "quarter_turn(base, 1) == pair_shift(base, 2^(N-3))":
+                samplespace.quarter_turn(base, 1) == samplespace.pair_shift(base, 1 << (n_bits - 3)),
+            "fraction(base) == 1/2": samplespace.fraction(base) == Fraction(1, 2),
+            "pair_shift(base, 2^(N-2)) != base": samplespace.pair_shift(base, half >> 1) != base,
+        }
+        rows.append(_first_failure(f"operator-algebra-N{n_bits}", (law for law, ok in laws.items() if not ok)))
+    return rows
+
+
+def padic_laws(count: int, levels: int, seed: int) -> list[CheckResult]:
+    """The 2-adic distance examples, then per p in (2, 3, 5): the ultrametric
+    inequality and the multiplicativity of the norm, each on ``count``
+    seeded rational inputs whose p is drawn with them, and the prefix law at
+    every level below ``levels``: two p-adic integers that first differ in
+    digit ell are 1/p^ell apart and share their level-ell Cantor interval
+    but not their level-(ell+1) one."""
+    d2 = padic.padic_dist(7, 3, 2) == Fraction(1, 4) and padic.padic_dist(15, 7, 2) == Fraction(1, 8)
+    rows = [_row("d2-examples", d2, "d(7, 3) != 1/4 or d(15, 7) != 1/8")]
+    rng = random.Random(seed)
+    primes = (2, 3, 5)
+    first: dict[str, str] = {}  # row name -> the first input that broke its law
+    for _ in range(count):
+        p = rng.choice(primes)
+        a, b, c = _random_fraction(rng), _random_fraction(rng), _random_fraction(rng)
+        if padic.padic_dist(a, c, p) > max(padic.padic_dist(a, b, p), padic.padic_dist(b, c, p)):
+            first.setdefault(f"ultrametric-p{p}", f"a={a} b={b} c={c}")
+    for _ in range(count):
+        p = rng.choice(primes)
+        x, y = _random_fraction(rng), _random_fraction(rng)
+        if padic.padic_norm(x * y, p) != padic.padic_norm(x, p) * padic.padic_norm(y, p):
+            first.setdefault(f"norm-multiplicativity-p{p}", f"x={x} y={y}")
+    for p in primes:
+        for ell in range(levels):
+            digits_a = [rng.randrange(p) for _ in range(ell + 2)]
+            digits_b = list(digits_a)
+            digits_b[ell] = (digits_a[ell] + rng.randrange(1, p)) % p
+            za, zb = padic.PadicInt(p, tuple(digits_a)), padic.PadicInt(p, tuple(digits_b))
+            if (padic.padic_dist(za.value(), zb.value(), p) != Fraction(1, p**ell)
+                    or padic.interval_for(za, ell) != padic.interval_for(zb, ell)
+                    or padic.interval_for(za, ell + 1) == padic.interval_for(zb, ell + 1)):
+                first.setdefault(f"prefix-law-p{p}", f"digits {digits_a} and {digits_b}")
+    names = [f"{law}-p{p}" for p in primes for law in ("ultrametric", "norm-multiplicativity", "prefix-law")]
+    return rows + [_row(name, name not in first, first.get(name, "")) for name in names]
+
+
+def two_qubit_gamma_table(n_range: Iterable[int]) -> list[CheckResult]:
+    """One row per N: for every triple of Niven amplitude angles, the joint
+    frequencies of the two-qubit sample equal the gamma-table probabilities."""
+
+    def failures(n_bits: int) -> Iterable[str]:
+        for t1, t2, t3 in itertools.product(NIVEN_THETAS, repeat=3):
+            params = multiqubit.TwoQubitParams(t1, t2, t3, ZERO_ANGLE, ZERO_ANGLE, ZERO_ANGLE)
+            freqs = multiqubit.joint_frequencies(multiqubit.two_qubit_sample(params, n_bits))
+            if [freqs[o] for o in range(4)] != list(multiqubit.two_qubit_predict(params, n_bits).probs):
+                yield f"thetas {t1.turns}, {t2.turns}, {t3.turns}"
+
+    return [_first_failure(f"two-qubit-gamma-table-N{n_bits}", failures(n_bits)) for n_bits in n_range]
+
+
+def bell_agreement_correlation(n_bits: int, stride: int) -> list[CheckResult]:
+    """For every ``stride``-th describable amplitude a at N, the Bell sample's
+    agreement is exactly a and its correlation exactly 2a - 1."""
+
+    def failures() -> Iterable[str]:
+        for count in range(0, (1 << n_bits) + 1, stride):
+            amp = Fraction(count, 1 << n_bits)
+            ms = multiqubit.bell_sample_from_amplitude(amp, n_bits)
+            if multiqubit.bell_agreement(ms) != amp or multiqubit.bell_correlation(ms) != 2 * amp - 1:
+                yield f"N={n_bits} amplitude {amp}"
+
+    return [_first_failure("bell-agreement-correlation", failures())]
+
+
+def three_qubit_vs_expander(n_bits: int, count: int | None = None, seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """The joint frequencies of the three-qubit sample at N equal the
+    inductive amplitude expander's probabilities, for every one of the 5^7
+    trees of Niven amplitude angles when ``count`` is None, else for
+    ``count`` trees drawn from ``random.Random(seed)``."""
+    if count is None:
+        trees = itertools.product(NIVEN_THETAS, repeat=7)
+    else:
+        rng = random.Random(seed)
+        trees = ([rng.choice(NIVEN_THETAS) for _ in range(7)] for _ in range(count))
+
+    def failures() -> Iterable[str]:
+        for tree in trees:
+            freqs = multiqubit.joint_frequencies(multiqubit.multi_sample(n_bits, tree))
+            table = multiqubit.amplitude_table(tree, [ZERO_ANGLE] * 7, n_bits)
+            if [freqs[o] for o in range(8)] != [p for p, _ in table]:
+                yield f"N={n_bits} thetas " + ", ".join(str(t.turns) for t in tree)
+
+    return [_first_failure("three-qubit-vs-expander", failures())]
+
+
+def skeleton_matches_gamma(n_bits: int) -> list[CheckResult]:
+    """On every axis, the one-step evolution matrix at N has the gamma matrix's skeleton."""
+    return [_first_failure("skeleton-matches-gamma", (
+        f"axis {axis}" for axis in range(4)
+        if dirac.evolution_matrix(axis, 1, n_bits).skeleton(1) != dirac.gamma_pattern(axis)))]
+
+
+def rest_period(n_range: Iterable[int]) -> list[CheckResult]:
+    """One row per N: the rest step has period exactly 2^(N-1) on the default spinor."""
+    rows = []
+    for n_bits in n_range:
+        psi = dirac.spinor(n_bits)
         half = 1 << (n_bits - 1)
-        raw = samplespace.BitString(n_bits, rng.getrandbits(1 << n_bits), "a", None)
-        ok = (
-            samplespace.pair_shift(base, half) == base
-            and samplespace.quarter_turn(raw, 4) == raw
-            and samplespace.quarter_turn(raw, 2).bits == raw.bits ^ ((1 << (1 << n_bits)) - 1)
-            and samplespace.quarter_turn(base, 1) == samplespace.pair_shift(base, 1 << (n_bits - 3))
-            and samplespace.fraction(base) == Fraction(1, 2)
-        )
-        rows.append(_row(f"operator-algebra-N{n_bits}", ok))
+        laws = {"rest_step(psi, 2^(N-1)) == psi": dirac.rest_step(psi, half).components == psi.components,
+                "rest_step(psi, 2^(N-2)) != psi": dirac.rest_step(psi, half >> 1).components != psi.components}
+        rows.append(_first_failure(f"rest-period-N{n_bits}", (law for law, ok in laws.items() if not ok)))
+    return rows
+
+
+def dispersion_3_4_5() -> list[CheckResult]:
+    """Mass 3 at wavevector (4, 0, 0) has the exact frequency 5."""
+    omega = dirac.dispersion_check(3, (4, 0, 0)).omega
+    return [_row("dispersion-3-4-5", omega == 5, f"omega = {omega}")]
+
+
+def pythagorean_empty() -> list[CheckResult]:
+    """No exponent k in 1..12 has a Pythagorean witness."""
+    return [_first_failure("pythagorean-empty-k1-12",
+                           (f"k={k}" for k in range(1, 13) if exactmath.pythagorean_solutions(k)))]
+
+
+def rational_cosine_grid(n_max: int) -> list[CheckResult]:
+    """Niven's theorem on every angle m*pi/n with n <= ``n_max``, at 240 bits:
+    where ``cos_exact`` is rational it lies in ``NIVEN_COSINES``, agrees with
+    the numeric cosine and 2cos is an integer; elsewhere 2cos is more than
+    2^-100 from every integer and the cosine more than 2^-100 from every
+    64-bit describable rational."""
+    tiny, gap = mpmath.mpf(2) ** -150, mpmath.mpf(2) ** -100
+
+    def failures() -> Iterable[str]:
+        for n in range(1, n_max + 1):
+            for m in range(0, 2 * n):
+                angle = ExactAngle(Fraction(m, 2 * n))  # the angle m*pi/n
+                value = exactmath.cos_exact(angle)
+                approx = highprec.cos_turns(angle.turns)
+                doubled = 2 * approx
+                off_integer = abs(doubled - mpmath.nint(doubled))
+                if value is not None:
+                    ok = value in NIVEN_COSINES and abs(approx - highprec.to_mpf(value)) < tiny and off_integer < tiny
+                else:
+                    near = highprec.nearest_describable(approx, 64)
+                    ok = off_integer > gap and abs(approx - highprec.to_mpf(near)) > gap
+                if not ok:
+                    yield f"m={m} n={n}"
+
+    # set around the search, not in the generator, which a failure leaves suspended
+    with mpmath.workprec(highprec.DEFAULT_PREC):
+        return [_first_failure(f"rational-cosine-grid-n{n_max}", failures())]
+
+
+def suite_algebra(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    rows = golden_table() + operator_algebra(range(3, 13), seed)
     # phase composition: shifting a phase string adds to the shadow phase
     n_bits = 8
     phi = ExactAngle(Fraction(3, 1 << (n_bits - 1)))
@@ -73,33 +251,7 @@ def suite_algebra(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 
 
 def suite_padic(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    rng = random.Random(seed)
-    rows = [
-        _row("d2-examples", padic.padic_dist(7, 3, 2) == Fraction(1, 4) and padic.padic_dist(15, 7, 2) == Fraction(1, 8)),
-    ]
-    for p in (2, 3, 5):
-        ultra = all(
-            padic.padic_dist(a, c, p) <= max(padic.padic_dist(a, b, p), padic.padic_dist(b, c, p))
-            for a, b, c in (
-                tuple(_random_fraction(rng) for _ in range(3)) for _ in range(2000)
-            )
-        )
-        rows.append(_row(f"ultrametric-p{p}", ultra))
-        mult = all(
-            padic.padic_norm(x * y, p) == padic.padic_norm(x, p) * padic.padic_norm(y, p)
-            for x, y in ((_random_fraction(rng), _random_fraction(rng)) for _ in range(2000))
-        )
-        rows.append(_row(f"norm-multiplicativity-p{p}", mult))
-        ok_prefix = True
-        for ell in range(0, 9):
-            digits_a = [rng.randrange(p) for _ in range(ell + 3)]
-            digits_b = list(digits_a)
-            digits_b[ell] = (digits_a[ell] + rng.randrange(1, p)) % p
-            za, zb = padic.PadicInt(p, tuple(digits_a)), padic.PadicInt(p, tuple(digits_b))
-            ok_prefix &= padic.padic_dist(za.value(), zb.value(), p) == Fraction(1, p**ell)
-            ok_prefix &= padic.interval_for(za, ell) == padic.interval_for(zb, ell)
-            ok_prefix &= padic.interval_for(za, ell + 1) != padic.interval_for(zb, ell + 1)
-        rows.append(_row(f"prefix-law-p{p}", ok_prefix))
+    rows = padic_laws(6000, 9, seed)
     iv = padic.cantor_iterates(2, 1)
     rows.append(
         _row(
@@ -113,60 +265,19 @@ def suite_padic(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 
 
 def suite_multiqubit(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    rows = two_qubit_gamma_table((4, 6)) + bell_agreement_correlation(8, 8) + three_qubit_vs_expander(6, 50, seed)
     rng = random.Random(seed)
-    rows = []
-    zero = ExactAngle(Fraction(0))
-    for n_bits in (4, 6):
-        ok = True
-        for t1 in NIVEN_THETAS:
-            for t2 in NIVEN_THETAS:
-                for t3 in NIVEN_THETAS:
-                    params = multiqubit.TwoQubitParams(t1, t2, t3, zero, zero, zero)
-                    ms = multiqubit.two_qubit_sample(params, n_bits)
-                    freqs = multiqubit.joint_frequencies(ms)
-                    probs = multiqubit.two_qubit_predict(params, n_bits).probs
-                    ok &= [freqs[o] for o in range(4)] == list(probs)
-        rows.append(_row(f"two-qubit-gamma-table-N{n_bits}", ok))
-    n_bits = 8
-    ok_bell = True
-    for count in range(0, (1 << n_bits) + 1, 8):
-        amp = Fraction(count, 1 << n_bits)
-        ms = multiqubit.bell_sample_from_amplitude(amp, n_bits)
-        ok_bell &= multiqubit.bell_agreement(ms) == amp
-        ok_bell &= multiqubit.bell_correlation(ms) == 2 * amp - 1
-    rows.append(_row("bell-agreement-correlation", ok_bell))
-    ok_m3 = True
-    for _ in range(50):
-        thetas = [rng.choice(NIVEN_THETAS) for _ in range(7)]
-        phis = [zero] * 7
-        ms = multiqubit.multi_sample(6, thetas)
-        freqs = multiqubit.joint_frequencies(ms)
-        table = multiqubit.amplitude_table(thetas, phis, 6)
-        ok_m3 &= [freqs[o] for o in range(8)] == [p for p, _ in table]
-    rows.append(_row("three-qubit-vs-expander", ok_m3))
     ok_norm = True
     for _ in range(200):
         t1, t2, t3 = (rng.choice(NIVEN_THETAS) for _ in range(3))
-        params = multiqubit.TwoQubitParams(t1, t2, t3, zero, zero, zero)
+        params = multiqubit.TwoQubitParams(t1, t2, t3, ZERO_ANGLE, ZERO_ANGLE, ZERO_ANGLE)
         ok_norm &= sum(multiqubit.two_qubit_predict(params, 10).probs) == 1
     rows.append(_row("gamma-normalization", ok_norm))
     return rows
 
 
 def suite_dirac(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    rows = []
-    ok_skeleton = all(
-        dirac.evolution_matrix(axis, 1, 6).skeleton(1) == dirac.gamma_pattern(axis) for axis in range(4)
-    )
-    rows.append(_row("skeleton-matches-gamma", ok_skeleton))
-    for n_bits in range(3, 13):
-        psi = dirac.spinor(n_bits)
-        half = 1 << (n_bits - 1)
-        ok = dirac.rest_step(psi, half).components == psi.components
-        ok &= dirac.rest_step(psi, half >> 1).components != psi.components
-        rows.append(_row(f"rest-period-N{n_bits}", ok))
-    disp = dirac.dispersion_check(3, (4, 0, 0))
-    rows.append(_row("dispersion-3-4-5", disp.omega == 5))
+    rows = skeleton_matches_gamma(6) + rest_period(range(3, 13)) + dispersion_3_4_5()
     disp2 = dirac.dispersion_check(1, (1, 0, 0))
     rows.append(_row("dispersion-irrational-flag", disp2.omega is None and disp2.omega_sq == 2))
     psi = dirac.spinor(6, mass=1)
@@ -176,24 +287,7 @@ def suite_dirac(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 
 
 def suite_numbertheory(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    rows = []
-    ok_pyth = all(exactmath.pythagorean_solutions(k) == [] for k in range(1, 13))
-    rows.append(_row("pythagorean-empty-k1-12", ok_pyth))
-    ok_grid = True
-    import mpmath
-
-    tiny, gap = mpmath.mpf(2) ** -150, mpmath.mpf(2) ** -100
-    for n in range(1, 41):
-        for m in range(0, 2 * n):
-            angle = ExactAngle(Fraction(m, 2 * n))
-            val = exactmath.cos_exact(angle)
-            approx = highprec.cos_turns(angle.turns)
-            if val is not None:
-                ok_grid &= abs(approx - highprec.to_mpf(val)) < tiny
-            else:
-                near = highprec.nearest_describable(approx, 64)
-                ok_grid &= abs(approx - highprec.to_mpf(near)) > gap
-    rows.append(_row("rational-cosine-grid-n40", ok_grid))
+    rows = pythagorean_empty() + rational_cosine_grid(40)
     rows.append(
         _row(
             "describability-examples",
@@ -222,6 +316,4 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
         for suite in SUITES.values():
             rows.extend(suite(seed))
         return rows
-    if name not in SUITES:
-        raise KeyError(name)
     return SUITES[name](seed)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .checks import DEFAULT_SEED, golden_d2_text, golden_table_text, run_suite
+from .checks import DEFAULT_SEED, SUITES, golden_d2_text, golden_table_text, run_suite
 from .exactmath import (
     ExactAngle,
     NoAdmissibleAngle,
@@ -416,8 +416,7 @@ def cmd_check(args) -> int:
     try:
         rows = run_suite(args.suite, args.seed)
     except KeyError:
-        print(f"unknown suite {args.suite!r}; choose from algebra, padic, multiqubit, dirac, numbertheory, all",
-              file=sys.stderr)
+        print(f"unknown suite {args.suite!r}; choose from {', '.join([*SUITES, 'all'])}", file=sys.stderr)
         return EXIT_USAGE
     width = max(len(r.name) for r in rows)
     failures = 0

@@ -45,10 +45,6 @@ class ExactAngle:
         object.__setattr__(self, "turns", Fraction(self.turns) % 1)
 
     @classmethod
-    def from_turns(cls, numerator: int, denominator: int = 1) -> "ExactAngle":
-        return cls(Fraction(numerator, denominator))
-
-    @classmethod
     def parse(cls, text: str) -> "ExactAngle":
         return cls(Fraction(text.strip()))
 

@@ -12,20 +12,8 @@ import pytest
 
 from invset import checks
 from invset.cli import main as cli_main
-from invset.dirac import (
-    dispersion_check,
-    evolution_matrix,
-    full_evolve,
-    gamma_pattern,
-    rest_step,
-    spinor,
-)
-from invset.exactmath import (
-    ExactAngle,
-    cos_exact,
-    pythagorean_solutions,
-    simultaneous_describability,
-)
+from invset.dirac import dispersion_check, evolution_matrix, full_evolve, rest_step, spinor
+from invset.exactmath import ExactAngle, cos_exact, simultaneous_describability
 from invset.experiments import (
     ChshConfig,
     chsh_run,
@@ -37,32 +25,10 @@ from invset.experiments import (
     pbr_z,
     simultaneity_obstruction,
 )
-from invset.highprec import cos_turns, nearest_describable, to_mpf
-from invset.multiqubit import (
-    TwoQubitParams,
-    amplitude_table,
-    amplitude_table_mp,
-    bell_agreement,
-    bell_correlation,
-    bell_sample_from_amplitude,
-    joint_frequencies,
-    multi_sample,
-    two_qubit_predict,
-    two_qubit_sample,
-)
-from invset.padic import PadicInt, interval_for, padic_dist, padic_norm
-from invset.samplespace import (
-    canonical_string,
-    fraction,
-    hilbert_shadow,
-    pair_shift,
-    phase_string,
-    quarter_turn,
-    rotation_table,
-    sample,
-)
+from invset.highprec import to_mpf
+from invset.multiqubit import amplitude_table_mp
+from invset.samplespace import fraction, hilbert_shadow, phase_string, sample
 
-ZERO = ExactAngle(Fraction(0))
 # all rational-turn angles with rational cosine, folded over [0, pi]
 ADMISSIBLE_THETA_TURNS = [
     Fraction(0), Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
@@ -90,29 +56,20 @@ class _timed:
         return False
 
 
+def _assert_passed(rows):
+    """Every row of an invariant shared with `invset check` passed."""
+    failed = [f"{row.name}: {row.detail}" for row in rows if not row.passed]
+    assert rows and not failed, failed
+
+
 def test_01_golden_table():
     with _timed("01 golden-table", 1.0):
-        expected = checks.golden_table_text()
-        produced = "\n".join(rotation_table(4)) + "\n"
-        assert produced == expected
+        _assert_passed(checks.golden_table())
 
 
 def test_02_operator_algebra():
     with _timed("02 operator-algebra", 10.0):
-        rng = random.Random(2)
-        for n_bits in range(3, 17):
-            base = canonical_string(n_bits)
-            length = 1 << n_bits
-            half = length >> 1
-            assert pair_shift(base, half) == base
-            from invset.samplespace import BitString
-
-            raw = BitString(n_bits, rng.getrandbits(length), "a", None)
-            assert quarter_turn(raw, 4) == raw
-            assert quarter_turn(raw, 2).bits == raw.bits ^ ((1 << length) - 1)
-            assert quarter_turn(base, 1) == pair_shift(base, 1 << (n_bits - 3))
-            # the shift group is cyclic of order exactly 2^(N-1)
-            assert pair_shift(base, half >> 1) != base
+        _assert_passed(checks.operator_algebra(range(3, 17), seed=2))
 
 
 def test_03_amplitude_law_exhaustive():
@@ -130,40 +87,14 @@ def test_03_amplitude_law_exhaustive():
 
 def test_04_multiqubit_frequencies():
     with _timed("04 multiqubit-frequencies", 120.0):
-        thetas = [ExactAngle(t) for t in ADMISSIBLE_THETA_TURNS[:5]]
         # 2-qubit: exhaustive over the admissible amplitude grid for N up to 10
-        for n_bits in range(4, 11):
-            for t1 in thetas:
-                for t2 in thetas:
-                    for t3 in thetas:
-                        params = TwoQubitParams(t1, t2, t3, ZERO, ZERO, ZERO)
-                        freqs = joint_frequencies(two_qubit_sample(params, n_bits))
-                        probs = two_qubit_predict(params, n_bits).probs
-                        assert [freqs[o] for o in range(4)] == list(probs)
+        _assert_passed(checks.two_qubit_gamma_table(range(4, 11)))
         # Bell: agreement and correlation exact for every describable amplitude
-        n_bits = 10
-        for count in range(0, (1 << n_bits) + 1):
-            amp = Fraction(count, 1 << n_bits)
-            ms = bell_sample_from_amplitude(amp, n_bits)
-            assert bell_agreement(ms) == amp
-            assert bell_correlation(ms) == 2 * amp - 1
+        _assert_passed(checks.bell_agreement_correlation(10, stride=1))
         # 3 qubits: exhaustive against the inductive amplitude expander at the
         # smallest fully realizable N, spot-checked at N=10
-        for combo in range(5**7):
-            digits, c = [], combo
-            for _ in range(7):
-                digits.append(c % 5)
-                c //= 5
-            tree = [thetas[d] for d in digits]
-            freqs = joint_frequencies(multi_sample(6, tree))
-            table = amplitude_table(tree, [ZERO] * 7, 6)
-            assert [freqs[o] for o in range(8)] == [p for p, _ in table]
-        rng = random.Random(4)
-        for _ in range(100):
-            tree = [rng.choice(thetas) for _ in range(7)]
-            freqs = joint_frequencies(multi_sample(10, tree))
-            table = amplitude_table(tree, [ZERO] * 7, 10)
-            assert [freqs[o] for o in range(8)] == [p for p, _ in table]
+        _assert_passed(checks.three_qubit_vs_expander(6))
+        _assert_passed(checks.three_qubit_vs_expander(10, count=100, seed=4))
 
 
 def test_05_chsh():
@@ -180,61 +111,17 @@ def test_05_chsh():
                 if cf != actual:
                     assert cell["verdict"] == "excluded"
                     assert cell["reason"] in ("irrational_sine", "pythagorean_obstruction")
-        for k in range(1, 13):
-            assert pythagorean_solutions(k) == []
+        _assert_passed(checks.pythagorean_empty())
 
 
 def test_06_padic_properties():
     with _timed("06 padic", 60.0):
-        assert padic_dist(7, 3, 2) == Fraction(1, 4)
-        assert padic_dist(15, 7, 2) == Fraction(1, 8)
-        rng = random.Random(6)
-
-        def rand_fraction():
-            return Fraction(rng.randrange(-90, 91), rng.randrange(1, 91))
-
-        for _ in range(10_000):
-            p = rng.choice((2, 3, 5))
-            a, b, c = rand_fraction(), rand_fraction(), rand_fraction()
-            assert padic_dist(a, c, p) <= max(padic_dist(a, b, p), padic_dist(b, c, p))
-        for _ in range(10_000):
-            p = rng.choice((2, 3, 5))
-            x, y = rand_fraction(), rand_fraction()
-            assert padic_norm(x * y, p) == padic_norm(x, p) * padic_norm(y, p)
-        for p in (2, 3, 5):
-            for ell in range(0, 13):
-                digits_a = [rng.randrange(p) for _ in range(ell + 2)]
-                digits_b = list(digits_a)
-                digits_b[ell] = (digits_a[ell] + rng.randrange(1, p)) % p
-                za, zb = PadicInt(p, tuple(digits_a)), PadicInt(p, tuple(digits_b))
-                assert padic_dist(za.value(), zb.value(), p) == Fraction(1, p**ell)
-                assert interval_for(za, ell) == interval_for(zb, ell)
-                assert interval_for(za, ell + 1) != interval_for(zb, ell + 1)
+        _assert_passed(checks.padic_laws(10_000, levels=13, seed=6))
 
 
 def test_07_rational_cosine_grid():
     with _timed("07 rational-cosine-grid", 120.0):
-        gap = mpmath.mpf(2) ** -100
-        tiny = mpmath.mpf(2) ** -150
-        exceptional = {Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1)}
-        with mpmath.workprec(240):
-            for n in range(1, 101):
-                for m in range(0, 2 * n):
-                    angle = ExactAngle(Fraction(m, 2 * n))  # the angle m*pi/n
-                    value = cos_exact(angle)
-                    approx = cos_turns(angle.turns)
-                    doubled = 2 * approx
-                    nearest_int = mpmath.nint(doubled)
-                    if value is not None:
-                        assert value in exceptional
-                        assert abs(approx - to_mpf(value)) < tiny
-                        assert abs(doubled - nearest_int) < tiny  # 2cos is an integer
-                    else:
-                        # exact-square/algebraic-integer oracle: 2cos is not an
-                        # integer, and no 64-bit-describable rational is close
-                        assert abs(doubled - nearest_int) > gap
-                        near = nearest_describable(approx, 64)
-                        assert abs(approx - to_mpf(near)) > gap
+        _assert_passed(checks.rational_cosine_grid(100))
 
 
 def test_08_mach_zehnder():
@@ -303,11 +190,7 @@ def test_09_pbr():
 
 def test_10_dirac():
     with _timed("10 dirac", 60.0):
-        for n_bits in range(3, 17):
-            psi = spinor(n_bits)
-            half = 1 << (n_bits - 1)
-            assert rest_step(psi, half).components == psi.components
-            assert rest_step(psi, half >> 1).components != psi.components
+        _assert_passed(checks.rest_period(range(3, 17)))
         # helicity opposition on shadows
         n_bits = 8
         comps = tuple(
@@ -321,10 +204,8 @@ def test_10_dirac():
                 before = hilbert_shadow(psi.components[idx]).phase_turns
                 after = hilbert_shadow(stepped.components[idx]).phase_turns
                 assert (after - before) % 1 == Fraction(sign * n, 1 << (n_bits - 1)) % 1
-        for axis in range(4):
-            assert evolution_matrix(axis, 1, 8).skeleton(1) == gamma_pattern(axis)
+        _assert_passed(checks.skeleton_matches_gamma(8) + checks.dispersion_3_4_5())
         assert dispersion_check(1, (0, 0, 0)).omega == 1
-        assert dispersion_check(3, (4, 0, 0)).omega == 5
         # finite-N shadow action equals complex action under roots of unity
         psi = spinor(n_bits, comps, mass=3, wavevector=(4, 1, 2))
         steps = (5, 3, 2, 7)

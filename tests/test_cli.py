@@ -501,9 +501,33 @@ class TestConfigProperty:
         run()
 
 
+# The 47 rows of `invset check --suite all`, in order, recorded before the
+# suites and the acceptance tests came to share one function per invariant.
+CHECK_ROWS = (
+    ["golden-table-n4"] + [f"operator-algebra-N{n}" for n in range(3, 13)] + ["shadow-phase-additivity"]
+    + ["d2-examples"]
+    + [f"{law}-p{p}" for p in (2, 3, 5) for law in ("ultrametric", "norm-multiplicativity", "prefix-law")]
+    + ["cantor-ternary-level1", "euclid-padic-probe"]
+    + ["two-qubit-gamma-table-N4", "two-qubit-gamma-table-N6", "bell-agreement-correlation",
+       "three-qubit-vs-expander", "gamma-normalization"]
+    + ["skeleton-matches-gamma"] + [f"rest-period-N{n}" for n in range(3, 13)]
+    + ["dispersion-3-4-5", "dispersion-irrational-flag", "zero-wavevector-reduces-to-rest"]
+    + ["pythagorean-empty-k1-12", "rational-cosine-grid-n40", "describability-examples", "addition-obstruction"]
+)
+
+
 class TestCheckCommand:
-    def test_unknown_suite_exits_one(self):
+    @pytest.mark.parametrize("argv, seed", [([], 12345), (["--seed", "7"], 7)])
+    def test_all_suites_print_the_pinned_rows(self, capsys, argv, seed):
+        assert main(["check", "--suite", "all", *argv]) == 0
+        # each row is "PASS", two spaces, the name padded to the longest (31 characters), two spaces, the detail
+        expected = "".join(f"PASS  {name:<31}  \n" for name in CHECK_ROWS) + f"47/47 checks passed (seed={seed})\n"
+        assert capsys.readouterr().out == expected
+
+    def test_unknown_suite_exits_one(self, capsys):
         assert main(["check", "--suite", "foo"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "unknown suite 'foo'; choose from algebra, padic, multiqubit, dirac, numbertheory, all"]
 
     def test_numbertheory_suite_passes(self, capsys):
         assert main(["check", "--suite", "numbertheory"]) == 0
