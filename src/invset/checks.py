@@ -49,12 +49,8 @@ def _first_failure(name: str, failures: Iterable[str]) -> CheckResult:
     return CheckResult(name, not detail, detail)
 
 
-def golden_table_text() -> str:
-    return resources.files("invset.data").joinpath("canonical_table_n4.txt").read_text()
-
-
-def golden_d2_text() -> str:
-    return resources.files("invset.data").joinpath("padic_d2.txt").read_text()
+def _golden_text(name: str) -> str:
+    return resources.files("invset.data").joinpath(name).read_text()
 
 
 def _random_fraction(rng: random.Random) -> Fraction:
@@ -66,7 +62,15 @@ def _random_fraction(rng: random.Random) -> Fraction:
 def golden_table() -> list[CheckResult]:
     """The canonical N=4 string table equals the stored golden file, byte for byte."""
     produced = "\n".join(samplespace.rotation_table(4)) + "\n"
-    return [_row("golden-table-n4", produced == golden_table_text(), "rotation_table(4) differs from the golden file")]
+    return [_row("golden-table-n4", produced == _golden_text("canonical_table_n4.txt"),
+                 "rotation_table(4) differs from the golden file")]
+
+
+def golden_d2() -> list[CheckResult]:
+    """The 2-adic distances d(7, 3) and d(15, 7) equal the stored golden values."""
+    produced = "".join(exactmath.fraction_str(padic.padic_dist(a, b, 2)) + "\n" for a, b in ((7, 3), (15, 7)))
+    return [_row("d2-examples", produced == _golden_text("padic_d2.txt"),
+                 "d(7, 3) or d(15, 7) differs from the golden file")]
 
 
 def operator_algebra(n_range: Iterable[int], seed: int) -> list[CheckResult]:
@@ -95,14 +99,13 @@ def operator_algebra(n_range: Iterable[int], seed: int) -> list[CheckResult]:
 
 
 def padic_laws(count: int, levels: int, seed: int) -> list[CheckResult]:
-    """The 2-adic distance examples, then per p in (2, 3, 5): the ultrametric
+    """The 2-adic golden distances, then per p in (2, 3, 5): the ultrametric
     inequality and the multiplicativity of the norm, each on ``count``
     seeded rational inputs whose p is drawn with them, and the prefix law at
     every level below ``levels``: two p-adic integers that first differ in
     digit ell are 1/p^ell apart and share their level-ell Cantor interval
     but not their level-(ell+1) one."""
-    d2 = padic.padic_dist(7, 3, 2) == Fraction(1, 4) and padic.padic_dist(15, 7, 2) == Fraction(1, 8)
-    rows = [_row("d2-examples", d2, "d(7, 3) != 1/4 or d(15, 7) != 1/8")]
+    rows = golden_d2()
     rng = random.Random(seed)
     primes = (2, 3, 5)
     first: dict[str, str] = {}  # row name -> the first input that broke its law

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import mpmath
 
-from .exactmath import ExactAngle, NotOnInvariantSet, gate_amplitude, gate_phase, is_describable
+from .exactmath import ZERO_ANGLE, ExactAngle, NotOnInvariantSet, gate_amplitude, gate_phase, is_describable
 from .highprec import DEFAULT_PREC, to_mpf
 from .samplespace import (
     BitString,
@@ -184,13 +184,19 @@ def _realize(counts: Sequence[int], blocks: list[tuple[int, int]], full: int, n_
     return rows
 
 
+def _arity(angles: Sequence) -> int:
+    """m for a full binary tree of 2**m - 1 angles, m >= 1."""
+    m = (len(angles) + 1).bit_length() - 1
+    if m < 1 or (1 << m) - 1 != len(angles):
+        raise ValueError("need 2**m - 1 angles")
+    return m
+
+
 def multi_sample(n_bits: int, thetas: Sequence[ExactAngle], tags: Sequence[str] | None = None) -> MultiSample:
     """Realize the m-qubit sample space for a full binary tree of 2**m - 1
     amplitude angles (phases do not affect label statistics; they live in the
     amplitude table)."""
-    m = (len(thetas) + 1).bit_length() - 1
-    if (1 << m) - 1 != len(thetas) or m < 1:
-        raise ValueError("need 2**m - 1 angles")
+    m = _arity(thetas)
     counts = [gate_amplitude(t, n_bits) for t in thetas]
     length = 1 << n_bits
     rows_bits = _realize(counts, [(0, length)], (1 << length) - 1, n_bits)
@@ -203,17 +209,8 @@ def multi_sample(n_bits: int, thetas: Sequence[ExactAngle], tags: Sequence[str] 
 
 
 def two_qubit_sample(params: "TwoQubitParams", n_bits: int) -> MultiSample:
-    """Realize the 2-qubit correspondence through the literal composition
-    rule, with source strings built to be exactly independent of the head."""
-    c1, c2, c3 = (gate_amplitude(t, n_bits) for t in (params.theta1, params.theta2, params.theta3))
-    head_bits, firsts, seconds = _fill([(0, 1 << n_bits)], c1, n_bits)
-    cover = firsts + seconds
-    sb1_bits, _, _ = _fill(cover, c2, n_bits)
-    sb2_bits, _, _ = _fill(cover, c3, n_bits)
-    head = BitString(n_bits, head_bits, "a", None)
-    sb1 = BitString(n_bits, sb1_bits, "b", None)
-    sb2 = BitString(n_bits, sb2_bits, "b", None)
-    return compose_pair(head, sb1, sb2)
+    """The 2-qubit correspondence: the m = 2 tree of amplitudes (theta1, theta2, theta3)."""
+    return multi_sample(n_bits, (params.theta1, params.theta2, params.theta3))
 
 
 @dataclass(frozen=True)
@@ -227,11 +224,6 @@ class TwoQubitParams:
     phi2: ExactAngle
     phi3: ExactAngle
 
-    @property
-    def chi(self) -> tuple[ExactAngle, ExactAngle, ExactAngle]:
-        """Relative phases of the three excited outcomes."""
-        return (self.phi2, self.phi1, self.phi1 + self.phi3)
-
 
 @dataclass(frozen=True)
 class PredictedTwoQubit:
@@ -242,53 +234,41 @@ class PredictedTwoQubit:
 
 
 def two_qubit_predict(params: TwoQubitParams, n_bits: int) -> PredictedTwoQubit:
-    """Probabilities (gamma_0^2 .. gamma_3^2) and phases (0, chi_1..chi_3)."""
-    length = 1 << n_bits
-    amp1, amp2, amp3 = (
-        Fraction(gate_amplitude(t, n_bits), length) for t in (params.theta1, params.theta2, params.theta3)
-    )
-    for phi in (params.phi1, params.phi2, params.phi3):
-        gate_phase(phi, n_bits)
-    probs = (
-        amp1 * amp2,
-        amp1 * (1 - amp2),
-        (1 - amp1) * amp3,
-        (1 - amp1) * (1 - amp3),
-    )
-    zero = ExactAngle(Fraction(0))
-    chi1, chi2, chi3 = params.chi
-    return PredictedTwoQubit(probs, (zero, chi1, chi2, chi3))
+    """The m = 2 amplitude table: gamma_0^2 .. gamma_3^2 and phases (0, phi2, phi1, phi1 + phi3)."""
+    thetas = (params.theta1, params.theta2, params.theta3)
+    probs, phases = zip(*amplitude_table(thetas, (params.phi1, params.phi2, params.phi3), n_bits))
+    return PredictedTwoQubit(probs, phases)
 
 
 def amplitude_table(
     thetas: Sequence[ExactAngle], phis: Sequence[ExactAngle], n_bits: int
 ) -> list[tuple[Fraction, ExactAngle]]:
     """Symbolically expand the inductive m-qubit state: per outcome, the exact
-    probability (product of cos^2/sin^2 half-angles) and accumulated phase.
+    probability (product of cos^2/sin^2 half-angles, an integer numerator over
+    2**(m*N)) and accumulated phase.  Gates every amplitude, then every phase.
 
     Outcome order matches joint_counts (row 0 most significant).  This is the
     brute-force oracle the string composition is tested against.
     """
     if len(thetas) != len(phis):
         raise ValueError("need equally many amplitude and phase angles")
-    m = (len(thetas) + 1).bit_length() - 1
-    if (1 << m) - 1 != len(thetas) or m < 1:
-        raise ValueError("need 2**m - 1 angles")
-    zero = ExactAngle(Fraction(0))
+    m = _arity(thetas)
+    counts = [gate_amplitude(t, n_bits) for t in thetas]
+    for phi in phis:
+        gate_phase(phi, n_bits)
+    length = 1 << n_bits
 
-    def rec(th: Sequence[ExactAngle], ph: Sequence[ExactAngle]) -> list[tuple[Fraction, ExactAngle]]:
-        amp = Fraction(gate_amplitude(th[0], n_bits), 1 << n_bits)
-        gate_phase(ph[0], n_bits)
-        if len(th) == 1:
-            return [(amp, zero), (1 - amp, ph[0])]
-        h = (len(th) - 1) // 2
-        left = rec(th[1 : 1 + h], ph[1 : 1 + h])
-        right = rec(th[1 + h :], ph[1 + h :])
-        out = [(amp * p, phase) for p, phase in left]
-        out += [((1 - amp) * p, ph[0] + phase) for p, phase in right]
+    def rec(lo: int, hi: int) -> list[tuple[int, ExactAngle]]:
+        count, phi = counts[lo], phis[lo]
+        if hi - lo == 1:
+            return [(count, ZERO_ANGLE), (length - count, phi)]
+        mid = lo + 1 + (hi - lo - 1) // 2
+        out = [(count * k, phase) for k, phase in rec(lo + 1, mid)]
+        out += [((length - count) * k, phi + phase) for k, phase in rec(mid, hi)]
         return out
 
-    return rec(list(thetas), list(phis))
+    denominator = 1 << (m * n_bits)
+    return [(Fraction(k, denominator), phase) for k, phase in rec(0, len(thetas))]
 
 
 def amplitude_table_mp(
@@ -296,8 +276,8 @@ def amplitude_table_mp(
 ) -> list[mpmath.mpc]:
     """Numeric complex amplitudes of the same expansion at high precision,
     for arbitrary (not necessarily admissible) angles."""
-    m = (len(theta_turns) + 1).bit_length() - 1
-    if (1 << m) - 1 != len(theta_turns) or len(theta_turns) != len(phi_turns):
+    _arity(theta_turns)
+    if len(theta_turns) != len(phi_turns):
         raise ValueError("need 2**m - 1 angles")
 
     with mpmath.workprec(prec):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from invset import checks
 from invset.cli import SCHEMAS, TRACE_LENGTH_BOUND, _stable_json, build_parser, main
 
 OPTIMAL_CHSH = {
@@ -156,6 +157,11 @@ class TestPadicCommand:
     def test_golden_distances(self, tmp_path):
         assert main(["padic", "--golden", "--out", str(tmp_path / "o")]) == 0
 
+    def test_golden_checks_the_stored_examples_whatever_the_pairs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "p.json", {"p": 3, "pairs": [["1", "2"]]})
+        assert main(["padic", "--config", cfg, "--golden", "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().out.startswith("golden distance check: PASS\n")
+
     def test_full_report(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -257,6 +263,16 @@ class TestMalformedInput:
             ("dirac", {"trace_length": 100_000_000},
              "error: config key 'trace_length': 100000000 exceeds the bound 4096"),
             ("dirac", {"trace_length": 4097}, "error: config key 'trace_length': 4097 exceeds the bound 4096"),
+            ("dirac", {"mass": "1e1000000"},
+             "error: config key 'mass': decimal exponent 1000000 exceeds the digit limit 4300"),
+            ("dirac", {"mass": "1e10000000"},
+             "error: config key 'mass': decimal exponent 10000000 exceeds the digit limit 4300"),
+            ("chsh", {"n_bits": 12, "angles": {**OPTIMAL_CHSH["angles"], "B2": "1e-1000000"}},
+             "error: config key 'B2': decimal exponent -1000000 exceeds the digit limit 4300"),
+            ("mz", {"n_bits": 8, "phi_turns": "1E+1000000"},
+             "error: config key 'phi_turns': decimal exponent +1000000 exceeds the digit limit 4300"),
+            ("padic", {"p": 2, "pairs": [["7", "1e-1000000"]]},
+             "error: config key 'pairs': decimal exponent -1000000 exceeds the digit limit 4300"),
         ],
     )
     def test_huge_sizes_exit_one_at_once(self, tmp_path, capsys, command, payload, message):
@@ -528,6 +544,14 @@ class TestCheckCommand:
         assert main(["check", "--suite", "foo"]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "unknown suite 'foo'; choose from algebra, padic, multiqubit, dirac, numbertheory, all"]
+
+    def test_key_error_inside_a_suite_propagates(self, monkeypatch):
+        def broken(seed):
+            raise KeyError("inside the suite")
+
+        monkeypatch.setitem(checks.SUITES, "dirac", broken)
+        with pytest.raises(KeyError, match="inside the suite"):
+            main(["check", "--suite", "all"])
 
     def test_numbertheory_suite_passes(self, capsys):
         assert main(["check", "--suite", "numbertheory"]) == 0

@@ -26,7 +26,7 @@ import mpmath
 
 from invset.experiments import MzConfig, mz_run
 from invset.highprec import best_rational_approx, cos_turns, nearest_describable, sin_turns, to_mpf
-from invset.multiqubit import TwoQubitParams, multi_sample, two_qubit_predict
+from invset.multiqubit import TwoQubitParams, amplitude_table, multi_sample, two_qubit_predict
 from invset.samplespace import phase_string, sample
 
 TINY_150 = mpmath.mpf(2) ** -150
@@ -185,6 +185,13 @@ class TestGates:
             (
                 lambda: two_qubit_predict(TwoQubitParams(*[turns("0")] * 5, turns("1/64")), 6),
                 "phase 1/64 turns is not a multiple of 1/2**5 of a turn",
+            ),
+            pytest.param(
+                lambda: amplitude_table(
+                    [turns("1/2"), turns("1/5"), turns("0")], [turns("1/3"), turns("0"), turns("0")], 6
+                ),
+                "cos(theta) for theta=1/5 turns is irrational",
+                id="amplitude_table-gates-every-amplitude-before-any-phase",
             ),
             (lambda: mz_run(MzConfig("interference", turns("1/8"), 10)), "cos(theta) for theta=1/8 turns is irrational"),
             (lambda: mz_run(MzConfig("which_way", turns("1/5"), 10)), "phase 1/5 turns is not a multiple of 1/2**9 of a turn"),

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -265,6 +267,10 @@ class TestAmplitudeExpander:
         assert table[0b10][1] == phis[0]
         assert table[0b11][1] == phis[0] + phis[2]
 
+    def test_empty_tree_is_refused(self):
+        with pytest.raises(ValueError, match=r"^need 2\*\*m - 1 angles$"):
+            amplitude_table_mp([], [])
+
     def test_numeric_expander_matches_exact(self):
         thetas = [THETAS[Fraction(3, 4)], THETAS[Fraction(1, 4)], THETAS[Fraction(1, 2)]]
         phis = [ExactAngle(Fraction(1, 8)), ZERO, ExactAngle(Fraction(3, 8))]
@@ -277,3 +283,34 @@ class TestAmplitudeExpander:
                     angle = mpmath.arg(amp) / (2 * mpmath.pi) % 1
                     target = mpmath.mpf(phase.turns.numerator) / phase.turns.denominator
                     assert min(abs(angle - target), abs(angle - target + 1), abs(angle - target - 1)) < mpmath.mpf(2) ** -200
+
+
+class TestPinnedTwoQubit:
+    """The two-qubit sample and prediction, or their exclusion messages, over
+    every Niven amplitude triple on the full turn, a grid of phase triples
+    (admissible at every N, from N=5, from N=7, and never) and N in 3..8;
+    the digest pins every output and message."""
+
+    NIVEN_FULL_TURN = [ExactAngle(Fraction(t)) for t in ("0", "1/6", "1/4", "1/3", "1/2", "2/3", "3/4", "5/6")]
+    PHASE_GRID = [tuple(ExactAngle(Fraction(t)) for t in triple) for triple in (
+        ("0", "0", "0"), ("1/4", "0", "1/2"), ("1/8", "1/16", "3/8"), ("3/4", "7/8", "1/2"),
+        ("1/3", "0", "0"), ("0", "0", "1/64"))]
+    DIGEST = "cc52430ccf7e22d0ae41abb96f82f91b1e30a2e0b368a4060ecf30580cc4cca5"
+
+    @staticmethod
+    def outcome(call) -> str:
+        try:
+            return repr(call())
+        except (NotOnInvariantSet, ValueError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    def test_outputs_and_messages_digest(self):
+        digest = hashlib.sha256()
+        for n_bits in (3, 4, 5, 6, 8):
+            for thetas in itertools.product(self.NIVEN_FULL_TURN, repeat=3):
+                params = TwoQubitParams(*thetas, *self.PHASE_GRID[0])
+                digest.update(self.outcome(lambda: two_qubit_sample(params, n_bits)).encode())
+                for phis in self.PHASE_GRID:
+                    params = TwoQubitParams(*thetas, *phis)
+                    digest.update(self.outcome(lambda: two_qubit_predict(params, n_bits)).encode())
+        assert digest.hexdigest() == self.DIGEST
