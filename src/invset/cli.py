@@ -168,17 +168,29 @@ def _prime(value) -> int:
     return p
 
 
+def _printable(value: Fraction) -> bool:
+    """True iff value's numerator and denominator are within Python's digit
+    limit for integer strings, so a report can print them."""
+    limit = sys.get_int_max_str_digits()
+    big = max(abs(value.numerator), value.denominator)
+    return not limit or big.bit_length() <= 3 * limit or big < 10**limit
+
+
 def _fraction(value) -> Fraction:
     """Parser for a rational (an integer, ratio or decimal).  A decimal
     exponent beyond Python's digit limit for integer strings is refused
-    before its power of ten is built."""
+    before its power of ten is built, and so is a value the report could not
+    print."""
     text = str(value)
     head, _, exponent = text.lower().rpartition("e")
     digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     limit = sys.get_int_max_str_digits()
     if head and limit and digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit):
         raise ValueError(f"decimal exponent {exponent.strip()} exceeds the digit limit {limit}")
-    return Fraction(text)
+    fr = Fraction(text)
+    if not _printable(fr):
+        raise ValueError(f"{text} exceeds the digit limit {limit}")
+    return fr
 
 
 def _turns(value) -> ExactAngle:
@@ -392,6 +404,9 @@ def cmd_dirac(args) -> int:
     cfg = _config(args)
     n_bits, steps, trace_length = cfg["n_bits"], cfg["steps"], cfg["trace_length"]
     psi = dirac_mod.spinor(n_bits, mass=cfg["mass"], wavevector=cfg["wavevector"])
+    if not _printable(psi.omega_sq):
+        raise ValueError(f"config keys 'mass' and 'wavevector': omega^2 exceeds the digit limit "
+                         f"{sys.get_int_max_str_digits()}")
     trace = []
     rows = []
     state = psi

@@ -77,7 +77,7 @@ def is_describable(x: RationalLike, n_bits: int) -> bool:
     """
     if n_bits < 1:
         raise ValueError("n_bits must be >= 1")
-    den = Fraction(x).denominator
+    den = x.denominator if isinstance(x, (int, Fraction)) else Fraction(x).denominator
     return den & (den - 1) == 0 and den <= (1 << n_bits)
 
 
@@ -101,6 +101,10 @@ _EXCEPTIONAL_COS = {
     Fraction(1, 3): Fraction(-1, 2),
     Fraction(2, 3): Fraction(-1, 2),
 }
+
+# cos^2(theta/2) = (1 + cos theta)/2 on the same residues, keyed by the turns'
+# (numerator, denominator): a tuple of ints hashes in C, a Fraction does not.
+_HALF_ANGLE_COS_SQ = {(t.numerator, t.denominator): (1 + c) / 2 for t, c in _EXCEPTIONAL_COS.items()}
 
 
 def cos_exact(angle: ExactAngle) -> Fraction | None:
@@ -129,10 +133,10 @@ def gate_amplitude(theta: ExactAngle, n_bits: int) -> int:
     invariant set.  The exceptional set is symmetric under t -> 1 - t, so no
     folding into [0, pi] is needed.
     """
-    c = cos_exact(theta)
-    if c is None:
+    turns = theta.turns
+    amp = _HALF_ANGLE_COS_SQ.get((turns.numerator, turns.denominator))
+    if amp is None:
         raise NotOnInvariantSet(f"cos(theta) for theta={theta} is irrational")
-    amp = (1 + c) / 2
     if not is_describable(amp, n_bits):
         raise NotOnInvariantSet(f"cos^2(theta/2)={amp} is not describable by {n_bits} bits")
     return amp.numerator * ((1 << n_bits) // amp.denominator)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import mpmath
 
-from .exactmath import ZERO_ANGLE, ExactAngle, NotOnInvariantSet, gate_amplitude, gate_phase, is_describable
+from .exactmath import ExactAngle, NotOnInvariantSet, gate_amplitude, gate_phase, is_describable
 from .highprec import DEFAULT_PREC, to_mpf
 from .samplespace import (
     BitString,
@@ -104,19 +104,24 @@ def joint_counts(ms: MultiSample) -> dict[int, int]:
     """Exact outcome counts over the 2**m joint outcomes.
 
     Outcome index: bit per row, row 0 most significant, 0 = first regime.
-    Counts sum to 2**N.
+    Counts sum to 2**N.  Each row but the last splits every cell of the rows
+    above it into its first-regime and negated part, so cells stay in outcome
+    order.  The last row's split is only counted: a cell's first-regime count
+    is its count less its negated part's, and no more than 2**(m-1) cells of
+    2**N bits are alive at once.
     """
     _require_explicit(*ms.rows)
     full = (1 << ms.size) - 1
+    *heads, last = ms.rows
+    cells = [full]
+    for row in heads:
+        bits, first = row.bits, row.bits ^ full
+        cells = [part for cell in cells for part in (cell & first, cell & bits)]
     counts: dict[int, int] = {}
-    for outcome in range(1 << ms.m):
-        acc = full
-        for j, row in enumerate(ms.rows):
-            if (outcome >> (ms.m - 1 - j)) & 1:
-                acc &= row.bits
-            else:
-                acc &= row.bits ^ full
-        counts[outcome] = acc.bit_count()
+    for cell in cells:
+        negated = (cell & last.bits).bit_count()
+        counts[len(counts)] = cell.bit_count() - negated
+        counts[len(counts)] = negated
     return counts
 
 
@@ -246,6 +251,8 @@ def amplitude_table(
     """Symbolically expand the inductive m-qubit state: per outcome, the exact
     probability (product of cos^2/sin^2 half-angles, an integer numerator over
     2**(m*N)) and accumulated phase.  Gates every amplitude, then every phase.
+    Phases are summed as pair-shift counts modulo 2**(N-1), one ExactAngle
+    per distinct sum.
 
     Outcome order matches joint_counts (row 0 most significant).  This is the
     brute-force oracle the string composition is tested against.
@@ -254,21 +261,22 @@ def amplitude_table(
         raise ValueError("need equally many amplitude and phase angles")
     m = _arity(thetas)
     counts = [gate_amplitude(t, n_bits) for t in thetas]
-    for phi in phis:
-        gate_phase(phi, n_bits)
-    length = 1 << n_bits
+    shifts = [gate_phase(phi, n_bits) for phi in phis]
+    length, half = 1 << n_bits, 1 << (n_bits - 1)
 
-    def rec(lo: int, hi: int) -> list[tuple[int, ExactAngle]]:
-        count, phi = counts[lo], phis[lo]
+    def rec(lo: int, hi: int) -> list[tuple[int, int]]:
+        count, shift = counts[lo], shifts[lo]
         if hi - lo == 1:
-            return [(count, ZERO_ANGLE), (length - count, phi)]
+            return [(count, 0), (length - count, shift)]
         mid = lo + 1 + (hi - lo - 1) // 2
-        out = [(count * k, phase) for k, phase in rec(lo + 1, mid)]
-        out += [((length - count) * k, phi + phase) for k, phase in rec(mid, hi)]
+        out = [(count * k, s) for k, s in rec(lo + 1, mid)]
+        out += [((length - count) * k, (shift + s) % half) for k, s in rec(mid, hi)]
         return out
 
+    table = rec(0, len(thetas))
     denominator = 1 << (m * n_bits)
-    return [(Fraction(k, denominator), phase) for k, phase in rec(0, len(thetas))]
+    angles = {s: ExactAngle(Fraction(s, half)) for s in {s for _, s in table}}
+    return [(Fraction(k, denominator), angles[s]) for k, s in table]
 
 
 def amplitude_table_mp(
@@ -276,9 +284,9 @@ def amplitude_table_mp(
 ) -> list[mpmath.mpc]:
     """Numeric complex amplitudes of the same expansion at high precision,
     for arbitrary (not necessarily admissible) angles."""
-    _arity(theta_turns)
     if len(theta_turns) != len(phi_turns):
-        raise ValueError("need 2**m - 1 angles")
+        raise ValueError("need equally many amplitude and phase angles")
+    _arity(theta_turns)
 
     with mpmath.workprec(prec):
 

@@ -273,6 +273,9 @@ class TestMalformedInput:
              "error: config key 'phi_turns': decimal exponent +1000000 exceeds the digit limit 4300"),
             ("padic", {"p": 2, "pairs": [["7", "1e-1000000"]]},
              "error: config key 'pairs': decimal exponent -1000000 exceeds the digit limit 4300"),
+            ("dirac", {"mass": "1e2200"},
+             "error: config keys 'mass' and 'wavevector': omega^2 exceeds the digit limit 4300"),
+            ("dirac", {"mass": "1e4300"}, "error: config key 'mass': 1e4300 exceeds the digit limit 4300"),
         ],
     )
     def test_huge_sizes_exit_one_at_once(self, tmp_path, capsys, command, payload, message):

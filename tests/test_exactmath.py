@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -85,6 +86,24 @@ class TestDescribability:
             for n in range(1, 14):
                 if is_describable(x, n):
                     assert is_describable(x, n + 1)
+
+    @pytest.mark.parametrize(
+        "x, n_bits, answer",
+        [
+            (3, 1, True), (0, 1, True), (True, 1, True), (False, 4, True),
+            (Fraction(3, 8), 3, True), (Fraction(3, 8), 2, False), (Fraction(-5, 4), 2, True),
+            (0.375, 3, True), (0.375, 2, False), (0.1, 54, False), (0.1, 55, True),
+            ("3/8", 3, True), ("3/8", 2, False), ("-0.75", 2, True), ("1/3", 64, False),
+        ],
+    )
+    def test_input_types(self, x, n_bits, answer):
+        assert is_describable(x, n_bits) is answer
+
+    @pytest.mark.parametrize("x", [1, True, Fraction(1, 2), 0.5, "1/2", "not a number"])
+    @pytest.mark.parametrize("n_bits", [0, -1])
+    def test_n_bits_below_one_raises_before_reading_x(self, x, n_bits):
+        with pytest.raises(ValueError, match="^n_bits must be >= 1$"):
+            is_describable(x, n_bits)
 
     def test_dyadic_exponent(self):
         assert dyadic_exponent(Fraction(3, 8)) == 3
@@ -200,6 +219,30 @@ class TestGates:
     def test_exclusion_messages(self, call, message):
         with pytest.raises(NotOnInvariantSet, match=f"^{re.escape(message)}$"):
             call()
+
+
+class TestPinnedGates:
+    """gate_amplitude and gate_phase, value or exception type and message,
+    at every angle k/d turns with d <= 40 or d in {64, 128, 256, 1024, 3072}
+    and -2d <= k <= 2d (each distinct angle once, in increasing order), and
+    N in -2..25; the digest pins every outcome."""
+
+    DENOMINATORS = (*range(1, 41), 64, 128, 256, 1024, 3072)
+    DIGEST = "c3756b6a403faea3e796a9e08d86beb11e9ed0e96d28e405b146eaec0f428819"
+
+    def test_outcomes_digest(self):
+        angles = sorted({ExactAngle(Fraction(k, d)).turns for d in self.DENOMINATORS for k in range(-2 * d, 2 * d + 1)})
+        digest = hashlib.sha256()
+        for t in angles:
+            theta = ExactAngle(t)
+            for n_bits in range(-2, 26):
+                for gate in (gate_amplitude, gate_phase):
+                    try:
+                        outcome = repr(gate(theta, n_bits))
+                    except ValueError as exc:
+                        outcome = f"{type(exc).__name__}: {exc}"
+                    digest.update(outcome.encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestPythagoreanObstruction:

@@ -267,6 +267,12 @@ class TestAmplitudeExpander:
         assert table[0b10][1] == phis[0]
         assert table[0b11][1] == phis[0] + phis[2]
 
+    def test_unequal_angle_lists_are_named(self):
+        with pytest.raises(ValueError, match="^need equally many amplitude and phase angles$"):
+            amplitude_table_mp([Fraction(1, 3)], [])
+        with pytest.raises(ValueError, match="^need equally many amplitude and phase angles$"):
+            amplitude_table_mp([Fraction(1, 3)] * 3, [Fraction(0)])
+
     def test_empty_tree_is_refused(self):
         with pytest.raises(ValueError, match=r"^need 2\*\*m - 1 angles$"):
             amplitude_table_mp([], [])
@@ -314,3 +320,51 @@ class TestPinnedTwoQubit:
                     params = TwoQubitParams(*thetas, *phis)
                     digest.update(self.outcome(lambda: two_qubit_predict(params, n_bits)).encode())
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestPinnedTrees:
+    """amplitude_table at m = 1 and m = 3, and counts_csv of the m = 3
+    multi_sample, or their exclusion messages, over the Niven angles on the
+    full turn (every eighth m = 3 tree with one irrational-cosine angle),
+    phase grids admissible from N = 3, from N = 5, from N = 7 or 8, and never,
+    and N in 3..8; the digests pin every output and message.  m = 2 is pinned
+    by TestPinnedTwoQubit."""
+
+    NIVEN_FULL_TURN = TestPinnedTwoQubit.NIVEN_FULL_TURN
+    IRRATIONAL = [ExactAngle(Fraction(t)) for t in ("1/5", "1/8")]
+    PHASE_GRIDS = [[ExactAngle(Fraction(t)) for t in ("0", "1/4", "1/2", "3/4", *extra)]
+                   for extra in ((), ("1/8", "5/16"), ("31/64", "1/128"), ("1/3",))]
+    AMPLITUDE_DIGEST = "32c94b3c927c9c1c2c095c2a28a6bcb4cf6105ad7ae00ae1a0ccab9d9b7a8d53"
+    COUNTS_DIGEST = "fa8da49662049250c17000eb7703c9d6d8378c9b6ccef29848a504da773b1fcd"
+
+    def trees(self, count: int, seed: int):
+        rng = random.Random(seed)
+        for i in range(count):
+            tree = [rng.choice(self.NIVEN_FULL_TURN) for _ in range(7)]
+            if i % 8 == 7:
+                tree[rng.randrange(7)] = rng.choice(self.IRRATIONAL)
+            yield tree
+
+    def test_amplitude_table_digest(self):
+        outcome = TestPinnedTwoQubit.outcome
+        digest = hashlib.sha256()
+        rng = random.Random(8)
+        for n_bits in range(3, 9):
+            for theta in self.NIVEN_FULL_TURN:
+                for phi in itertools.chain(*self.PHASE_GRIDS):
+                    digest.update(outcome(lambda: amplitude_table([theta], [phi], n_bits)).encode())
+            for thetas in self.trees(200, n_bits):
+                for grid in self.PHASE_GRIDS:
+                    phis = [rng.choice(grid) for _ in range(7)]
+                    digest.update(outcome(lambda: amplitude_table(thetas, phis, n_bits)).encode())
+        assert digest.hexdigest() == self.AMPLITUDE_DIGEST
+
+    def test_counts_csv_digest(self):
+        from invset.multiqubit import counts_csv
+
+        outcome = TestPinnedTwoQubit.outcome
+        digest = hashlib.sha256()
+        for n_bits in range(3, 9):
+            for thetas in self.trees(400, 100 + n_bits):
+                digest.update(outcome(lambda: counts_csv(multi_sample(n_bits, thetas))).encode())
+        assert digest.hexdigest() == self.COUNTS_DIGEST
