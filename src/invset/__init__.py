@@ -28,6 +28,7 @@ from .padic import (
     PadicInt,
     cantor_iterates,
     cantor_map,
+    cantor_numerators,
     euclid_padic_probe,
     interval_for,
     ord_p,

@@ -14,10 +14,11 @@ import csv
 import datetime
 import functools
 import hashlib
-import io
 import json
 import math
+import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .exactmath import (
     fraction_str,
 )
 from .experiments import WHICH_WAY, ChshConfig, MzConfig, PbrConfig, chsh_run, mz_run, pbr_run
-from .padic import PadicInt, cantor_iterates, euclid_padic_probe, is_prime, padic_dist, similarity_dimension
+from .padic import PadicInt, cantor_numerators, euclid_padic_probe, is_prime, padic_dist, similarity_dimension
 from .samplespace import first_label_count, fraction, hilbert_shadow, rotation_table, sample, to_text
 from . import dirac as dirac_mod
 
@@ -91,10 +92,12 @@ def _json_scalar(value) -> str | None:
     return None
 
 
-def _write_json(value, newline: str, out) -> None:
+def _write_json(value, newline: str, out, flush=None) -> None:
     """Append the JSON text of `value`, indented 2 per level, to `out`;
     `newline` is a newline followed by the indent of the line `value` is on.
-    Items of exact scalar type are written in their container's loop."""
+    Items of exact scalar type are written in their container's loop.
+    `flush`, when given, is called after each piece of a Cantor array, so
+    that a sink can write those pieces out as they are made."""
     if isinstance(value, dict):
         if not value:
             out("{}")
@@ -110,7 +113,7 @@ def _write_json(value, newline: str, out) -> None:
                 out(sep + _json_str(text) + ": " + encode(item))
             else:
                 out(sep + _json_str(text) + ": ")
-                _write_json(item, inner, out)
+                _write_json(item, inner, out, flush)
             sep = comma
         out(newline + "}")
     elif isinstance(value, (list, tuple)):
@@ -128,14 +131,72 @@ def _write_json(value, newline: str, out) -> None:
                 out(sep + encode(item))
             else:
                 out(sep)
-                _write_json(item, inner, out)
+                _write_json(item, inner, out, flush)
             sep = comma
         out(newline + "]")
+    elif isinstance(value, _CantorArray):
+        for text in _cantor_text(value, newline):
+            out(text)
+            if flush is not None:
+                flush()
     else:
         text = _json_scalar(value)
         if text is None:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
         out(text)
+
+
+@dataclass(frozen=True)
+class _CantorArray:
+    """The intervals of the level-th Cantor iterate as a report value: the
+    writer gives it the JSON text of ``[iv.record() for iv in
+    cantor_iterates(p, level)]`` without building an interval or a record."""
+
+    p: int
+    level: int
+    numerators: list[int]  # cantor_numerators(p, level)
+
+
+CANTOR_BATCH = 4096  # most intervals the writer renders into one text
+
+
+def _digit_paths(p: int, digits: range, newline: str) -> list[str]:
+    """JSON text of every path of the given digit positions, in
+    lexicographic order, without the closing bracket: position 0 opens the
+    list, each later one follows a comma."""
+    texts = [""]
+    for k in digits:
+        sep = ("[" if k == 0 else ",") + newline
+        texts = [text + sep + str(c) for text in texts for c in range(p)]
+    return texts
+
+
+def _cantor_text(array: _CantorArray, newline: str):
+    """The JSON text of `array` on a line whose newline and indent are
+    `newline`, in pieces of at most CANTOR_BATCH intervals.  Each interval is
+    one template; a path is a head of its leading digits and a tail of the
+    last level // 2, so only about 2 * p**(level / 2) path texts are built."""
+    p, level, numerators = array.p, array.level, array.numerators
+    den = (2 * p - 1) ** level
+    item, key = newline + "  ", newline + "    "
+    template = ("{" + key + '"left": "%d/%d",' + key + f'"level": {level},' + key + f'"p": {p},'
+                + key + '"path": %s%s,' + key + '"right": "%d/%d"' + item + "}")
+    tail = level // 2
+    heads = _digit_paths(p, range(level - tail), key + "  ")
+    close = key + "]" if level else "[]"
+    tails = [text + close for text in _digit_paths(p, range(level - tail, level), key + "  ")]
+    width, gcd = len(tails), math.gcd
+    opening, sep, parts = "[" + item, "," + item, []
+    for start, head in zip(range(0, len(numerators), width), heads):
+        for n, path in zip(numerators[start:start + width], tails):
+            g, h = gcd(n, den), gcd(n + 1, den)
+            parts.append(template % (n // g, den // g, head, path, (n + 1) // h, den // h))
+        if len(parts) + width > CANTOR_BATCH:
+            yield opening + sep.join(parts)
+            opening, parts = sep, []
+    if parts:
+        yield opening + sep.join(parts)
+    yield newline + "]"
 
 
 def _exact_str(value) -> str:
@@ -279,23 +340,52 @@ def _config(args) -> dict:
     return _parse(SCHEMAS[args.command], raw)
 
 
+class _HashedFile:
+    """Report text on its way to a binary file: ``write`` collects pieces of
+    text, and ``flush`` encodes those collected so far, writes them to `fh`
+    and feeds the same bytes to `digest`."""
+
+    def __init__(self, fh, digest) -> None:
+        self.fh, self.digest = fh, digest
+        self.parts: list[str] = []
+        self.write = self.parts.append
+
+    def flush(self) -> None:
+        data = "".join(self.parts).encode()
+        self.fh.write(data)
+        self.digest.update(data)
+        self.parts.clear()
+
+
 def _emit(args, cfg: dict, report: dict, header: list[str], rows: list[list]) -> None:
+    """Write the report files and manifest.json to ``--out``.  Each report
+    goes to a temporary file there while it is hashed, a Cantor array piece
+    by piece, and all of them are moved into place only once every one is
+    complete."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    written: dict[str, bytes] = {}
-    if args.format in ("json", "both"):
-        written["report.json"] = _stable_json(report)
-    if args.format in ("csv", "both"):
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        written["report.csv"] = buf.getvalue().encode()
-    for name, data in written.items():
-        (out / name).write_bytes(data)
-    digest = hashlib.sha256()
-    for name in sorted(written):
-        digest.update(name.encode() + b"\0" + written[name])
+    names = [f"report.{kind}" for kind in ("csv", "json") if args.format in (kind, "both")]  # in name order
+    temporary = {name: os.path.join(out, f".{name}.{os.getpid()}.tmp") for name in names}
+    digest = hashlib.sha256()  # over each report's name and bytes, in name order
+    try:
+        for name in names:
+            digest.update(name.encode() + b"\0")
+            with open(temporary[name], "wb") as fh:
+                sink = _HashedFile(fh, digest)
+                if name == "report.json":
+                    _write_json(report, "\n", sink.write, sink.flush)
+                    sink.write("\n")
+                else:
+                    writer = csv.writer(sink, lineterminator="\n")
+                    writer.writerow(header)
+                    writer.writerows(rows)
+                sink.flush()
+        for name in names:
+            os.replace(temporary[name], os.path.join(out, name))
+    except BaseException:  # leave no partial report, whatever stopped the run
+        for path in temporary.values():
+            Path(path).unlink(missing_ok=True)
+        raise
     echo = json.loads(json.dumps(cfg, default=_exact_str))
     manifest = {
         "tool": "invset",
@@ -307,7 +397,7 @@ def _emit(args, cfg: dict, report: dict, header: list[str], rows: list[list]) ->
         "output_sha256": digest.hexdigest(),
     }
     (out / "manifest.json").write_bytes(_stable_json(manifest))
-    print(f"{args.command}: wrote {', '.join(sorted(written))} and manifest.json to {out} "
+    print(f"{args.command}: wrote {', '.join(names)} and manifest.json to {out} "
           f"(output_sha256={manifest['output_sha256'][:16]}...)")
 
 
@@ -391,7 +481,8 @@ def cmd_padic(args) -> int:
         print("golden distance check: PASS")
     report: dict = {"p": p, "distances": distances, "similarity_dimension_float": similarity_dimension(p)}
     if "cantor_level" in cfg:
-        report["cantor_intervals"] = [iv.record() for iv in cantor_iterates(p, cfg["cantor_level"])]
+        level = cfg["cantor_level"]
+        report["cantor_intervals"] = _CantorArray(p, level, cantor_numerators(p, level))
     if "probe" in cfg:
         a = PadicInt(p, tuple(cfg["probe"]["a_digits"]))
         report["probe"] = euclid_padic_probe(a, cfg["probe"]["b_off"]).record()

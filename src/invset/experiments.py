@@ -33,7 +33,7 @@ from .exactmath import (
     sin_exact,
 )
 from .highprec import DEFAULT_PREC, acos_as_turns, cos_turns, to_mpf
-from .multiqubit import bell_agreement, bell_correlation, bell_sample_from_amplitude
+from .multiqubit import bell_sample_from_amplitude, bell_statistics
 from .samplespace import fraction, sample
 
 PAIR_NAMES = ("A1B1", "A1B2", "A2B1", "A2B2")
@@ -202,7 +202,7 @@ def chsh_run(cfg: ChshConfig, prec: int = DEFAULT_PREC) -> ChshReport:
         t = relative_turns(settings[pair[:2]], settings[pair[2:]])
         sub = substitute_describable(t, cfg.n_bits, cfg.window, pair, prec)
         ms = bell_sample_from_amplitude(Fraction(sub.first_count, 1 << cfg.n_bits), cfg.n_bits)
-        ensembles[pair] = SubEnsemble(pair, sub, bell_agreement(ms), bell_correlation(ms))
+        ensembles[pair] = SubEnsemble(pair, sub, *bell_statistics(ms))
         subs[pair] = sub
     bridges = {
         name: substitute_describable(

@@ -323,11 +323,18 @@ def bell_sample(theta2: ExactAngle, n_bits: int) -> MultiSample:
     return bell_sample_from_amplitude(Fraction(gate_amplitude(theta2, n_bits), 1 << n_bits), n_bits)
 
 
-def bell_agreement(ms: MultiSample) -> Fraction:
+def bell_statistics(ms: MultiSample) -> tuple[Fraction, Fraction]:
+    """Agreement and correlation from one joint count.  The correlation is
+    agreement minus disagreement, 2*agreement - 1, and equals cos(theta2)
+    exactly."""
     counts = joint_counts(ms)
-    return Fraction(counts[0b00] + counts[0b11], ms.size)
+    agreement = Fraction(counts[0b00] + counts[0b11], ms.size)
+    return agreement, 2 * agreement - 1
+
+
+def bell_agreement(ms: MultiSample) -> Fraction:
+    return bell_statistics(ms)[0]
 
 
 def bell_correlation(ms: MultiSample) -> Fraction:
-    """Agreement minus disagreement; equals cos(theta2) exactly."""
-    return 2 * bell_agreement(ms) - 1
+    return bell_statistics(ms)[1]

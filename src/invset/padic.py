@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .exactmath import RationalLike, ResourceBound, fraction_str
 
-CANTOR_ITERATE_BOUND = 1 << 20  # max number of intervals cantor_iterates will build
+CANTOR_ITERATE_BOUND = 1 << 20  # max number of intervals cantor_numerators will list
 
 Infinity = math.inf
 
@@ -217,10 +217,10 @@ def interval_for(z: PadicInt, level: int) -> CantorInterval:
     return interval_for_path(z.p, z.digits[:level])
 
 
-def cantor_iterates(p: int, level: int, *, bound: int = CANTOR_ITERATE_BOUND) -> list[CantorInterval]:
-    """All p**level intervals of the level-th iterate, in path-lexicographic
-    order.  p >= 2 here need not be prime: the keep-every-second-subinterval
-    construction is pure geometry."""
+def cantor_numerators(p: int, level: int, *, bound: int = CANTOR_ITERATE_BOUND) -> list[int]:
+    """The left numerators over (2p-1)**level of all p**level intervals of the
+    level-th iterate, in path-lexicographic order.  p >= 2 here need not be
+    prime: the keep-every-second-subinterval construction is pure geometry."""
     if p < 2:
         raise ValueError("p must be >= 2")
     if level < 0:
@@ -232,6 +232,13 @@ def cantor_iterates(p: int, level: int, *, bound: int = CANTOR_ITERATE_BOUND) ->
     numerators = [0]
     for _ in range(level):  # the Horner step of _left_numerator, for every path at once
         numerators = [q * n + 2 * c for n in numerators for c in range(p)]
+    return numerators
+
+
+def cantor_iterates(p: int, level: int, *, bound: int = CANTOR_ITERATE_BOUND) -> list[CantorInterval]:
+    """All p**level intervals of the level-th iterate, in the order of
+    cantor_numerators."""
+    numerators = cantor_numerators(p, level, bound=bound)
     return [CantorInterval(p, level, path, n) for path, n in zip(product(range(p), repeat=level), numerators)]
 
 

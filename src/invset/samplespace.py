@@ -130,20 +130,37 @@ def _quarter_once(bits: int, length: int) -> int:
     return (((bits >> 1) ^ full) & even) | ((bits & even) << 1)
 
 
+_MASK_BLOCK = 2048  # bytes of x counted per popcount in _lowest_set_mask
+
+
 def _lowest_set_mask(x: int, k: int) -> int:
-    """Mask of the k lowest set bits of x (binary search on prefix popcount)."""
+    """Mask of the k lowest set bits of x: a binary search on prefix popcount
+    inside the block of _MASK_BLOCK bytes that holds the k-th set bit, found
+    by one popcount per block from the low end."""
     if k == 0:
         return 0
-    if x.bit_count() < k:
+    block, offset = x, 0
+    if x.bit_length() > 8 * _MASK_BLOCK:
+        data = memoryview(x.to_bytes((x.bit_length() + 7) // 8, "little"))
+        for start in range(0, len(data), _MASK_BLOCK):
+            block = int.from_bytes(data[start : start + _MASK_BLOCK], "little")
+            count = block.bit_count()
+            if count >= k:
+                break
+            k -= count
+        else:
+            raise ValueError("fewer set bits than requested")
+        offset = 8 * start
+    elif x.bit_count() < k:
         raise ValueError("fewer set bits than requested")
-    lo, hi = 1, x.bit_length()
+    lo, hi = 1, block.bit_length()
     while lo < hi:
         mid = (lo + hi) // 2
-        if (x & ((1 << mid) - 1)).bit_count() >= k:
+        if (block & ((1 << mid) - 1)).bit_count() >= k:
             hi = mid
         else:
             lo = mid + 1
-    return x & ((1 << lo) - 1)
+    return x & ((1 << (offset + lo)) - 1)
 
 
 def canonical_string(n_bits: int, tag: str = "a") -> BitString:

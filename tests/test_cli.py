@@ -10,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from invset import checks
+from invset import checks, cli
 from invset.cli import SCHEMAS, TRACE_LENGTH_BOUND, _stable_json, build_parser, main
+from invset.padic import cantor_iterates, cantor_numerators
 
 OPTIMAL_CHSH = {
     "n_bits": 12,
@@ -388,8 +389,9 @@ class TestReadmeConfigs:
 
 
 # Scaled padic configs (Cantor levels up to 2**11 intervals, with pairs and a
-# probe) and the output_sha256 each gave before the report writer and the
-# Cantor intervals were rewritten: both changes keep these bytes.
+# probe, and level 0) and the output_sha256 each gave before the report writer
+# and the Cantor intervals were rewritten, and before the intervals were
+# written from their numerators and streamed: all of these keep the bytes.
 SCALED_PADIC_CONFIGS = {
     "2-8": ({"p": 2, "pairs": [["7", "3"], ["15", "7"], ["1/3", "5/9"]], "cantor_level": 8,
              "probe": {"a_digits": [1, 0, 1, 1], "b_off": "5/4"}},
@@ -403,7 +405,21 @@ SCALED_PADIC_CONFIGS = {
     "2-11": ({"p": 2, "pairs": [["7", "3"], ["15", "7"]], "cantor_level": 11,
               "probe": {"a_digits": [1, 0, 0, 0], "b_off": "5/4"}},
              "853da15b56547ebe1cafa583e06c104562e189a975e4c568cd1347f021daab8b"),
+    "5-5": ({"p": 5, "pairs": [["25", "3/5"], ["7", "2"], ["1/5", "6/25"]], "cantor_level": 5,
+             "probe": {"a_digits": [4, 0, 3, 1], "b_off": "3/25"}},
+            "6b6d81134c53cd7cc1dc7da0616bd91162543bce90e1ff0dd609a0bb9be0ea11"),
+    "3-7": ({"p": 3, "pairs": [["7", "3"], ["1/9", "2/3"], ["10", "1"]], "cantor_level": 7,
+             "probe": {"a_digits": [2, 1, 0, 2], "b_off": "2/9"}},
+            "8aef3035def2a9ce7d32e98924f1174c2be4c1c3a4f1dbbc62f5b56399b02fcf"),
+    "2-0": ({"p": 2, "pairs": [["7", "3"]], "cantor_level": 0},
+            "307c76e64201c5a4d14448838b83ea02f489d4d8c5ec96b3f706efa5a7000d79"),
+    "13-0": ({"p": 13, "pairs": [["14", "1"], ["1/13", "2"]], "cantor_level": 0,
+              "probe": {"a_digits": [12, 0, 5], "b_off": "1/13"}},
+             "f0d9aa9e473644662af80d48201b86be9f7fe344009877d1c6ea3b935df84b2d"),
 }
+# The (2, 11) config's output_sha256 when only one report is written.
+SCALED_PADIC_FORMATS = {"json": "f3734b6f8a3aaec8a8390834a20d32c95250edee2614d9d2998f0ed6a4173e3d",
+                        "csv": "e4231fb1a37e5fefae376c04c6b720bb67182f864e264d847e72af1f44f865b3"}
 
 
 class TestScaledPadicConfigs:
@@ -413,6 +429,85 @@ class TestScaledPadicConfigs:
         cfg = write_config(tmp_path, "c.json", payload)
         assert main(["padic", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert read_json(tmp_path / "o" / "manifest.json")["output_sha256"] == sha
+
+    @pytest.mark.parametrize("fmt", sorted(SCALED_PADIC_FORMATS))
+    def test_one_format_output_sha256_is_pinned(self, tmp_path, fmt):
+        cfg = write_config(tmp_path, "c.json", SCALED_PADIC_CONFIGS["2-11"][0])
+        assert main(["padic", "--config", cfg, "--out", str(tmp_path / "o"), "--format", fmt]) == 0
+        assert read_json(tmp_path / "o" / "manifest.json")["output_sha256"] == SCALED_PADIC_FORMATS[fmt]
+        assert sorted(path.name for path in (tmp_path / "o").iterdir()) == ["manifest.json", f"report.{fmt}"]
+
+
+# The optimal CHSH angles turned by an offset, and the output_sha256 at each N
+# before each sub-ensemble was counted once: only the relative angles matter.
+CHSH_PINS = {16: "f212132f786b39a514d762c9600883f693913d7288280fa442941cbb88585bff",
+             20: "21ce8ad789f02b6f7bcfc218bd18cf451e67a0ef90428698ffc7dc3d897433d9"}
+
+
+class TestChshPins:
+    @pytest.mark.parametrize("n_bits", sorted(CHSH_PINS))
+    @pytest.mark.parametrize("sixteenths", [0, 1, 2, 4])
+    def test_output_sha256_is_pinned(self, tmp_path, n_bits, sixteenths):
+        off = Fraction(sixteenths, 16)
+        angles = {k: str((off + Fraction(v)) % 1) for k, v in OPTIMAL_CHSH["angles"].items()}
+        cfg = write_config(tmp_path, "c.json", {"n_bits": n_bits, "angles": angles})
+        assert main(["chsh", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert read_json(tmp_path / "o" / "manifest.json")["output_sha256"] == CHSH_PINS[n_bits]
+
+
+class TestCantorText:
+    # p = 4099 at level 1 has more digits than one piece holds intervals
+    @pytest.mark.parametrize("p,levels", [(2, [0, 1, 2, 5, 11, 12, 13]), (3, [0, 1, 2, 4, 8]), (5, [0, 1, 3, 5, 6]),
+                                          (7, [0, 1, 2, 4, 5]), (11, [0, 1, 2, 4]), (13, [0, 1, 2, 3]),
+                                          (4099, [1])])
+    def test_equals_json_dumps_of_the_records(self, p, levels):
+        # depth 0, the report's depth and one deeper: the writer indents by where the array sits
+        for level in levels:
+            array = cli._CantorArray(p, level, cantor_numerators(p, level))
+            records = [iv.record() for iv in cantor_iterates(p, level)]
+            for wrap in (lambda x: x, lambda x: {"cantor_intervals": x, "p": p}, lambda x: [{"a": [x]}]):
+                assert _stable_json(wrap(array)) == _json_oracle(wrap(records))
+
+    @pytest.mark.parametrize("p,level", [(2, 13), (3, 9), (4099, 1)])
+    def test_pieces_hold_at_most_a_batch_of_intervals(self, p, level):
+        pieces = list(cli._cantor_text(cli._CantorArray(p, level, cantor_numerators(p, level)), "\n"))
+        counts = [piece.count('"left"') for piece in pieces]
+        assert sum(counts) == p**level and max(counts) <= cli.CANTOR_BATCH
+
+
+class TestStreamedReports:
+    CONFIG = SCALED_PADIC_CONFIGS["2-11"][0]
+
+    def test_out_holds_only_the_reports_and_the_manifest(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", self.CONFIG)
+        out = tmp_path / "o"
+        assert main(["padic", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["manifest.json", "report.csv", "report.json"]
+
+    @pytest.mark.parametrize("error", [OSError("no space left on device"), RuntimeError("renderer failed")])
+    def test_a_failed_write_leaves_no_report(self, tmp_path, monkeypatch, capsys, error):
+        cfg = write_config(tmp_path, "c.json", self.CONFIG)
+        out = tmp_path / "o"
+        cantor_text = cli._cantor_text
+        flushed = []
+
+        def failing(array, newline):
+            for text in cantor_text(array, newline):
+                yield text
+                partial = [path for path in out.iterdir() if path.name.startswith(".report.json")]
+                if partial and partial[0].stat().st_size:  # a chunk of report.json is on disk
+                    flushed.append(partial[0].name)
+                    raise error
+
+        monkeypatch.setattr(cli, "_cantor_text", failing)
+        if isinstance(error, OSError):
+            assert main(["padic", "--config", cfg, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: {error}\n"
+        else:
+            with pytest.raises(RuntimeError):
+                main(["padic", "--config", cfg, "--out", str(out)])
+        assert len(flushed) == 1
+        assert list(out.iterdir()) == []
 
 
 def _json_oracle(obj) -> bytes:

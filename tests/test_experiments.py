@@ -28,6 +28,7 @@ from invset.experiments import (
     simultaneity_obstruction,
     substitute_describable,
 )
+from invset import multiqubit
 from invset.multiqubit import amplitude_table_mp
 
 
@@ -131,6 +132,15 @@ class TestChsh:
         report = chsh_run(ChshConfig(10, **OPTIMAL))
         c = {pair: se.correlation for pair, se in report.sub_ensembles.items()}
         assert report.s_value == abs(c["A1B1"] - c["A1B2"]) + abs(c["A2B1"] + c["A2B2"])
+
+    def test_each_sub_ensemble_is_counted_once(self, monkeypatch):
+        counted = []
+        joint_counts = multiqubit.joint_counts
+        monkeypatch.setattr(multiqubit, "joint_counts", lambda ms: counted.append(ms) or joint_counts(ms))
+        report = chsh_run(ChshConfig(10, **OPTIMAL))
+        assert len(counted) == 4
+        for se in report.sub_ensembles.values():
+            assert se.correlation == 2 * se.agreement - 1
 
     def test_report_round_trip(self):
         rec = chsh_run(ChshConfig(10, **OPTIMAL)).record()

@@ -12,6 +12,7 @@ from invset.padic import (
     PadicInt,
     cantor_iterates,
     cantor_map,
+    cantor_numerators,
     euclid_padic_probe,
     interval_for,
     interval_for_path,
@@ -159,6 +160,14 @@ class TestCantor:
     def test_resource_bound(self):
         with pytest.raises(ResourceBound):
             cantor_iterates(2, 25)
+        with pytest.raises(ResourceBound, match=r"^3\*\*13 intervals exceed the bound 1048576$"):
+            cantor_numerators(3, 13)
+        assert len(cantor_numerators(2, 20)) == 1 << 20
+
+    @pytest.mark.parametrize("p,level", [(2, 0), (2, 7), (3, 4), (4, 3), (13, 2)])
+    def test_numerators_are_the_path_numerators(self, p, level):
+        paths = itertools.product(range(p), repeat=level)
+        assert cantor_numerators(p, level) == [interval_for_path(p, path).numerator for path in paths]
 
     @pytest.mark.parametrize("p,levels", [(2, range(0, 9)), (3, range(0, 6)), (5, range(0, 4)), (7, range(0, 3))])
     def test_iterates_are_the_path_intervals(self, p, levels):

@@ -5,6 +5,7 @@ import pytest
 
 from invset.exactmath import ExactAngle, NotOnInvariantSet, ResourceBound
 from invset.samplespace import (
+    _lowest_set_mask,
     BitString,
     OrbitDescriptor,
     TrajectoryBundle,
@@ -321,6 +322,43 @@ class TestSerialization:
         desc_only = BitString(n_bits, None, "a", OrbitDescriptor(n_bits, rng.randrange(1 << n_bits),
                                                                  rng.randrange((1 << n_bits) + 1)))
         assert to_text(desc_only) == per_label_text(expand(desc_only))
+
+
+def binary_search_lowest_set_mask(x, k):
+    """The reference: a binary search on the popcount of every prefix of x."""
+    if k == 0:
+        return 0
+    if x.bit_count() < k:
+        raise ValueError("fewer set bits than requested")
+    lo, hi = 1, x.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (x & ((1 << mid) - 1)).bit_count() >= k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return x & ((1 << lo) - 1)
+
+
+class TestLowestSetMask:
+    @pytest.mark.parametrize("n_bits", range(3, 21))
+    def test_agrees_with_the_binary_search(self, n_bits):
+        rng = random.Random(n_bits)
+        length = 1 << n_bits
+        # half the bits set, one in eight, five, and one run of set bits
+        xs = [rng.getrandbits(length), rng.getrandbits(length) & rng.getrandbits(length) & rng.getrandbits(length),
+              sum(1 << rng.randrange(length) for _ in range(5)), ((1 << (length // 3)) - 1) << (length // 2)]
+        for x in xs:
+            total = x.bit_count()
+            for k in {0, 1, total, total // 2, rng.randint(0, total)}:
+                assert _lowest_set_mask(x, k) == binary_search_lowest_set_mask(x, k)
+            with pytest.raises(ValueError, match="fewer set bits"):
+                _lowest_set_mask(x, total + 1)
+
+    def test_zero_has_no_set_bits(self):
+        assert _lowest_set_mask(0, 0) == 0
+        with pytest.raises(ValueError, match="fewer set bits"):
+            _lowest_set_mask(0, 1)
 
 
 class TestTrajectoryBundles:
