@@ -76,6 +76,7 @@ from .dirac import (
     SpinorSample,
     dispersion_check,
     evolution_matrix,
+    evolution_operator,
     full_evolve,
     gamma_pattern,
     rest_step,

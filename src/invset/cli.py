@@ -20,6 +20,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -340,6 +341,24 @@ def _config(args) -> dict:
     return _parse(SCHEMAS[args.command], raw)
 
 
+def _csv_text(rows: list[list[str]]) -> str | None:
+    """The text ``csv.writer(..., lineterminator="\n")`` writes for `rows`, as
+    the plain comma/newline join, or None where the two might differ: a field
+    that is not a str, an empty line (csv quotes a lone empty field), or a
+    comma, newline, quote or carriage return inside a field.  Those
+    characters are looked for by one scan each of all fields at once.
+    Numbers are left to the csv module, which converts them faster than a
+    join can."""
+    try:
+        lines = list(map(",".join, rows))
+        fields = "".join(chain.from_iterable(rows))
+    except TypeError:
+        return None
+    if "" in lines or "," in fields or "\n" in fields or '"' in fields or "\r" in fields:
+        return None
+    return "\n".join([*lines, ""])
+
+
 class _HashedFile:
     """Report text on its way to a binary file: ``write`` collects pieces of
     text, and ``flush`` encodes those collected so far, writes them to `fh`
@@ -376,9 +395,12 @@ def _emit(args, cfg: dict, report: dict, header: list[str], rows: list[list]) ->
                     _write_json(report, "\n", sink.write, sink.flush)
                     sink.write("\n")
                 else:
-                    writer = csv.writer(sink, lineterminator="\n")
-                    writer.writerow(header)
-                    writer.writerows(rows)
+                    table = [header, *rows]
+                    text = _csv_text(table)
+                    if text is not None:
+                        sink.write(text)
+                    else:
+                        csv.writer(sink, lineterminator="\n").writerows(table)
                 sink.flush()
         for name in names:
             os.replace(temporary[name], os.path.join(out, name))
@@ -498,19 +520,20 @@ def cmd_dirac(args) -> int:
     if not _printable(psi.omega_sq):
         raise ValueError(f"config keys 'mass' and 'wavevector': omega^2 exceeds the digit limit "
                          f"{sys.get_int_max_str_digits()}")
+    operator = dirac_mod.evolution_operator(psi, *steps)  # the same product at every step
     trace = []
     rows = []
-    state = psi
+    components = psi.components
     for step in range(trace_length + 1):
         entry = []
-        for idx, comp in enumerate(state.components):
+        for idx, comp in enumerate(components):
             turns = hilbert_shadow(comp).phase_turns
             count = first_label_count(comp)
             entry.append({"component": idx + 1, "phase_turns": fraction_str(turns), "first_count": count})
             rows.append([step, idx + 1, fraction_str(turns), count])
         trace.append({"step": step, "components": entry})
         if step < trace_length:
-            state = dirac_mod.full_evolve(state, *steps)
+            components = operator.apply(components)
     report = {
         "n_bits": n_bits,
         "mass": fraction_str(psi.mass),

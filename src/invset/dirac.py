@@ -217,8 +217,8 @@ def rest_step(psi: SpinorSample, n: int) -> SpinorSample:
     )
 
 
-def full_evolve(psi: SpinorSample, n_t: int, n_1: int, n_2: int, n_3: int) -> SpinorSample:
-    """Apply the ordered product (time op)(x op)(y op)(z op).
+def evolution_operator(psi: SpinorSample, n_t: int, n_1: int, n_2: int, n_3: int) -> FormalOperatorMatrix:
+    """The ordered product (time op)(x op)(y op)(z op) for psi's wavevector.
 
     Spatial step counts are consumed only on axes with nonzero wavevector;
     elsewhere the grid is undefined and the operator is the identity, which
@@ -228,7 +228,12 @@ def full_evolve(psi: SpinorSample, n_t: int, n_1: int, n_2: int, n_3: int) -> Sp
     for axis, steps in ((1, n_1), (2, n_2), (3, n_3)):
         if psi.wavevector[axis - 1] != 0:
             mat = mat @ evolution_matrix(axis, steps, psi.n_bits)
-    return replace(psi, components=mat.apply(psi.components))
+    return mat
+
+
+def full_evolve(psi: SpinorSample, n_t: int, n_1: int, n_2: int, n_3: int) -> SpinorSample:
+    """Apply evolution_operator(psi, n_t, n_1, n_2, n_3) to psi's components."""
+    return replace(psi, components=evolution_operator(psi, n_t, n_1, n_2, n_3).apply(psi.components))
 
 
 @dataclass(frozen=True)

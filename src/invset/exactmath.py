@@ -270,5 +270,5 @@ def combine_degenerate_cosine(cos_a: Fraction, cos_b: Fraction) -> Fraction:
 
 def fraction_str(x: RationalLike) -> str:
     """Serialize a rational as 'numerator/denominator'."""
-    fr = Fraction(x)
+    fr = x if type(x) is Fraction else Fraction(x)
     return f"{fr.numerator}/{fr.denominator}"

@@ -11,7 +11,7 @@ its own sub-ensemble - no value is ever computed from a counterfactual run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import mpmath
@@ -194,22 +194,23 @@ def _admissibility_matrix(
 
 def chsh_run(cfg: ChshConfig, prec: int = DEFAULT_PREC) -> ChshReport:
     """Run the four sub-experiments on separate sub-ensembles and assemble
-    S = |C(A1,B1) - C(A1,B2)| + |C(A2,B1) + C(A2,B2)| exactly."""
+    S = |C(A1,B1) - C(A1,B2)| + |C(A2,B1) + C(A2,B2)| exactly.  Pairs and
+    bridges at the same folded angle share one substitution."""
     settings = {"A1": cfg.a1, "A2": cfg.a2, "B1": cfg.b1, "B2": cfg.b2}
-    subs: dict[str, AngleSubstitution] = {}
+    found: dict[Fraction, AngleSubstitution] = {}
+
+    def substitution(name: str) -> AngleSubstitution:
+        t = relative_turns(settings[name[:2]], settings[name[2:]])
+        if t not in found:
+            found[t] = substitute_describable(t, cfg.n_bits, cfg.window, name, prec)
+        return replace(found[t], name=name)
+
+    subs = {pair: substitution(pair) for pair in PAIR_NAMES}
+    bridges = {name: substitution(name) for name in BRIDGE_NAMES}
     ensembles: dict[str, SubEnsemble] = {}
-    for pair in PAIR_NAMES:
-        t = relative_turns(settings[pair[:2]], settings[pair[2:]])
-        sub = substitute_describable(t, cfg.n_bits, cfg.window, pair, prec)
+    for pair, sub in subs.items():
         ms = bell_sample_from_amplitude(Fraction(sub.first_count, 1 << cfg.n_bits), cfg.n_bits)
         ensembles[pair] = SubEnsemble(pair, sub, *bell_statistics(ms))
-        subs[pair] = sub
-    bridges = {
-        name: substitute_describable(
-            relative_turns(settings[name[:2]], settings[name[2:]]), cfg.n_bits, cfg.window, name, prec
-        )
-        for name in BRIDGE_NAMES
-    }
     c = {pair: ensembles[pair].correlation for pair in PAIR_NAMES}
     s_value = abs(c["A1B1"] - c["A1B2"]) + abs(c["A2B1"] + c["A2B2"])
     return ChshReport(

@@ -25,6 +25,7 @@ from .samplespace import (
     BitString,
     canonical_string,
     first_label_count,
+    full_mask,
     negate,
     sample_from_counts,
 )
@@ -73,8 +74,7 @@ def compose_pair(sa: BitString, sb1: BitString, sb2: BitString) -> MultiSample:
     if not sa.n_bits == sb1.n_bits == sb2.n_bits:
         raise ValueError("length mismatch")
     _require_explicit(sa, sb1, sb2)
-    full = (1 << sa.size) - 1
-    bits = _select(sa.bits, sb1.bits, sb2.bits, full)
+    bits = _select(sa.bits, sb1.bits, sb2.bits, full_mask(sa.size))
     # The composed row is generally not a single-angle construction; keep the
     # descriptor only in the degenerate equal-sources case.
     desc = sb1.descriptor if sb1.bits == sb2.bits else None
@@ -91,7 +91,7 @@ def compose_many(head: BitString, left: MultiSample, right: MultiSample) -> Mult
     if not head.n_bits == left.n_bits == right.n_bits:
         raise ValueError("length mismatch")
     _require_explicit(head, *left.rows, *right.rows)
-    full = (1 << head.size) - 1
+    full = full_mask(head.size)
     rows = [head]
     for lw, rw in zip(left.rows, right.rows):
         bits = _select(head.bits, lw.bits, rw.bits, full)
@@ -111,7 +111,7 @@ def joint_counts(ms: MultiSample) -> dict[int, int]:
     2**N bits are alive at once.
     """
     _require_explicit(*ms.rows)
-    full = (1 << ms.size) - 1
+    full = full_mask(ms.size)
     *heads, last = ms.rows
     cells = [full]
     for row in heads:
@@ -204,7 +204,7 @@ def multi_sample(n_bits: int, thetas: Sequence[ExactAngle], tags: Sequence[str] 
     m = _arity(thetas)
     counts = [gate_amplitude(t, n_bits) for t in thetas]
     length = 1 << n_bits
-    rows_bits = _realize(counts, [(0, length)], (1 << length) - 1, n_bits)
+    rows_bits = _realize(counts, [(0, length)], full_mask(length), n_bits)
     if tags is None:
         tags = [_DEFAULT_TAGS[i] if i < len(_DEFAULT_TAGS) else f"q{i}" for i in range(m)]
     if len(tags) != m:

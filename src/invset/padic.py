@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Iterable
 
@@ -32,7 +33,8 @@ MILLER_RABIN_LIMIT = 3317044064679887385961981
 def is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin primality, exact for every p below
     MILLER_RABIN_LIMIT or with a factor among the bases; any other p raises
-    ResourceBound rather than get a probable answer."""
+    ResourceBound rather than get a probable answer.  Miller-Rabin runs once
+    per p; later calls look its verdict up."""
     if p < 2:
         return False
     for a in MILLER_RABIN_BASES:
@@ -40,6 +42,13 @@ def is_prime(p: int) -> bool:
             return p == a
     if p >= MILLER_RABIN_LIMIT:
         raise ResourceBound(f"primality of {p} is decided exactly only below {MILLER_RABIN_LIMIT}")
+    return _miller_rabin(p)
+
+
+@lru_cache(maxsize=1024)
+def _miller_rabin(p: int) -> bool:
+    """True iff odd p, coprime to the bases and below MILLER_RABIN_LIMIT, is a
+    strong probable prime to every base, which there means prime."""
     d, s = p - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1

@@ -34,7 +34,7 @@ embarrassingly parallel and merge deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -84,7 +84,7 @@ class BitString:
             raise ValueError("n_bits must be >= 3 so quarter-turns are pair-shift powers")
         if self.bits is None and self.descriptor is None:
             raise ValueError("descriptor-only strings need a descriptor")
-        if self.bits is not None and not 0 <= self.bits < (1 << self.size):
+        if self.bits is not None and (self.bits < 0 or self.bits.bit_length() > self.size):
             raise ValueError("packed labels out of range")
 
     @property
@@ -100,13 +100,18 @@ def regime_names(s: BitString) -> tuple[str, str]:
     return s.tag, f"not_{s.tag}"
 
 
-def _full_mask(n_bits: int) -> int:
-    return (1 << (1 << n_bits)) - 1
+# Masks are cached per string length: lengths are powers of two, and explicit
+# strings stop at EXPLICIT_LABEL_LIMIT, so each cache holds a few MB at most.
+@lru_cache(maxsize=None)
+def full_mask(length: int) -> int:
+    """All length bits set, built once per length."""
+    return (1 << length) - 1
 
 
-def _even_mask(length: int) -> int:
-    # bits 0, 2, 4, ... of a length-bit word
-    return ((1 << length) - 1) // 3
+@lru_cache(maxsize=None)
+def even_mask(length: int) -> int:
+    """Bits 0, 2, 4, ... of a length-bit word, built once per length."""
+    return full_mask(length) // 3
 
 
 @lru_cache(maxsize=None)
@@ -121,13 +126,12 @@ def _rot_left(bits: int, labels: int, length: int) -> int:
     s = labels % length
     if s == 0:
         return bits
-    return ((bits >> s) | ((bits & ((1 << s) - 1)) << (length - s))) & ((1 << length) - 1)
+    return (bits >> s) | ((bits << (length - s)) & full_mask(length))
 
 
 def _quarter_once(bits: int, length: int) -> int:
-    full = (1 << length) - 1
-    even = _even_mask(length)
-    return (((bits >> 1) ^ full) & even) | ((bits & even) << 1)
+    even = even_mask(length)
+    return (((bits >> 1) ^ full_mask(length)) & even) | ((bits & even) << 1)
 
 
 _MASK_BLOCK = 2048  # bytes of x counted per popcount in _lowest_set_mask
@@ -191,7 +195,7 @@ def sample_from_counts(n_bits: int, first_count: int, rotation: int = 0, tag: st
         mask = _lowest_set_mask(bits, first_count - half)
         bits ^= mask
     else:
-        zeros = bits ^ ((1 << length) - 1)
+        zeros = bits ^ full_mask(length)
         mask = _lowest_set_mask(zeros, half - first_count)
         bits |= mask
     return BitString(n_bits, bits, tag, desc)
@@ -226,7 +230,7 @@ def _shift_descriptor(desc: OrbitDescriptor | None, n_bits: int, n: int) -> Orbi
     if desc.first_count in (0, length):
         return desc  # constant string: rotation is invisible
     if desc.first_count == length >> 1:
-        return replace(desc, rotation=desc.rotation + n)
+        return OrbitDescriptor(n_bits, desc.rotation + n, desc.first_count)
     # Amplitude-flipped strings do not commute with rotation position-wise;
     # the result is a raw string.
     return None
@@ -238,8 +242,8 @@ def pair_shift(s: BitString, n: int = 1) -> BitString:
     if not s.explicit:
         if desc is None:
             raise ResourceBound("explicit labels required to shift this string")
-        return replace(s, descriptor=desc)
-    return replace(s, bits=_rot_left(s.bits, 2 * (n % (s.size >> 1)), s.size), descriptor=desc)
+        return BitString(s.n_bits, None, s.tag, desc)
+    return BitString(s.n_bits, _rot_left(s.bits, 2 * (n % (s.size >> 1)), s.size), s.tag, desc)
 
 
 def negate(s: BitString) -> BitString:
@@ -251,8 +255,8 @@ def negate(s: BitString) -> BitString:
             desc.rotation + (1 << (s.n_bits - 2)),
             s.size - desc.first_count,
         )
-    bits = None if s.bits is None else s.bits ^ _full_mask(s.n_bits)
-    return replace(s, bits=bits, descriptor=desc)
+    bits = None if s.bits is None else s.bits ^ full_mask(s.size)
+    return BitString(s.n_bits, bits, s.tag, desc)
 
 
 def quarter_turn(s: BitString, n: int = 1) -> BitString:
@@ -271,14 +275,14 @@ def quarter_turn(s: BitString, n: int = 1) -> BitString:
         return s
     desc = s.descriptor
     if desc is not None and desc.first_count == s.size >> 1:
-        desc = replace(desc, rotation=desc.rotation + (1 << (s.n_bits - 3)))
+        desc = OrbitDescriptor(desc.n_bits, desc.rotation + (1 << (s.n_bits - 3)), desc.first_count)
     else:
         desc = None
     if not s.explicit:
         if desc is None:
             raise ResourceBound("explicit labels required to quarter-turn this string")
-        return replace(s, descriptor=desc)
-    return replace(s, bits=_quarter_once(s.bits, s.size), descriptor=desc)
+        return BitString(s.n_bits, None, s.tag, desc)
+    return BitString(s.n_bits, _quarter_once(s.bits, s.size), s.tag, desc)
 
 
 def phase_string(n_bits: int, phi: ExactAngle, tag: str = "a") -> BitString:

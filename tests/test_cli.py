@@ -1,3 +1,4 @@
+import csv
 import enum
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from invset import checks, cli
+from invset import checks, cli, padic
 from invset.cli import SCHEMAS, TRACE_LENGTH_BOUND, _stable_json, build_parser, main
 from invset.padic import cantor_iterates, cantor_numerators
 
@@ -453,6 +454,132 @@ class TestChshPins:
         cfg = write_config(tmp_path, "c.json", {"n_bits": n_bits, "angles": angles})
         assert main(["chsh", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert read_json(tmp_path / "o" / "manifest.json")["output_sha256"] == CHSH_PINS[n_bits]
+
+
+# The configs the bench's cli-strings deck runs (a sample at each of the 8
+# Niven angles and one phase, the rotation table, dirac at rest for each mass
+# and in motion on every axis, mz in both modes) and the output_sha256 each
+# gave before the CSV rows were written as a plain join, the label masks were
+# built once per length and the Dirac operator once per run.
+NIVEN_8 = ("0", "1/6", "1/4", "1/3", "1/2", "2/3", "3/4", "5/6")
+CLI_STRINGS_CONFIGS = {
+    **{f"sample-{n}-{t}": ("sample", {"n_bits": n, "theta_turns": t, "phi_turns": "5/64"})
+       for n in (12, 14, 16) for t in NIVEN_8},
+    **{f"table-{n}": ("sample", {"n_bits": n}) for n in (12, 14, 16)},
+    **{f"dirac-{m}": ("dirac", {"n_bits": 10, "mass": m, "wavevector": ["0", "0", "0"], "steps": steps,
+                                "trace_length": 16})
+       for m, steps in (("1", [3, 2, 0, 0]), ("2", [1, 0, 0, 0]), ("3", [7, 3, 0, 0]), ("5/2", [5, 1, 0, 0]))},
+    "dirac-moving": ("dirac", {"n_bits": 10, "mass": "2", "wavevector": ["1", "2", "4"], "steps": [3, 1, -2, 5],
+                               "trace_length": 16}),
+    "mz-which_way": ("mz", {"n_bits": 10, "mode": "which_way", "phi_turns": "3/512"}),
+    "mz-interference": ("mz", {"n_bits": 10, "mode": "interference", "phi_turns": "1/3"}),
+}
+CLI_STRINGS_PINS = {
+    "sample-12-0": "68f5e04f0253a735a186911ba78d5cda097cdeaa49fce1ffa6fe28fa5e8996e0",
+    "sample-12-1/6": "8aad145fd6844cb77ac7b6fa4b7c825a80dc6b6e647ccd6027c62e215794d3e9",
+    "sample-12-1/4": "d1ded0a6dc17327bb4c5f2ac589fd40a6bb14d343afe5ef671426e705504dfeb",
+    "sample-12-1/3": "841775dbe6c31dfb53f593f0969465f489f0de8138ecc0dfe12a205ae4305055",
+    "sample-12-1/2": "45ded3f29d58191fa7563196f978b20decf2a410dd69f13e1400cf7e48147b2d",
+    "sample-12-2/3": "841775dbe6c31dfb53f593f0969465f489f0de8138ecc0dfe12a205ae4305055",
+    "sample-12-3/4": "d1ded0a6dc17327bb4c5f2ac589fd40a6bb14d343afe5ef671426e705504dfeb",
+    "sample-12-5/6": "8aad145fd6844cb77ac7b6fa4b7c825a80dc6b6e647ccd6027c62e215794d3e9",
+    "table-12": "4f361687110067c4a02baab31df043bcf1a6fa8501b4149ef40430648ce0221b",
+    "sample-14-0": "c33786388ab9ab3c363c179cc95b2b5d57da3e88085b5f03046a6df304f8233c",
+    "sample-14-1/6": "344a105f9564d1cd417f58dc73dfea2b95be8c71a13fc44e41f7513f89fd4afd",
+    "sample-14-1/4": "9dbca45ed6641e21468f4782546dc3ec7b831461227baf12ecf0b5b5aacab1a2",
+    "sample-14-1/3": "1ada710a4a8950efdb514792df894be4b1f4a1766ab0a200fb36baf5f54bbb0c",
+    "sample-14-1/2": "7a435d346fae1bbd0cfdb3d6d6ce5a81f56f75ceba07887888a8caac536c28a9",
+    "sample-14-2/3": "1ada710a4a8950efdb514792df894be4b1f4a1766ab0a200fb36baf5f54bbb0c",
+    "sample-14-3/4": "9dbca45ed6641e21468f4782546dc3ec7b831461227baf12ecf0b5b5aacab1a2",
+    "sample-14-5/6": "344a105f9564d1cd417f58dc73dfea2b95be8c71a13fc44e41f7513f89fd4afd",
+    "table-14": "4de4d45eb106c5baf0312565e4eab6aa3d69cecbe2b550703419733d3583e025",
+    "sample-16-0": "ceb41d4030c0a78b35d6703883dab85fa49297b0b66c8ad32380c87d6e6e3b05",
+    "sample-16-1/6": "166894eaf531a2b39ff916279a24d50bb6c3dc359042a61fb0726fb4ce745335",
+    "sample-16-1/4": "aa1ccf8618ab8f9aa45e69f79edb8338fa34e89314a9e193a232f2c4c7164854",
+    "sample-16-1/3": "3a5813d536d20daf3d03afe87bd0509ac31edbdeeda2928fbcebcf7517bc417c",
+    "sample-16-1/2": "f6f4711df1f569158f0234f766cafaed4bb2b3d76106905da44913af810e5a07",
+    "sample-16-2/3": "3a5813d536d20daf3d03afe87bd0509ac31edbdeeda2928fbcebcf7517bc417c",
+    "sample-16-3/4": "aa1ccf8618ab8f9aa45e69f79edb8338fa34e89314a9e193a232f2c4c7164854",
+    "sample-16-5/6": "166894eaf531a2b39ff916279a24d50bb6c3dc359042a61fb0726fb4ce745335",
+    "table-16": "c47c9ac7f8b8adb9757a1217ccd2aba533179934f961eed3cff828c73a5b75e1",
+    "dirac-1": "40dbc40242ca9c7c24d97a308f761b5649fafb09369b45be382857dd69f360d4",
+    "dirac-2": "f57c3e9fb3fd44fe23cd87e70592474371535af77b5c13080ee4477c16ba2a4f",
+    "dirac-3": "f82a9f50c7b0227b50637548fdb724b7f329da697f2406b9c234d07f47401f61",
+    "dirac-5/2": "c9d050fe4d020269d59f75a281b41f034724bbf81eb2b7c4640b1af6ff5c6f8b",
+    "dirac-moving": "53253c09a6b0e255649ead45cff70c5f16783ce331569d824e606bd1d9f1e7e8",
+    "mz-which_way": "34f23a2753efd026299b2e3b055a8a4c4230df6b82998fe67b568cbff758d6ea",
+    "mz-interference": "3fef5e8a04357e336010ae72d45c4c661e3e44be5e8d9d91fb06289ce900f36b",
+}
+
+
+class TestCliStringsPins:
+    @pytest.mark.parametrize("name", sorted(CLI_STRINGS_CONFIGS))
+    def test_output_sha256_is_pinned(self, tmp_path, name):
+        command, payload = CLI_STRINGS_CONFIGS[name]
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert read_json(tmp_path / "o" / "manifest.json")["output_sha256"] == CLI_STRINGS_PINS[name]
+
+
+def _csv_oracle(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+_CSV_SPECIAL = (",", '"', "\r", "\n")
+_Label = type("Label", (str,), {})
+_CSV_STR = (st.text(st.sampled_from(["0", "1", "a", " ", ",", '"', "\r", "\n", "\x00"]), max_size=5)
+            | st.text(max_size=3))
+_CSV_FIELD = _CSV_STR | st.builds(_Label, _CSV_STR) | st.integers() | st.floats() | st.booleans() | st.none()
+
+
+def _joinable(rows) -> bool:
+    """Whether _csv_text must take the plain join for rows."""
+    return (all(isinstance(f, str) for row in rows for f in row)
+            and not any(c in f for row in rows for f in row for c in _CSV_SPECIAL)
+            and all(row not in ([], [""]) for row in rows))
+
+
+class TestCsvText:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(_CSV_STR, max_size=4), min_size=1, max_size=5)
+           | st.lists(st.lists(_CSV_FIELD, max_size=4), min_size=1, max_size=5))
+    def test_equals_the_csv_module_or_declines(self, rows):
+        text = cli._csv_text(rows)
+        assert (text is not None) == _joinable(rows)
+        assert text is None or text == _csv_oracle(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [["name", "labels"], ["sample", "01" * (1 << 15)]],
+        [["a", "b", "distance"], ["7", "-1/3", "1/1000000007"], ["15", "7", "0/1"]],
+        [["a", "", "b"], ["", ""], [" padded ", "\x00"], [_Label("x"), _Label("")]],
+    ])
+    def test_plain_rows_take_the_join(self, rows):
+        assert cli._csv_text(rows) == _csv_oracle(rows)
+
+    @pytest.mark.parametrize("rows", [[["h"], [""]], [["h"], []], [[""]], [["a,b"]], [['say "x"']], [["a\rb"]],
+                                      [["a\nb"]], [["h"], [None]], [["h"], [True]], [[Fraction(1, 3)]],
+                                      [["step"], [0, "3/4"]], [["p"], [0.5, math.nan, -math.inf]]])
+    def test_other_rows_fall_back_to_the_csv_module(self, tmp_path, rows):
+        assert cli._csv_text(rows) is None
+        cfg = write_config(tmp_path, "c.json", {"p": 2, "pairs": [["7", "3"]]})
+        args = build_parser().parse_args(["padic", "--config", cfg, "--out", str(tmp_path / "o"), "--format", "csv"])
+        with redirect_stdout(io.StringIO()):
+            cli._emit(args, {}, {}, rows[0], rows[1:])
+        assert (tmp_path / "o" / "report.csv").read_bytes() == _csv_oracle(rows).encode()
+
+
+class TestPrimalityOncePerP:
+    def test_a_padic_run_runs_miller_rabin_once(self, tmp_path):
+        p = 1_000_000_007
+        pairs = [[str(k), str(k + p ** (k % 3) * (2 * k + 1))] for k in range(1, 21)]
+        cfg = write_config(tmp_path, "c.json", {"p": p, "pairs": pairs,
+                                                "probe": {"a_digits": [1, 2, 3], "b_off": f"5/{p}"}})
+        padic._miller_rabin.cache_clear()
+        assert main(["padic", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert padic._miller_rabin.cache_info().misses == 1
+        assert len(read_json(tmp_path / "o" / "report.json")["distances"]) == 20
 
 
 class TestCantorText:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from invset.dirac import (
     FormalOperatorMatrix,
     dispersion_check,
     evolution_matrix,
+    evolution_operator,
     full_evolve,
     gamma_pattern,
     identity_matrix,
@@ -162,6 +164,17 @@ class TestFullEvolution:
             shadow = hilbert_shadow(evolved.components[row])
             assert shadow.phase_turns == predicted
             assert shadow.amplitude_sq == Fraction(1, 2)
+
+    @pytest.mark.parametrize("moving", list(itertools.product((False, True), repeat=3)))
+    def test_operator_applied_step_by_step_equals_full_evolve(self, moving):
+        wavevector = tuple(Fraction(k) if on else 0 for k, on in zip((3, -2, 5), moving))
+        psi = phase_psi(7, (2, 9, 4, 31), mass=2, wavevector=wavevector)
+        steps = (-3, 5, -7, 2)
+        operator = evolution_operator(psi, *steps)
+        components, state = psi.components, psi
+        for _ in range(6):
+            components, state = operator.apply(components), full_evolve(state, *steps)
+            assert components == state.components
 
     def test_full_period_identity_trace(self):
         n_bits = 6

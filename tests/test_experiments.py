@@ -28,7 +28,7 @@ from invset.experiments import (
     simultaneity_obstruction,
     substitute_describable,
 )
-from invset import multiqubit
+from invset import experiments, multiqubit
 from invset.multiqubit import amplitude_table_mp
 
 
@@ -141,6 +141,23 @@ class TestChsh:
         assert len(counted) == 4
         for se in report.sub_ensembles.values():
             assert se.correlation == 2 * se.agreement - 1
+
+    @pytest.mark.parametrize("angles,distinct", [
+        (OPTIMAL, [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)]),
+        (dict(a1=angle(0), a2=angle(1, 3), b1=angle(1, 6), b2=angle(1, 2)),
+         [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]),
+    ])
+    def test_one_substitution_per_distinct_folded_angle(self, monkeypatch, angles, distinct):
+        requested = []
+        substitute = experiments.substitute_describable
+        monkeypatch.setattr(experiments, "substitute_describable",
+                            lambda t, *args: requested.append(t) or substitute(t, *args))
+        report = chsh_run(ChshConfig(10, **angles))
+        assert sorted(requested) == distinct
+        for name, sub in [*((p, se.substitution) for p, se in report.sub_ensembles.items()),
+                          *report.bridges.items()]:
+            assert sub.name == name
+            assert sub == substitute(sub.requested_turns, 10, report.window_turns, name)
 
     def test_report_round_trip(self):
         rec = chsh_run(ChshConfig(10, **OPTIMAL)).record()

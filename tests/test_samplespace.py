@@ -6,14 +6,17 @@ import pytest
 from invset.exactmath import ExactAngle, NotOnInvariantSet, ResourceBound
 from invset.samplespace import (
     _lowest_set_mask,
+    _rot_left,
     BitString,
     OrbitDescriptor,
     TrajectoryBundle,
     bundle_refine,
     canonical_string,
+    even_mask,
     expand,
     first_label_count,
     fraction,
+    full_mask,
     from_text,
     haar,
     hilbert_shadow,
@@ -359,6 +362,28 @@ class TestLowestSetMask:
         assert _lowest_set_mask(0, 0) == 0
         with pytest.raises(ValueError, match="fewer set bits"):
             _lowest_set_mask(0, 1)
+
+
+class TestMasks:
+    @pytest.mark.parametrize("n_bits", [3, 4, 7])
+    def test_masks_and_rotation_by_every_count(self, n_bits):
+        length = 1 << n_bits
+        assert full_mask(length) == int("1" * length, 2)
+        assert even_mask(length) == int("01" * (length // 2), 2)
+        bits = random.Random(n_bits).getrandbits(length)
+        text = format(bits, f"0{length}b")[::-1]  # label j is character j
+        for s in range(2 * length):
+            rotated = format(_rot_left(bits, s, length), f"0{length}b")[::-1]
+            assert rotated == text[s % length:] + text[:s % length]
+
+    @pytest.mark.parametrize("n_bits", [3, 5])
+    def test_bitstring_accepts_exactly_the_ints_below_two_to_the_size(self, n_bits):
+        size = 1 << n_bits
+        for bits in (0, 1, (1 << (size - 1)), (1 << size) - 1):
+            assert BitString(n_bits, bits).bits == bits
+        for bits in (-1, -(1 << size), 1 << size, (1 << size) + 1, 1 << (2 * size)):
+            with pytest.raises(ValueError, match="out of range"):
+                BitString(n_bits, bits)
 
 
 class TestTrajectoryBundles:
