@@ -149,7 +149,7 @@ def two_qubit_gamma_table(n_range: Iterable[int]) -> list[CheckResult]:
 
 def bell_agreement_correlation(n_bits: int, stride: int) -> list[CheckResult]:
     """For every ``stride``-th describable amplitude a at N, the Bell sample's
-    agreement is exactly a and its correlation exactly 2a - 1."""
+    agreement is exactly a and its correlation exactly 2a - 1: the closed form chsh reports."""
 
     def failures() -> Iterable[str]:
         for count in range(0, (1 << n_bits) + 1, stride):

@@ -42,6 +42,9 @@ EXIT_USAGE = 1
 EXIT_EXCLUDED = 2
 
 TRACE_LENGTH_BOUND = 1 << 12  # max evolution steps a dirac trace will take
+# Largest chsh N: a run there takes about 0.2 s, and 2**N keeps well inside
+# Python's 4300-digit limit for printing an int (passed near N = 14,285).
+CHSH_N_BITS_BOUND = 1 << 13
 
 
 def _utc_now() -> str:
@@ -275,7 +278,7 @@ def _list_of(item, length: int | None = None):
 #: an optional key whose default is None stays out of the parsed config.
 SCHEMAS: dict[str, dict] = {
     "chsh": {
-        "n_bits": (_int(3), REQUIRED),
+        "n_bits": (_int(3, CHSH_N_BITS_BOUND), REQUIRED),
         "angles": ({key: (_turns, REQUIRED) for key in ("A1", "A2", "B1", "B2")}, REQUIRED),  # ChshConfig order
         "window_turns": (_fraction, None),  # absent: ChshConfig's 2**-(N-2)
     },

@@ -106,6 +106,9 @@ _EXCEPTIONAL_COS = {
 # (numerator, denominator): a tuple of ints hashes in C, a Fraction does not.
 _HALF_ANGLE_COS_SQ = {(t.numerator, t.denominator): (1 + c) / 2 for t, c in _EXCEPTIONAL_COS.items()}
 
+# Principal arccos (turns in [0, 1/2]) of each rational cosine: smaller keys come last and win.
+_ACOS_TURNS = {c: t for t, c in sorted(_EXCEPTIONAL_COS.items(), reverse=True)}
+
 
 def cos_exact(angle: ExactAngle) -> Fraction | None:
     """Exact cosine of a rational-turn angle, or None when it is irrational.
@@ -118,6 +121,12 @@ def cos_exact(angle: ExactAngle) -> Fraction | None:
     rational turn fraction admits only finitely many doubled residues.)
     """
     return _EXCEPTIONAL_COS.get(angle.turns)
+
+
+def acos_exact(cos_value: Fraction) -> Fraction | None:
+    """Principal arccos in turns of a cosine, or None when that angle is not a
+    rational turn: it is one exactly on the exceptional set {0, +-1/2, +-1}."""
+    return _ACOS_TURNS.get(cos_value)
 
 
 def sin_exact(angle: ExactAngle) -> Fraction | None:

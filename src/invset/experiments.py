@@ -2,11 +2,14 @@
 admissibility, which-way versus interference runs, and the two-observer
 preparation obstruction.
 
-Every reported statistic is an exact rational computed by counting labels on
-constructed strings; high-precision numerics appear only to pick the nearest
-describable substitute for a requested setting and on the numeric fallback
-path of the closed-form circuit probabilities.  Each correlation comes from
-its own sub-ensemble - no value is ever computed from a counterfactual run.
+Every reported statistic is an exact rational: a label fraction of a
+constructed string, or a CHSH agreement first_count/2**N, the closed form
+the composed Bell strings realize exactly (``invset check`` proves it), so
+chsh builds no labels at any N.  High-precision numerics appear only to pick
+and certify the nearest describable substitute for a requested setting and
+on the numeric fallback path of the closed-form circuit probabilities.  Each
+correlation comes from its own sub-ensemble - no value is ever computed from
+a counterfactual run.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import mpmath
+from mpmath.ctx_iv import MPIntervalContext
 
 from .exactmath import (
     ExactAngle,
@@ -23,6 +27,7 @@ from .exactmath import (
     ObstructionVerdict,
     REASON_DESCRIBABLE,
     ZERO_ANGLE,
+    acos_exact,
     combine_degenerate_cosine,
     cos_exact,
     fraction_str,
@@ -32,12 +37,12 @@ from .exactmath import (
     simultaneous_describability,
     sin_exact,
 )
-from .highprec import DEFAULT_PREC, acos_as_turns, cos_turns, to_mpf
-from .multiqubit import bell_sample_from_amplitude, bell_statistics
+from .highprec import DEFAULT_PREC, acos_as_turns, cos_turns, to_mpf, working_prec
 from .samplespace import fraction, sample
 
 PAIR_NAMES = ("A1B1", "A1B2", "A2B1", "A2B2")
 BRIDGE_NAMES = ("A1A2", "B1B2")
+_INTERVALS = MPIntervalContext()  # private: setting its precision leaves mpmath.iv alone
 
 
 def relative_turns(x: ExactAngle, y: ExactAngle) -> Fraction:
@@ -71,6 +76,27 @@ class AngleSubstitution:
         }
 
 
+def _decide(turns: Fraction, n_bits: int, window: Fraction, prec: int) -> tuple[int, bool] | None:
+    """The count nearest 2**N (1 + cos(2 pi turns)) / 2 and whether its angle
+    is at least ``window`` from ``turns``, certified in intervals at prec bits
+    (None while one is open); for a cosine in {0, +-1/2, +-1} the angle is
+    rational and the window test exact, an exact tie being outside."""
+    length = 1 << n_bits
+    with mpmath.workprec(prec):
+        count = int(mpmath.nint((1 + cos_turns(turns, prec)) / 2 * length))
+    iv = _INTERVALS
+    iv.prec = prec
+    t = iv.mpf(turns.numerator) / turns.denominator
+    if not abs((1 + iv.cos(2 * iv.pi * t)) / 2 * length - count) < 0.5:
+        return None
+    sub_turns = acos_exact(Fraction(2 * count, length) - 1)
+    if sub_turns is not None:
+        return count, abs(sub_turns - turns) >= window
+    c = iv.mpf(2 * count - length) / length
+    outside = abs(iv.atan2(iv.sqrt(1 - c * c), c) / (2 * iv.pi) - t) >= iv.mpf(window.numerator) / window.denominator
+    return None if outside is None else (count, outside)
+
+
 def substitute_describable(
     requested_turns: Fraction,
     n_bits: int,
@@ -85,20 +111,23 @@ def substitute_describable(
     the window, which models the finite precision of a real apparatus; near
     the poles the cosine grid is angularly coarse, so tight windows refuse
     rather than stretch.  Substitutions are always reported, never silent.
+
+    Both decisions, the nearest count and delta >= window, are certified
+    (``_decide``) at max(prec, N + GUARD_BITS) bits; while one is left open
+    the precision doubles (Ziv's strategy).
     """
-    length = 1 << n_bits
+    prec = working_prec(n_bits, prec)
+    while (decided := _decide(requested_turns, n_bits, window_turns, prec)) is None:
+        prec *= 2
+    count, outside = decided
+    if outside:
+        raise NoAdmissibleAngle(
+            f"no describable angle within {window_turns} turns of {requested_turns} at N={n_bits}"
+        )
+    cos_sub = Fraction(2 * count, 1 << n_bits) - 1
     with mpmath.workprec(prec):
-        c = cos_turns(requested_turns, prec)
-        count = int(mpmath.nint((1 + c) / 2 * length))
-        count = min(max(count, 0), length)
-        cos_sub = Fraction(2 * count, length) - 1
-        sub_turns = acos_as_turns(cos_sub, prec)
-        delta = abs(sub_turns - to_mpf(requested_turns, prec))
-        if delta >= to_mpf(window_turns, prec):
-            raise NoAdmissibleAngle(
-                f"no describable angle within {window_turns} turns of {requested_turns} at N={n_bits}"
-            )
-        return AngleSubstitution(name, requested_turns, count, cos_sub, float(delta))
+        delta = abs(acos_as_turns(cos_sub, prec) - to_mpf(requested_turns, prec))
+    return AngleSubstitution(name, requested_turns, count, cos_sub, float(delta))
 
 
 @dataclass(frozen=True)
@@ -195,7 +224,9 @@ def _admissibility_matrix(
 def chsh_run(cfg: ChshConfig, prec: int = DEFAULT_PREC) -> ChshReport:
     """Run the four sub-experiments on separate sub-ensembles and assemble
     S = |C(A1,B1) - C(A1,B2)| + |C(A2,B1) + C(A2,B2)| exactly.  Pairs and
-    bridges at the same folded angle share one substitution."""
+    bridges at the same folded angle share one substitution.  A
+    sub-ensemble's agreement is its substituted count over 2**N and its
+    correlation 2a - 1: the Bell strings' closed form, so no labels are built."""
     settings = {"A1": cfg.a1, "A2": cfg.a2, "B1": cfg.b1, "B2": cfg.b2}
     found: dict[Fraction, AngleSubstitution] = {}
 
@@ -207,10 +238,8 @@ def chsh_run(cfg: ChshConfig, prec: int = DEFAULT_PREC) -> ChshReport:
 
     subs = {pair: substitution(pair) for pair in PAIR_NAMES}
     bridges = {name: substitution(name) for name in BRIDGE_NAMES}
-    ensembles: dict[str, SubEnsemble] = {}
-    for pair, sub in subs.items():
-        ms = bell_sample_from_amplitude(Fraction(sub.first_count, 1 << cfg.n_bits), cfg.n_bits)
-        ensembles[pair] = SubEnsemble(pair, sub, *bell_statistics(ms))
+    agreements = {pair: Fraction(sub.first_count, 1 << cfg.n_bits) for pair, sub in subs.items()}
+    ensembles = {pair: SubEnsemble(pair, subs[pair], a, 2 * a - 1) for pair, a in agreements.items()}
     c = {pair: ensembles[pair].correlation for pair in PAIR_NAMES}
     s_value = abs(c["A1B1"] - c["A1B2"]) + abs(c["A2B1"] + c["A2B2"])
     return ChshReport(

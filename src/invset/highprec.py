@@ -11,6 +11,12 @@ from fractions import Fraction
 import mpmath
 
 DEFAULT_PREC = 240  # working precision in bits; comfortably above 200-bit targets
+GUARD_BITS = 80  # bits kept above N, so values on the 2**-N grid stay exact
+
+
+def working_prec(n_bits: int, prec: int = DEFAULT_PREC) -> int:
+    """prec, raised to n_bits + GUARD_BITS where the 2**-n_bits grid needs more."""
+    return max(prec, n_bits + GUARD_BITS)
 
 
 def to_mpf(fr: Fraction | int, prec: int = DEFAULT_PREC) -> mpmath.mpf:
@@ -52,6 +58,6 @@ def best_rational_approx(x: mpmath.mpf, max_denominator: int) -> Fraction:
 
 def nearest_describable(x: mpmath.mpf, n_bits: int) -> Fraction:
     """Closest value of the form n/2**n_bits to a high-precision value."""
-    with mpmath.workprec(DEFAULT_PREC):
+    with mpmath.workprec(working_prec(n_bits)):
         n = int(mpmath.nint(x * (1 << n_bits)))
     return Fraction(n, 1 << n_bits)

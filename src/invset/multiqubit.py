@@ -58,12 +58,6 @@ class MultiSample:
         return 1 << self.n_bits
 
 
-def _require_explicit(*strings: BitString) -> None:
-    for s in strings:
-        if not s.explicit:
-            raise ValueError("composition requires explicit labels")
-
-
 def _select(mask: int, where_first: int, where_negated: int, full: int) -> int:
     return (where_first & (mask ^ full)) | (where_negated & mask)
 
@@ -73,12 +67,10 @@ def compose_pair(sa: BitString, sb1: BitString, sb2: BitString) -> MultiSample:
     regime, else sb2_i."""
     if not sa.n_bits == sb1.n_bits == sb2.n_bits:
         raise ValueError("length mismatch")
-    _require_explicit(sa, sb1, sb2)
-    bits = _select(sa.bits, sb1.bits, sb2.bits, full_mask(sa.size))
-    # The composed row is generally not a single-angle construction; keep the
-    # descriptor only in the degenerate equal-sources case.
-    desc = sb1.descriptor if sb1.bits == sb2.bits else None
-    row_b = BitString(sa.n_bits, bits, sb1.tag, desc)
+    # The composed row is generally not a single-angle construction; it stays
+    # one only in the degenerate equal-sources case.
+    row_b = sb1 if sb1.bits == sb2.bits else BitString(
+        sa.n_bits, _select(sa.bits, sb1.bits, sb2.bits, full_mask(sa.size)), sb1.tag, None)
     return MultiSample(sa.n_bits, (sa, row_b))
 
 
@@ -90,13 +82,11 @@ def compose_many(head: BitString, left: MultiSample, right: MultiSample) -> Mult
         raise ValueError("left/right arity mismatch")
     if not head.n_bits == left.n_bits == right.n_bits:
         raise ValueError("length mismatch")
-    _require_explicit(head, *left.rows, *right.rows)
     full = full_mask(head.size)
     rows = [head]
     for lw, rw in zip(left.rows, right.rows):
-        bits = _select(head.bits, lw.bits, rw.bits, full)
-        desc = lw.descriptor if lw.bits == rw.bits else None
-        rows.append(BitString(head.n_bits, bits, lw.tag, desc))
+        rows.append(lw if lw.bits == rw.bits else BitString(
+            head.n_bits, _select(head.bits, lw.bits, rw.bits, full), lw.tag, None))
     return MultiSample(head.n_bits, tuple(rows))
 
 
@@ -110,7 +100,6 @@ def joint_counts(ms: MultiSample) -> dict[int, int]:
     is its count less its negated part's, and no more than 2**(m-1) cells of
     2**N bits are alive at once.
     """
-    _require_explicit(*ms.rows)
     full = full_mask(ms.size)
     *heads, last = ms.rows
     cells = [full]

@@ -23,10 +23,13 @@ label in the constructed order; the resulting first-label fraction is exactly
 cos^2(theta/2) whenever that value is describable by N bits.  Parameters that
 fail a describability gate raise NotOnInvariantSet - they are never rounded.
 
-Strings with at most 2**24 labels are explicit; beyond that only the compact
-orbit descriptor is stored and only descriptor-closed operations are
-available (the mathematics is representation-independent; equivalence of the
-two representations is exercised in the tests where both exist).
+A constructed string carries only its orbit descriptor; a raw string (read
+from text or composed) carries its packed labels.  Operators take the
+descriptor route wherever it decides the result, so phase strings, negations
+and label counts work at any N.  Labels are built only where they are read:
+``to_text``, composition, and operators on raw or amplitude-flipped strings.
+That first read is the one place the explicit-label limit (2**24 labels) is
+checked.
 
 Every value is immutable and every operation pure, so parameter sweeps are
 embarrassingly parallel and merge deterministically.
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .exactmath import ExactAngle, ResourceBound, gate_amplitude, gate_phase
 
@@ -70,38 +73,55 @@ class OrbitDescriptor:
 class BitString:
     """An ordered string of 2**n_bits two-valued labels.
 
-    ``bits`` is the packed label int (None for descriptor-only strings);
-    ``tag`` names the regime pair, e.g. "a" for regimes a / not-a.
+    Exactly one of ``packed`` (the packed label int of a raw string) and
+    ``descriptor`` (the construction record of a constructed string) is set,
+    so strings with the same labels, tag and descriptor compare equal however
+    they were built.  ``tag`` names the regime pair, e.g. "a" for regimes
+    a / not-a.
     """
 
     n_bits: int
-    bits: int | None
+    packed: int | None
     tag: str = "a"
     descriptor: OrbitDescriptor | None = None
 
     def __post_init__(self) -> None:
         if self.n_bits < 3:
             raise ValueError("n_bits must be >= 3 so quarter-turns are pair-shift powers")
-        if self.bits is None and self.descriptor is None:
-            raise ValueError("descriptor-only strings need a descriptor")
-        if self.bits is not None and (self.bits < 0 or self.bits.bit_length() > self.size):
-            raise ValueError("packed labels out of range")
+        if (self.packed is None) == (self.descriptor is None):
+            raise ValueError("a string carries either packed labels or a descriptor")
+        if self.packed is not None:
+            if self.packed < 0 or self.packed.bit_length() > self.size:
+                raise ValueError("packed labels out of range")
+            object.__setattr__(self, "bits", self.packed)  # a raw string's labels are read as they are
 
     @property
     def size(self) -> int:
         return 1 << self.n_bits
 
-    @property
-    def explicit(self) -> bool:
-        return self.bits is not None
+    def __repr__(self) -> str:  # labels shown as ``bits``, the name pinned digests of reprs hash
+        return (f"BitString(n_bits={self.n_bits!r}, bits={self.packed!r}, tag={self.tag!r}, "
+                f"descriptor={self.descriptor!r})")
+
+    @cached_property
+    def bits(self) -> int:
+        """The packed labels (bit j = label j); a constructed string's are
+        built from its descriptor on first read and kept."""
+        if self.size > EXPLICIT_LABEL_LIMIT:
+            raise ResourceBound(f"2**{self.n_bits} labels exceed the explicit limit")
+        d, length = self.descriptor, self.size
+        bits = _rot_left(_canonical_bits(self.n_bits), 2 * d.rotation, length)
+        if d.first_count >= length >> 1:
+            return bits ^ _lowest_set_mask(bits, d.first_count - (length >> 1))
+        return bits | _lowest_set_mask(bits ^ full_mask(length), (length >> 1) - d.first_count)
 
 
 def regime_names(s: BitString) -> tuple[str, str]:
     return s.tag, f"not_{s.tag}"
 
 
-# Masks are cached per string length: lengths are powers of two, and explicit
-# strings stop at EXPLICIT_LABEL_LIMIT, so each cache holds a few MB at most.
+# Masks are cached per string length: lengths are powers of two, and labels
+# are built only up to EXPLICIT_LABEL_LIMIT, so each cache holds a few MB at most.
 @lru_cache(maxsize=None)
 def full_mask(length: int) -> int:
     """All length bits set, built once per length."""
@@ -175,46 +195,16 @@ def canonical_string(n_bits: int, tag: str = "a") -> BitString:
 
 
 def sample_from_counts(n_bits: int, first_count: int, rotation: int = 0, tag: str = "a") -> BitString:
-    """Construct the string with the given rotation and first-label count.
-
-    This is the representation-level constructor: rotate the canonical string
-    by ``rotation`` pair-shifts, then flip the first occurrences of one label
-    until ``first_count`` labels are the first regime.
-    """
-    if n_bits < 3:
-        raise ValueError("n_bits must be >= 3")
-    length = 1 << n_bits
-    half = length >> 1
-    if not 0 <= first_count <= length:
-        raise ValueError("first_count out of range")
-    desc = OrbitDescriptor(n_bits, rotation, first_count)
-    if length > EXPLICIT_LABEL_LIMIT:
-        return BitString(n_bits, None, tag, desc)
-    bits = _rot_left(_canonical_bits(n_bits), 2 * desc.rotation, length)
-    if first_count >= half:
-        mask = _lowest_set_mask(bits, first_count - half)
-        bits ^= mask
-    else:
-        zeros = bits ^ full_mask(length)
-        mask = _lowest_set_mask(zeros, half - first_count)
-        bits |= mask
-    return BitString(n_bits, bits, tag, desc)
-
-
-def expand(s: BitString) -> BitString:
-    """Materialize the explicit labels of a descriptor-only string."""
-    if s.explicit:
-        return s
-    if s.size > EXPLICIT_LABEL_LIMIT:
-        raise ResourceBound(f"2**{s.n_bits} labels exceed the explicit limit")
-    d = s.descriptor
-    return sample_from_counts(d.n_bits, d.first_count, d.rotation, s.tag)
+    """The constructed string with the given rotation and first-label count:
+    the canonical string rotated by ``rotation`` pair-shifts, then the first
+    occurrences of one label flipped until ``first_count`` labels are the
+    first regime.  Only the descriptor is stored; ``bits`` builds the labels."""
+    return BitString(n_bits, None, tag, OrbitDescriptor(n_bits, rotation, first_count))
 
 
 def first_label_count(s: BitString) -> int:
-    if s.explicit:
-        return s.size - s.bits.bit_count()
-    return s.descriptor.first_count
+    d = s.descriptor
+    return d.first_count if d is not None else s.size - s.bits.bit_count()
 
 
 def fraction(s: BitString) -> Fraction:
@@ -223,40 +213,23 @@ def fraction(s: BitString) -> Fraction:
     return Fraction(first_label_count(s), s.size)
 
 
-def _shift_descriptor(desc: OrbitDescriptor | None, n_bits: int, n: int) -> OrbitDescriptor | None:
-    if desc is None:
-        return None
-    length = 1 << n_bits
-    if desc.first_count in (0, length):
-        return desc  # constant string: rotation is invisible
-    if desc.first_count == length >> 1:
-        return OrbitDescriptor(n_bits, desc.rotation + n, desc.first_count)
-    # Amplitude-flipped strings do not commute with rotation position-wise;
-    # the result is a raw string.
-    return None
-
-
 def pair_shift(s: BitString, n: int = 1) -> BitString:
     """Rotate labels left by 2n positions (n pair-steps); order 2**(N-1)."""
-    desc = _shift_descriptor(s.descriptor, s.n_bits, n)
-    if not s.explicit:
-        if desc is None:
-            raise ResourceBound("explicit labels required to shift this string")
-        return BitString(s.n_bits, None, s.tag, desc)
-    return BitString(s.n_bits, _rot_left(s.bits, 2 * (n % (s.size >> 1)), s.size), s.tag, desc)
+    d = s.descriptor
+    if d is not None and d.first_count in (0, s.size):
+        return s  # constant string: rotation is invisible
+    if d is not None and d.first_count == s.size >> 1:
+        return sample_from_counts(s.n_bits, d.first_count, d.rotation + n, s.tag)
+    # amplitude-flipped strings do not commute with rotation: the result is raw
+    return BitString(s.n_bits, _rot_left(s.bits, 2 * (n % (s.size >> 1)), s.size), s.tag, None)
 
 
 def negate(s: BitString) -> BitString:
     """Flip every label; equals two quarter-turns and 2**(N-2) pair-shifts."""
-    desc = s.descriptor
-    if desc is not None:
-        desc = OrbitDescriptor(
-            desc.n_bits,
-            desc.rotation + (1 << (s.n_bits - 2)),
-            s.size - desc.first_count,
-        )
-    bits = None if s.bits is None else s.bits ^ full_mask(s.size)
-    return BitString(s.n_bits, bits, s.tag, desc)
+    d = s.descriptor
+    if d is None:
+        return BitString(s.n_bits, s.bits ^ full_mask(s.size), s.tag, None)
+    return sample_from_counts(s.n_bits, s.size - d.first_count, d.rotation + (1 << (s.n_bits - 2)), s.tag)
 
 
 def quarter_turn(s: BitString, n: int = 1) -> BitString:
@@ -266,23 +239,14 @@ def quarter_turn(s: BitString, n: int = 1) -> BitString:
     phase strings one application equals 2**(N-3) pair-shifts.
     """
     q = n % 4
-    if q == 0:
-        return s
     if q >= 2:
         s = negate(s)
         q -= 2
     if q == 0:
         return s
-    desc = s.descriptor
-    if desc is not None and desc.first_count == s.size >> 1:
-        desc = OrbitDescriptor(desc.n_bits, desc.rotation + (1 << (s.n_bits - 3)), desc.first_count)
-    else:
-        desc = None
-    if not s.explicit:
-        if desc is None:
-            raise ResourceBound("explicit labels required to quarter-turn this string")
-        return BitString(s.n_bits, None, s.tag, desc)
-    return BitString(s.n_bits, _quarter_once(s.bits, s.size), s.tag, desc)
+    if s.descriptor is not None and s.descriptor.first_count == s.size >> 1:
+        return pair_shift(s, 1 << (s.n_bits - 3))
+    return BitString(s.n_bits, _quarter_once(s.bits, s.size), s.tag, None)
 
 
 def phase_string(n_bits: int, phi: ExactAngle, tag: str = "a") -> BitString:
@@ -304,8 +268,7 @@ def sample(n_bits: int, theta: ExactAngle, phi: ExactAngle, tag: str = "a") -> B
     when pi/2 <= theta <= pi.  Gates: cos^2(theta/2) must be describable by N
     bits and the phase by N-1 bits.
     """
-    first_count = gate_amplitude(theta, n_bits)
-    return sample_from_counts(n_bits, first_count, gate_phase(phi, n_bits), tag)
+    return sample_from_counts(n_bits, gate_amplitude(theta, n_bits), gate_phase(phi, n_bits), tag)
 
 
 def sample_equivalent(x: BitString, y: BitString) -> bool:
@@ -344,7 +307,6 @@ def hilbert_shadow(s: BitString) -> HilbertShadow:
 def to_text(s: BitString) -> str:
     """Serialize: one character per label, first label leftmost, 0 = first
     regime, 1 = negated."""
-    s = expand(s)
     return format(s.bits, f"0{s.size}b")[::-1]
 
 

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from invset import checks, cli, padic
-from invset.cli import SCHEMAS, TRACE_LENGTH_BOUND, _stable_json, build_parser, main
+from invset.cli import CHSH_N_BITS_BOUND, SCHEMAS, TRACE_LENGTH_BOUND, _stable_json, build_parser, main
 from invset.padic import cantor_iterates, cantor_numerators
 
 OPTIMAL_CHSH = {
@@ -218,6 +218,46 @@ class TestDiracCommand:
         assert len(read_json(tmp_path / "o" / "report.json")["trace"]) == TRACE_LENGTH_BOUND + 1
 
 
+class TestLargeN:
+    """Commands whose reports read only descriptors and closed forms run past
+    the explicit-label limit of 2^24 labels; labels are built only where a
+    report prints them."""
+
+    @pytest.mark.parametrize("n_bits", [25, 40, 1000, CHSH_N_BITS_BOUND])
+    def test_chsh_runs_at_large_n(self, tmp_path, n_bits):
+        cfg = write_config(tmp_path, "c.json", dict(OPTIMAL_CHSH, n_bits=n_bits))
+        start = time.perf_counter()
+        assert main(["chsh", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert time.perf_counter() - start < (1.0 if n_bits <= 1000 else 5.0)
+        report = read_json(tmp_path / "o" / "report.json")
+        assert abs(report["s_value_float_derived"] - 2 * math.sqrt(2)) < 1e-6
+
+    @pytest.mark.parametrize("n_bits", [20, 40])
+    def test_chsh_exact_tie_with_the_window_exits_two(self, tmp_path, capsys, n_bits):
+        # B1 sits exactly one window from A1: the substitute cosine is 1, its angle 0
+        tie = f"1/{1 << (n_bits - 2)}"
+        angles = {"A1": "0", "A2": "0", "B1": tie, "B2": tie}
+        cfg = write_config(tmp_path, "c.json", {"n_bits": n_bits, "angles": angles})
+        assert main(["chsh", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"off the invariant set: no describable angle within {tie} turns of {tie} at N={n_bits}\n")
+
+    def test_dirac_trace_at_the_bound_at_n24(self, tmp_path):
+        cfg = write_config(tmp_path, "d.json", {"n_bits": 24, "mass": "3", "wavevector": ["4", "0", "0"],
+                                                "steps": [1, 1, 0, 0], "trace_length": TRACE_LENGTH_BOUND})
+        start = time.perf_counter()
+        assert main(["dirac", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert len(read_json(tmp_path / "o" / "report.json")["trace"]) == TRACE_LENGTH_BOUND + 1
+
+    def test_sample_above_the_limit_still_exits_one(self, tmp_path, capsys):
+        # its report prints every label, so it keeps the explicit-label limit
+        cfg = write_config(tmp_path, "s.json", {"n_bits": 30, "theta_turns": "1/4", "phi_turns": "1/8"})
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: 2**30 labels exceed the explicit limit\n"
+        assert not (tmp_path / "o").exists()
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "command, payload, message",
@@ -278,6 +318,9 @@ class TestMalformedInput:
             ("dirac", {"mass": "1e2200"},
              "error: config keys 'mass' and 'wavevector': omega^2 exceeds the digit limit 4300"),
             ("dirac", {"mass": "1e4300"}, "error: config key 'mass': 1e4300 exceeds the digit limit 4300"),
+            ("chsh", dict(OPTIMAL_CHSH, n_bits=8193), "error: config key 'n_bits': 8193 exceeds the bound 8192"),
+            ("chsh", dict(OPTIMAL_CHSH, n_bits=10**9),
+             "error: config key 'n_bits': 1000000000 exceeds the bound 8192"),
         ],
     )
     def test_huge_sizes_exit_one_at_once(self, tmp_path, capsys, command, payload, message):
@@ -298,6 +341,11 @@ class TestNBitsOption:
     def test_override_is_checked_like_the_config_key(self, tmp_path, capsys):
         assert main(["sample", "--n-bits", "0", "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "error: config key 'n_bits': 0 is below the minimum 3\n"
+
+    def test_chsh_override_is_bounded_like_the_config_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", OPTIMAL_CHSH)
+        assert main(["chsh", "--config", cfg, "--n-bits", "8193", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: config key 'n_bits': 8193 exceeds the bound 8192\n"
 
     def test_padic_has_no_n_bits_option(self, tmp_path):
         with pytest.raises(SystemExit):

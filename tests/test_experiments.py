@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invset.exactmath import (
     ExactAngle,
@@ -29,11 +31,21 @@ from invset.experiments import (
     substitute_describable,
 )
 from invset import experiments, multiqubit
+from invset.highprec import to_mpf
 from invset.multiqubit import amplitude_table_mp
 
 
 def angle(num, den=1):
     return ExactAngle(Fraction(num, den))
+
+
+def oracle_substitution(turns, n_bits, prec):
+    """Nearest count and its angular distance, recomputed plainly at prec bits."""
+    with mpmath.workprec(prec):
+        t = mpmath.mpf(turns.numerator) / turns.denominator
+        count = int(mpmath.nint((1 + mpmath.cos(2 * mpmath.pi * t)) / 2 * (1 << n_bits)))
+        cos_sub = mpmath.mpf(2 * count - (1 << n_bits)) / (1 << n_bits)
+        return count, abs(mpmath.acos(cos_sub) / (2 * mpmath.pi) - t)
 
 
 OPTIMAL = dict(a1=angle(0), a2=angle(1, 4), b1=angle(1, 8), b2=angle(3, 8))
@@ -76,6 +88,41 @@ class TestSubstitution:
             except NoAdmissibleAngle:
                 continue
             assert sub.delta_turns_float < float(window)
+
+    @pytest.mark.parametrize("n_bits", [250, 300, 1000])
+    def test_large_n_agrees_with_a_double_precision_oracle(self, n_bits):
+        # at a fixed 240 bits these were wrongly excluded: 2**-N is below the precision
+        window = Fraction(1, 1 << (n_bits - 2))
+        sub = substitute_describable(Fraction(1, 8), n_bits, window, "x")
+        count, delta = oracle_substitution(Fraction(1, 8), n_bits, 2 * n_bits)
+        assert sub.first_count == count
+        assert sub.cos_value == Fraction(2 * count, 1 << n_bits) - 1
+        assert delta < to_mpf(window, 2 * n_bits)
+        assert abs(sub.delta_turns_float - float(delta)) <= 1e-15 * float(delta)
+
+    @pytest.mark.parametrize("n_bits", [10, 20, 40, 1000])
+    def test_exact_tie_with_the_window_is_excluded(self, n_bits):
+        # the substitute cosine is 1, its angle 0 exactly, so delta equals the window
+        window = Fraction(1, 1 << (n_bits - 2))
+        with pytest.raises(NoAdmissibleAngle):
+            substitute_describable(window, n_bits, window, "x")
+        assert substitute_describable(window, n_bits, window * Fraction(1001, 1000), "x").cos_value == 1
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(3, 2000), st.integers(1, 10**6), st.data())
+    def test_equals_a_4n_bit_recomputation(self, n_bits, den, data):
+        turns = Fraction(data.draw(st.integers(0, den // 2)), den)
+        window = Fraction(1, 1 << (n_bits - 2))
+        prec = max(4 * n_bits, 480)
+        count, delta = oracle_substitution(turns, n_bits, prec)
+        try:
+            sub = substitute_describable(turns, n_bits, window, "x")
+        except NoAdmissibleAngle:
+            # an exact tie (delta == window) is excluded too
+            assert delta >= to_mpf(window, prec) - mpmath.mpf(2) ** -(3 * n_bits)
+        else:
+            assert sub.first_count == count
+            assert delta < to_mpf(window, prec)
 
     def test_relative_turns_folds_to_half(self):
         assert relative_turns(angle(0), angle(7, 8)) == Fraction(1, 8)
@@ -133,14 +180,23 @@ class TestChsh:
         c = {pair: se.correlation for pair, se in report.sub_ensembles.items()}
         assert report.s_value == abs(c["A1B1"] - c["A1B2"]) + abs(c["A2B1"] + c["A2B2"])
 
-    def test_each_sub_ensemble_is_counted_once(self, monkeypatch):
-        counted = []
-        joint_counts = multiqubit.joint_counts
-        monkeypatch.setattr(multiqubit, "joint_counts", lambda ms: counted.append(ms) or joint_counts(ms))
+    def test_sub_ensembles_are_closed_form_without_composition(self, monkeypatch):
+        composed = []
+        for name in ("compose_pair", "joint_counts"):
+            original = getattr(multiqubit, name)
+            monkeypatch.setattr(multiqubit, name, lambda *a, original=original: composed.append(a) or original(*a))
         report = chsh_run(ChshConfig(10, **OPTIMAL))
-        assert len(counted) == 4
+        assert composed == []
         for se in report.sub_ensembles.values():
+            assert se.agreement == Fraction(se.substitution.first_count, 1 << 10)
             assert se.correlation == 2 * se.agreement - 1
+
+    @pytest.mark.parametrize("n_bits", [25, 40, 1000])
+    def test_runs_beyond_the_explicit_label_limit(self, n_bits):
+        report = chsh_run(ChshConfig(n_bits, **OPTIMAL))
+        with mpmath.workprec(240):
+            s = mpmath.mpf(report.s_value.numerator) / report.s_value.denominator
+            assert abs(s - 2 * mpmath.sqrt(2)) < mpmath.mpf(2) ** -(n_bits // 2)
 
     @pytest.mark.parametrize("angles,distinct", [
         (OPTIMAL, [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)]),

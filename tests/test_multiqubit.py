@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invset.exactmath import ExactAngle, NotOnInvariantSet, gate_amplitude
 from invset.multiqubit import (
@@ -16,6 +18,7 @@ from invset.multiqubit import (
     bell_correlation,
     bell_sample,
     bell_sample_from_amplitude,
+    bell_statistics,
     compose_many,
     compose_pair,
     joint_counts,
@@ -180,6 +183,14 @@ class TestBell:
     def test_inadmissible_amplitude(self):
         with pytest.raises(NotOnInvariantSet):
             bell_sample_from_amplitude(Fraction(1, 3), 8)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(3, 20), st.data())
+    def test_strings_realize_the_closed_form(self, n_bits, data):
+        # chsh reports the closed form (agreement = count/2^N); the composed
+        # and counted strings must give exactly the same statistics
+        amp = Fraction(data.draw(st.integers(0, 1 << n_bits)), 1 << n_bits)
+        assert bell_statistics(bell_sample_from_amplitude(amp, n_bits)) == (amp, 2 * amp - 1)
 
 
 class TestComposeMany:

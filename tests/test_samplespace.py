@@ -13,7 +13,6 @@ from invset.samplespace import (
     bundle_refine,
     canonical_string,
     even_mask,
-    expand,
     first_label_count,
     fraction,
     full_mask,
@@ -258,14 +257,17 @@ class TestNegation:
 class TestDualRepresentation:
     def test_descriptor_only_beyond_limit(self):
         s = canonical_string(26)
-        assert not s.explicit
+        assert s.packed is None
         assert fraction(s) == Fraction(1, 2)
         shifted = pair_shift(s, 123456)
         assert shifted.descriptor.rotation == 123456
         turned = quarter_turn(shifted)
         assert turned.descriptor.rotation == 123456 + (1 << 23)
-        with pytest.raises(ResourceBound):
-            expand(s)
+        assert negate(turned).descriptor.first_count == 1 << 25
+        with pytest.raises(ResourceBound, match=r"^2\*\*26 labels exceed the explicit limit$"):
+            s.bits
+        with pytest.raises(ResourceBound, match=r"^2\*\*26 labels exceed the explicit limit$"):
+            to_text(turned)
 
     def test_descriptor_only_flipped_strings_cannot_shift(self):
         s = sample_from_counts(26, 5)
@@ -273,18 +275,44 @@ class TestDualRepresentation:
             pair_shift(s, 1)
 
     def test_representations_agree_where_both_exist(self):
+        # a constructed string and a raw copy of its labels: every operator
+        # gives the same labels and label count through either route
         n_bits = 10
         for count in (0, 17, 512, 700, 1024):
             for rot in (0, 3, 511):
-                explicit = sample_from_counts(n_bits, count, rot)
-                via_descriptor = expand(BitString(n_bits, None, "a", OrbitDescriptor(n_bits, rot, count)))
-                assert explicit == via_descriptor
-        # operator actions agree through either representation on phase strings
-        desc_only = BitString(n_bits, None, "a", OrbitDescriptor(n_bits, 7, 512))
-        explicit = expand(desc_only)
-        assert expand(pair_shift(desc_only, 9)) == pair_shift(explicit, 9)
-        assert expand(quarter_turn(desc_only)) == quarter_turn(explicit)
-        assert expand(negate(desc_only)) == negate(explicit)
+                constructed = sample_from_counts(n_bits, count, rot)
+                assert constructed == BitString(n_bits, None, "a", OrbitDescriptor(n_bits, rot, count))
+                raw = BitString(n_bits, constructed.bits)
+                assert first_label_count(constructed) == first_label_count(raw) == count
+                for op in (lambda x: pair_shift(x, 9), quarter_turn, lambda x: quarter_turn(x, 3), negate):
+                    assert op(constructed).bits == op(raw).bits
+                    assert first_label_count(op(constructed)) == first_label_count(op(raw))
+        # on phase strings the descriptor decides every operator
+        phase = sample_from_counts(n_bits, 512, 7)
+        assert pair_shift(phase, 9).descriptor == OrbitDescriptor(n_bits, 16, 512)
+        assert quarter_turn(phase).descriptor == OrbitDescriptor(n_bits, 7 + 128, 512)
+        assert negate(phase).descriptor == OrbitDescriptor(n_bits, 7 + 256, 512)
+        for op in (lambda x: pair_shift(x, 9), quarter_turn, negate):
+            assert op(phase).packed is None
+            assert op(phase).bits == op(BitString(n_bits, phase.bits)).bits
+
+    def test_same_labels_tag_and_descriptor_compare_and_hash_equal(self):
+        built = sample_from_counts(8, 100, 5)
+        read = sample_from_counts(8, 100, 5)
+        read.bits  # labels built and kept on one of them only
+        assert built == read and hash(built) == hash(read)
+        phase = sample_from_counts(8, 128, 3)
+        assert pair_shift(phase, 128) == phase and hash(pair_shift(phase, 128)) == hash(phase)
+        raw = from_text(to_text(built))
+        assert raw == BitString(8, built.bits) and hash(raw) == hash(BitString(8, built.bits))
+        assert raw != built  # same labels, but only one carries a construction
+        assert BitString(8, built.bits, "b") != raw
+
+    def test_a_string_carries_labels_or_a_descriptor(self):
+        with pytest.raises(ValueError, match="either packed labels or a descriptor"):
+            BitString(5, None, "a", None)
+        with pytest.raises(ValueError, match="either packed labels or a descriptor"):
+            BitString(5, 0, "a", OrbitDescriptor(5, 0, 32))
 
 
 class TestSerialization:
@@ -324,7 +352,7 @@ class TestSerialization:
             assert from_text(line).bits == sum(1 << j for j, ch in enumerate(line) if ch == "1") == bits
         desc_only = BitString(n_bits, None, "a", OrbitDescriptor(n_bits, rng.randrange(1 << n_bits),
                                                                  rng.randrange((1 << n_bits) + 1)))
-        assert to_text(desc_only) == per_label_text(expand(desc_only))
+        assert to_text(desc_only) == per_label_text(desc_only)
 
 
 def binary_search_lowest_set_mask(x, k):
