@@ -12,14 +12,14 @@ from fractions import Fraction
 from invset import (
     ExactAngle,
     TwoQubitParams,
-    bell_correlation,
     bell_sample,
+    bell_statistics,
     joint_frequencies,
     multi_sample,
     two_qubit_predict,
     two_qubit_sample,
 )
-from invset.multiqubit import amplitude_table, bell_agreement, marginal, row_descriptor_status
+from invset.multiqubit import amplitude_table, marginal, row_descriptor_status
 
 N = 8
 ZERO = ExactAngle(Fraction(0))
@@ -38,9 +38,9 @@ print("  composed row still a single-angle construction?", row_descriptor_status
 
 print("\nmaximally entangled construction: second source = negation of the first")
 for t, label in ((theta[1], "0 deg"), (theta[Fraction(3, 4)], "60 deg"), (ExactAngle(Fraction(1, 2)), "180 deg")):
-    ms = bell_sample(t, N)
-    print(f"  orientation {label:>7}: agreement {str(bell_agreement(ms)):>5},",
-          f"correlation {str(bell_correlation(ms)):>5}")
+    agreement, correlation = bell_statistics(bell_sample(t, N))
+    print(f"  orientation {label:>7}: agreement {str(agreement):>5},",
+          f"correlation {str(correlation):>5}")
 print("  correlation = cos(orientation), exactly, from counting labels")
 
 print("\nthree qubits from the inductive rule, checked against the expander:")

@@ -40,19 +40,15 @@ from .samplespace import (
     BitString,
     HilbertShadow,
     OrbitDescriptor,
-    TrajectoryBundle,
-    bundle_refine,
     canonical_string,
     fraction,
     from_text,
-    haar,
     hilbert_shadow,
     negate,
     pair_shift,
     phase_string,
     quarter_turn,
     sample,
-    sample_equivalent,
     sample_from_counts,
     to_text,
 )
@@ -60,8 +56,8 @@ from .multiqubit import (
     MultiSample,
     TwoQubitParams,
     amplitude_table,
-    bell_correlation,
     bell_sample,
+    bell_statistics,
     compose_many,
     compose_pair,
     counts_csv,
@@ -86,7 +82,6 @@ from .experiments import (
     ChshConfig,
     MzConfig,
     PbrConfig,
-    chsh_admissibility,
     chsh_run,
     mz_run,
     pbr_run,

@@ -155,7 +155,7 @@ def bell_agreement_correlation(n_bits: int, stride: int) -> list[CheckResult]:
         for count in range(0, (1 << n_bits) + 1, stride):
             amp = Fraction(count, 1 << n_bits)
             ms = multiqubit.bell_sample_from_amplitude(amp, n_bits)
-            if multiqubit.bell_agreement(ms) != amp or multiqubit.bell_correlation(ms) != 2 * amp - 1:
+            if multiqubit.bell_statistics(ms) != (amp, 2 * amp - 1):
                 yield f"N={n_bits} amplitude {amp}"
 
     return [_first_failure("bell-agreement-correlation", failures())]

@@ -34,7 +34,7 @@ from .exactmath import (
 )
 from .experiments import WHICH_WAY, ChshConfig, MzConfig, PbrConfig, chsh_run, mz_run, pbr_run
 from .padic import PadicInt, cantor_numerators, euclid_padic_probe, is_prime, padic_dist, similarity_dimension
-from .samplespace import first_label_count, fraction, hilbert_shadow, rotation_table, sample, to_text
+from .samplespace import TABLE_SHIFTS, first_label_count, fraction, hilbert_shadow, rotation_table, sample, to_text
 from . import dirac as dirac_mod
 
 EXIT_OK = 0
@@ -42,9 +42,7 @@ EXIT_USAGE = 1
 EXIT_EXCLUDED = 2
 
 TRACE_LENGTH_BOUND = 1 << 12  # max evolution steps a dirac trace will take
-# Largest chsh N: a run there takes about 0.2 s, and 2**N keeps well inside
-# Python's 4300-digit limit for printing an int (passed near N = 14,285).
-CHSH_N_BITS_BOUND = 1 << 13
+CHSH_N_BITS_BOUND = 1 << 13  # largest chsh N: a run there takes about 0.2 s
 
 
 def _utc_now() -> str:
@@ -241,6 +239,21 @@ def _printable(value: Fraction) -> bool:
     return not limit or big.bit_length() <= 3 * limit or big < 10**limit
 
 
+def _n_bits(bound: int | None = None):
+    """Parser for a chsh or dirac n_bits: an integer in [3, bound] such that
+    2**(N+1), above every number those reports print (chsh's S numerator can
+    pass 2**N), is printable under the digit limit (0: no limit).  2**(N+1)
+    is built only for N below 4 times the limit."""
+    parse_int = _int(3, bound)
+
+    def parse(value) -> int:
+        n_bits, limit = parse_int(value), sys.get_int_max_str_digits()
+        if limit and (n_bits >= 4 * limit or not _printable(Fraction(1 << (n_bits + 1)))):
+            raise ValueError(f"2**{n_bits + 1} exceeds the digit limit {limit}")
+        return n_bits
+    return parse
+
+
 def _fraction(value) -> Fraction:
     """Parser for a rational (an integer, ratio or decimal).  A decimal
     exponent beyond Python's digit limit for integer strings is refused
@@ -278,7 +291,7 @@ def _list_of(item, length: int | None = None):
 #: an optional key whose default is None stays out of the parsed config.
 SCHEMAS: dict[str, dict] = {
     "chsh": {
-        "n_bits": (_int(3, CHSH_N_BITS_BOUND), REQUIRED),
+        "n_bits": (_n_bits(CHSH_N_BITS_BOUND), REQUIRED),
         "angles": ({key: (_turns, REQUIRED) for key in ("A1", "A2", "B1", "B2")}, REQUIRED),  # ChshConfig order
         "window_turns": (_fraction, None),  # absent: ChshConfig's 2**-(N-2)
     },
@@ -294,7 +307,7 @@ SCHEMAS: dict[str, dict] = {
         "probe": ({"a_digits": (_list_of(_int(0)), REQUIRED), "b_off": (_fraction, REQUIRED)}, None),
     },
     "dirac": {
-        "n_bits": (_int(3), 6),
+        "n_bits": (_n_bits(), 6),
         "mass": (_fraction, "1"),
         "wavevector": (_list_of(_fraction, 3), ["0", "0", "0"]),
         "steps": (_list_of(_int(), 4), [1, 0, 0, 0]),
@@ -487,8 +500,8 @@ def cmd_sample(args) -> int:
         rows = [["sample", report["string"]]]
     else:
         table_lines = rotation_table(n_bits)
-        report = {"n_bits": n_bits, "table_shifts": [0, 1, 2, 4], "strings": table_lines}
-        rows = [[f"shift_{k}", line] for k, line in zip((0, 1, 2, 4), table_lines)]
+        report = {"n_bits": n_bits, "table_shifts": TABLE_SHIFTS, "strings": table_lines}
+        rows = [[f"shift_{k}", line] for k, line in zip(TABLE_SHIFTS, table_lines)]
     _emit(args, cfg, report, ["name", "labels"], rows)
     return EXIT_OK
 

@@ -106,19 +106,6 @@ class FormalOperatorMatrix:
         return out
 
 
-def identity_matrix(n_bits: int) -> FormalOperatorMatrix:
-    e: Entry = (0, 0)
-    return FormalOperatorMatrix(
-        n_bits,
-        (
-            (e, None, None, None),
-            (None, e, None, None),
-            (None, None, e, None),
-            (None, None, None, e),
-        ),
-    )
-
-
 def evolution_matrix(axis: int, steps: int, n_bits: int) -> FormalOperatorMatrix:
     """The four evolution operators (axis 0 = time, 1..3 = space).
 
@@ -183,12 +170,11 @@ def spinor(
         components = tuple(phase_string(n_bits, ZERO_ANGLE, tag) for tag in ("s1", "s2", "s3", "s4"))
     if len(components) != 4 or any(c.n_bits != n_bits for c in components):
         raise ValueError("four components of matching length required")
-    m = Fraction(mass)
-    k = tuple(Fraction(x) for x in wavevector)
-    omega_sq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2 + m * m
-    w = rational_sqrt(omega_sq) if omega is None else Fraction(omega)
-    physical = w is not None and w * w == omega_sq
-    return SpinorSample(n_bits, tuple(components), m, k, w, omega_sq, physical)
+    disp = dispersion_check(mass, wavevector)
+    w = disp.omega if omega is None else Fraction(omega)
+    physical = w is not None and w * w == disp.omega_sq
+    wavevector = tuple(Fraction(x) for x in wavevector)
+    return SpinorSample(n_bits, tuple(components), Fraction(mass), wavevector, w, disp.omega_sq, physical)
 
 
 def time_step_over_full_turn(psi: SpinorSample) -> Fraction | None:

@@ -54,14 +54,6 @@ class ExactAngle:
     def __sub__(self, other: "ExactAngle") -> "ExactAngle":
         return ExactAngle(self.turns - other.turns)
 
-    def __neg__(self) -> "ExactAngle":
-        return ExactAngle(-self.turns)
-
-    def __mul__(self, k: int) -> "ExactAngle":
-        return ExactAngle(self.turns * k)
-
-    __rmul__ = __mul__
-
     def __str__(self) -> str:
         return f"{self.turns} turns"
 
@@ -79,14 +71,6 @@ def is_describable(x: RationalLike, n_bits: int) -> bool:
         raise ValueError("n_bits must be >= 1")
     den = x.denominator if isinstance(x, (int, Fraction)) else Fraction(x).denominator
     return den & (den - 1) == 0 and den <= (1 << n_bits)
-
-
-def dyadic_exponent(x: RationalLike) -> int | None:
-    """Exponent k with lowest-terms denominator 2**k, or None if not dyadic."""
-    den = Fraction(x).denominator
-    if den & (den - 1):
-        return None
-    return den.bit_length() - 1
 
 
 # The full exceptional set of the rational-cosine theorem (Niven): for a

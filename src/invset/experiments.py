@@ -184,16 +184,11 @@ class ChshReport:
         }
 
 
-def chsh_admissibility(cos_a1a2: Fraction, cos_a2b1: Fraction, n_bits: int) -> ObstructionVerdict:
-    """Counterfactual verdict for the summed setting: is cos of the joint
-    angle still describable?  Inputs are the describable cosines of the
-    re-measurement bridge and of an actual sub-ensemble."""
-    return simultaneous_describability(cos_a1a2, cos_a2b1, n_bits)
-
-
 def _admissibility_matrix(
     subs: dict[str, AngleSubstitution], bridges: dict[str, AngleSubstitution], n_bits: int
 ) -> dict[str, dict[str, dict]]:
+    """Verdict per (actual, counterfactual) pair: each bridge on the way asks
+    whether the summed setting's cosine can still be describable."""
     matrix: dict[str, dict[str, dict]] = {}
     for actual in PAIR_NAMES:
         row: dict[str, dict] = {}
@@ -209,7 +204,7 @@ def _admissibility_matrix(
             current = subs[actual].cos_value
             outcome: dict | None = None
             for bridge in chain:
-                verdict = chsh_admissibility(bridges[bridge].cos_value, current, n_bits)
+                verdict = simultaneous_describability(bridges[bridge].cos_value, current, n_bits)
                 if verdict.excluded:
                     outcome = {"verdict": "excluded", "reason": verdict.reason, "via": chain}
                     break
@@ -382,17 +377,10 @@ def pbr_z(alpha: ExactAngle, beta: ExactAngle, theta: ExactAngle, prec: int = DE
         )
 
 
-def simultaneity_obstruction(cos_alpha_minus_2beta: Fraction, cos_beta: Fraction, n_bits: int) -> ObstructionVerdict:
-    """The preparation obstruction on cosine values: with cos(a-2b) and
-    cos(b) describable, cos(a-b) = cos(a-2b)cos(b) - sin(a-2b)sin(b) is
-    excluded unless the pair is degenerate.  Same engine as the CHSH
-    counterfactual check."""
-    return simultaneous_describability(cos_alpha_minus_2beta, cos_beta, n_bits)
-
-
 def pbr_simultaneity(alpha: ExactAngle, beta: ExactAngle, n_bits: int) -> ObstructionVerdict:
     """Angle-level wrapper: both cos(a-2b) and cos(b) must be rational and
-    describable (precondition), then the cosine-level obstruction decides.
+    describable (precondition), then simultaneous_describability decides on
+    cos(a-b), as for the CHSH counterfactuals.
     A vanishing sine on either side is degenerate - cos(a-b) then reduces to
     (plus or minus) one of the actual cosines - and is admissible without
     further preconditions."""
@@ -402,7 +390,7 @@ def pbr_simultaneity(alpha: ExactAngle, beta: ExactAngle, n_bits: int) -> Obstru
     cd, cb = cos_exact(delta), cos_exact(beta)
     if cd is None or cb is None:
         raise ValueError("precondition: cos(alpha-2beta) and cos(beta) must be rational")
-    return simultaneity_obstruction(cd, cb, n_bits)
+    return simultaneous_describability(cd, cb, n_bits)
 
 
 @dataclass(frozen=True)
@@ -443,6 +431,6 @@ def pbr_run(cfg: PbrConfig) -> PbrReport:
     if cd is None or cb is None or not (is_describable(cd, cfg.n_bits) and is_describable(cb, cfg.n_bits)):
         sim = {"applicable": False, "reason": "cos(alpha-2beta) or cos(beta) not describable"}
     else:
-        v = simultaneity_obstruction(cd, cb, cfg.n_bits)
+        v = simultaneous_describability(cd, cb, cfg.n_bits)
         sim = {"applicable": True, "verdict": v.verdict, "reason": v.reason}
     return PbrReport(x, z, isinstance(x, Fraction), isinstance(z, Fraction), sim)

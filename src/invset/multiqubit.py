@@ -27,6 +27,7 @@ from .samplespace import (
     first_label_count,
     full_mask,
     negate,
+    require_explicit,
     sample_from_counts,
 )
 
@@ -189,9 +190,11 @@ def _arity(angles: Sequence) -> int:
 def multi_sample(n_bits: int, thetas: Sequence[ExactAngle], tags: Sequence[str] | None = None) -> MultiSample:
     """Realize the m-qubit sample space for a full binary tree of 2**m - 1
     amplitude angles (phases do not affect label statistics; they live in the
-    amplitude table)."""
+    amplitude table).  Past the explicit-label limit, once the amplitudes
+    are gated, it raises ResourceBound before building any row."""
     m = _arity(thetas)
     counts = [gate_amplitude(t, n_bits) for t in thetas]
+    require_explicit(n_bits)
     length = 1 << n_bits
     rows_bits = _realize(counts, [(0, length)], full_mask(length), n_bits)
     if tags is None:
@@ -319,11 +322,3 @@ def bell_statistics(ms: MultiSample) -> tuple[Fraction, Fraction]:
     counts = joint_counts(ms)
     agreement = Fraction(counts[0b00] + counts[0b11], ms.size)
     return agreement, 2 * agreement - 1
-
-
-def bell_agreement(ms: MultiSample) -> Fraction:
-    return bell_statistics(ms)[0]
-
-
-def bell_correlation(ms: MultiSample) -> Fraction:
-    return bell_statistics(ms)[1]

@@ -148,11 +148,6 @@ class PadicInt:
                 return i
         return n
 
-    def agrees_with(self, other: "PadicInt") -> bool:
-        """Equality up to the shared precision."""
-        n = min(self.precision, other.precision)
-        return self.shared_prefix(other) >= n
-
 
 def _left_numerator(q: int, path: Iterable[int]) -> int:
     """Numerator over q**len(path) of sum 2*c_k/q**(k+1), by Horner's rule:
@@ -190,13 +185,6 @@ class CantorInterval:
     @property
     def right(self) -> Fraction:
         return Fraction(self.numerator + 1, (2 * self.p - 1) ** self.level)
-
-    def width(self) -> Fraction:
-        return self.right - self.left
-
-    def contains(self, x: RationalLike) -> bool:
-        fx = Fraction(x)
-        return self.left <= fx <= self.right
 
     def record(self) -> dict:
         """JSON-serializable record with exact endpoints, each in lowest
@@ -266,10 +254,6 @@ class ProbeReport:
     euclid_gap: Fraction
     padic_gap: Fraction
 
-    @property
-    def padic_gap_lower_bound(self) -> int:
-        return self.p
-
     def record(self) -> dict:
         return {
             "p": self.p,
@@ -277,7 +261,7 @@ class ProbeReport:
             "b_off": fraction_str(self.b_off),
             "euclid_gap": fraction_str(self.euclid_gap),
             "padic_gap": fraction_str(self.padic_gap),
-            "padic_gap_lower_bound": self.p,
+            "padic_gap_lower_bound": self.p,  # d_p >= p, which euclid_padic_probe guarantees
         }
 
 

@@ -28,8 +28,8 @@ from text or composed) carries its packed labels.  Operators take the
 descriptor route wherever it decides the result, so phase strings, negations
 and label counts work at any N.  Labels are built only where they are read:
 ``to_text``, composition, and operators on raw or amplitude-flipped strings.
-That first read is the one place the explicit-label limit (2**24 labels) is
-checked.
+That first read and ``multiqubit.multi_sample`` check the explicit-label
+limit (2**24 labels) through one helper, ``require_explicit``.
 
 Every value is immutable and every operation pure, so parameter sweeps are
 embarrassingly parallel and merge deterministically.
@@ -44,6 +44,7 @@ from functools import cached_property, lru_cache
 from .exactmath import ExactAngle, ResourceBound, gate_amplitude, gate_phase
 
 EXPLICIT_LABEL_LIMIT = 1 << 24
+TABLE_SHIFTS = (0, 1, 2, 4)  # the pair-shifts rotation_table lists
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,7 @@ class BitString:
     def bits(self) -> int:
         """The packed labels (bit j = label j); a constructed string's are
         built from its descriptor on first read and kept."""
-        if self.size > EXPLICIT_LABEL_LIMIT:
-            raise ResourceBound(f"2**{self.n_bits} labels exceed the explicit limit")
+        require_explicit(self.n_bits)
         d, length = self.descriptor, self.size
         bits = _rot_left(_canonical_bits(self.n_bits), 2 * d.rotation, length)
         if d.first_count >= length >> 1:
@@ -116,8 +116,11 @@ class BitString:
         return bits | _lowest_set_mask(bits ^ full_mask(length), (length >> 1) - d.first_count)
 
 
-def regime_names(s: BitString) -> tuple[str, str]:
-    return s.tag, f"not_{s.tag}"
+def require_explicit(n_bits: int) -> None:
+    """Raise ResourceBound when 2**n_bits labels exceed EXPLICIT_LABEL_LIMIT:
+    the one check on every path that builds labels."""
+    if 1 << n_bits > EXPLICIT_LABEL_LIMIT:
+        raise ResourceBound(f"2**{n_bits} labels exceed the explicit limit")
 
 
 # Masks are cached per string length: lengths are powers of two, and labels
@@ -271,13 +274,6 @@ def sample(n_bits: int, theta: ExactAngle, phi: ExactAngle, tag: str = "a") -> B
     return sample_from_counts(n_bits, gate_amplitude(theta, n_bits), gate_phase(phi, n_bits), tag)
 
 
-def sample_equivalent(x: BitString, y: BitString) -> bool:
-    """Sample-space equality: same labels modulo order (label counts agree)."""
-    if x.n_bits != y.n_bits:
-        raise ValueError("length mismatch")
-    return first_label_count(x) == first_label_count(y)
-
-
 @dataclass(frozen=True)
 class HilbertShadow:
     """Exact parameters of the unit vector a constructed string corresponds
@@ -322,35 +318,7 @@ def from_text(line: str, tag: str = "a") -> BitString:
     return BitString(n_bits, int(line[::-1], 2), tag, None)
 
 
-def rotation_table(n_bits: int, shifts: tuple[int, ...] = (0, 1, 2, 4)) -> list[str]:
-    """Serialized canonical string and selected pair-shifts of it."""
+def rotation_table(n_bits: int) -> list[str]:
+    """Serialized canonical string and its pair-shifts by TABLE_SHIFTS."""
     base = canonical_string(n_bits)
-    return [to_text(pair_shift(base, n)) for n in shifts]
-
-
-@dataclass(frozen=True)
-class TrajectoryBundle:
-    """A trajectory at refinement level k together with the regime labels of
-    its 2**N children at level k+1."""
-
-    level: int
-    parent: str
-    children: BitString
-
-    @property
-    def attracted_count(self) -> int:
-        return first_label_count(self.children)
-
-
-def haar(b: TrajectoryBundle) -> Fraction:
-    """Counting-measure probability: the fraction of children attracted to
-    the bundle's first regime."""
-    return fraction(b.children)
-
-
-def bundle_refine(b: TrajectoryBundle, chosen: str, next_labels: BitString) -> TrajectoryBundle:
-    """Zoom one level deeper: follow the child attracted to ``chosen`` and
-    label its own children."""
-    if chosen not in regime_names(b.children):
-        raise ValueError(f"{chosen!r} is not a regime of this bundle")
-    return TrajectoryBundle(b.level + 1, chosen, next_labels)
+    return [to_text(pair_shift(base, n)) for n in TABLE_SHIFTS]

@@ -13,7 +13,7 @@ import pytest
 from invset import checks
 from invset.cli import main as cli_main
 from invset.dirac import dispersion_check, evolution_matrix, full_evolve, rest_step, spinor
-from invset.exactmath import ExactAngle, cos_exact, simultaneous_describability
+from invset.exactmath import ExactAngle, cos_exact
 from invset.experiments import (
     ChshConfig,
     chsh_run,
@@ -23,7 +23,6 @@ from invset.experiments import (
     pbr_simultaneity,
     pbr_x,
     pbr_z,
-    simultaneity_obstruction,
 )
 from invset.highprec import to_mpf
 from invset.multiqubit import amplitude_table_mp
@@ -178,12 +177,6 @@ def test_09_pbr():
             assert abs(z_at(root)) < mpmath.mpf(2) ** -60
             root_turns = Fraction(int(root * (1 << 200)), 1 << 200)
             assert pbr_x(alpha, beta, ExactAngle(root_turns), prec=320) > 0
-        # simultaneity verdicts agree with the exactmath engine
-        n_bits = 6
-        for num_a in range(-(1 << n_bits) + 1, 1 << n_bits):
-            ca = Fraction(num_a, 1 << n_bits)
-            for cb in (Fraction(1, 2), Fraction(3, 4), Fraction(0), Fraction(1)):
-                assert simultaneity_obstruction(ca, cb, n_bits) == simultaneous_describability(ca, cb, n_bits)
         assert pbr_simultaneity(ExactAngle(Fraction(1, 2)), ExactAngle(Fraction(1, 6)), 8).excluded
         assert not pbr_simultaneity(ExactAngle(Fraction(5, 32)), ExactAngle(Fraction(0)), 8).excluded
 

@@ -3,6 +3,7 @@ import enum
 import io
 import json
 import math
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -256,6 +257,47 @@ class TestLargeN:
         assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "error: 2**30 labels exceed the explicit limit\n"
         assert not (tmp_path / "o").exists()
+
+
+class TestNBitsDigitLimit:
+    """chsh and dirac print numbers below 2**(N+1), so their n_bits must leave
+    2**(N+1) printable under Python's digit limit for integer strings."""
+
+    @pytest.fixture
+    def digit_limit(self):
+        saved = sys.get_int_max_str_digits()
+        try:
+            yield sys.set_int_max_str_digits
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("n_bits", [4000, 2126])
+    def test_chsh_exits_one_naming_n_bits(self, tmp_path, capsys, digit_limit, n_bits):
+        # at N = 2126, 2**N has 640 digits but S's numerator has 641
+        digit_limit(640)
+        angles = {"A1": "0", "A2": "1/8", "B1": "1/16", "B2": "3/16"}
+        cfg = write_config(tmp_path, "c.json", {"n_bits": n_bits, "angles": angles})
+        assert main(["chsh", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config key 'n_bits': 2**{n_bits + 1} exceeds the digit limit 640"]
+        assert main(["chsh", "--config", cfg, "--n-bits", "2125", "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("n_bits", [20000, 10**9])
+    def test_dirac_exits_one_naming_n_bits(self, tmp_path, capsys, n_bits):
+        start = time.perf_counter()
+        assert main(["dirac", "--n-bits", str(n_bits), "--out", str(tmp_path / "o")]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config key 'n_bits': 2**{n_bits + 1} exceeds the digit limit 4300"]
+
+    def test_dirac_below_the_limit_keeps_its_report(self, tmp_path):
+        assert main(["dirac", "--n-bits", "14000", "--out", str(tmp_path / "o")]) == 0
+        assert read_json(tmp_path / "o" / "manifest.json")["output_sha256"] == (
+            "dafeb11d257dde1dfa46e89acff9029b562e0a6f9f1c133057b1aeec44a69866")
+
+    def test_a_limit_of_zero_checks_nothing(self, tmp_path, digit_limit):
+        digit_limit(0)
+        assert main(["dirac", "--n-bits", "20000", "--out", str(tmp_path / "o")]) == 0
 
 
 class TestMalformedInput:

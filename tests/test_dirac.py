@@ -11,7 +11,6 @@ from invset.dirac import (
     evolution_operator,
     full_evolve,
     gamma_pattern,
-    identity_matrix,
     rest_step,
     space_step_over_full_turn,
     spinor,
@@ -96,6 +95,10 @@ class TestOperatorMatrices:
         prod = e0 @ e0b
         assert prod.entries[0][0] == (0, 8)
         assert prod.entries[2][2] == (0, (32 - 8) % 32)
+        # the zero-step time operator is the identity on either side
+        ident = evolution_matrix(0, 0, 6)
+        mat = evolution_matrix(2, 7, 6)
+        assert (mat @ ident).entries == mat.entries and (ident @ mat).entries == mat.entries
 
     def test_spatial_product_at_zero_steps_has_order_four(self):
         prod = evolution_matrix(1, 0, 6) @ evolution_matrix(2, 0, 6) @ evolution_matrix(3, 0, 6)
@@ -220,10 +223,3 @@ class TestDispersion:
     def test_rational_inputs(self):
         r = dispersion_check(Fraction(3, 5), (Fraction(4, 5), 0, 0))
         assert r.omega == 1
-
-
-def test_identity_matrix_is_neutral():
-    mat = evolution_matrix(2, 7, 6)
-    ident = identity_matrix(6)
-    assert (mat @ ident).entries == mat.entries
-    assert (ident @ mat).entries == mat.entries

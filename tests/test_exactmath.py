@@ -14,7 +14,6 @@ from invset.exactmath import (
     ResourceBound,
     combine_degenerate_cosine,
     cos_exact,
-    dyadic_exponent,
     gate_amplitude,
     gate_phase,
     is_describable,
@@ -104,11 +103,6 @@ class TestDescribability:
     def test_n_bits_below_one_raises_before_reading_x(self, x, n_bits):
         with pytest.raises(ValueError, match="^n_bits must be >= 1$"):
             is_describable(x, n_bits)
-
-    def test_dyadic_exponent(self):
-        assert dyadic_exponent(Fraction(3, 8)) == 3
-        assert dyadic_exponent(Fraction(1, 3)) is None
-        assert dyadic_exponent(5) == 0
 
 
 class TestRationalCosine:

@@ -13,12 +13,12 @@ from invset.exactmath import (
     REASON_DESCRIBABLE,
     REASON_IRRATIONAL_SINE,
     REASON_PYTHAGOREAN,
+    simultaneous_describability,
 )
 from invset.experiments import (
     ChshConfig,
     MzConfig,
     PbrConfig,
-    chsh_admissibility,
     chsh_run,
     mz_gates,
     mz_run,
@@ -27,7 +27,6 @@ from invset.experiments import (
     pbr_x,
     pbr_z,
     relative_turns,
-    simultaneity_obstruction,
     substitute_describable,
 )
 from invset import experiments, multiqubit
@@ -223,16 +222,16 @@ class TestChsh:
 
 class TestChshAdmissibility:
     def test_irrational_sine_pair(self):
-        v = chsh_admissibility(Fraction(1, 2), Fraction(3, 4), 4)
+        v = simultaneous_describability(Fraction(1, 2), Fraction(3, 4), 4)
         assert v.excluded and v.reason == REASON_IRRATIONAL_SINE
 
     def test_degenerate_same_setting(self):
-        v = chsh_admissibility(Fraction(1), Fraction(5, 8), 4)
+        v = simultaneous_describability(Fraction(1), Fraction(5, 8), 4)
         assert not v.excluded and v.reason == REASON_DESCRIBABLE
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            chsh_admissibility(Fraction(2, 5), Fraction(1, 2), 4)
+            simultaneous_describability(Fraction(2, 5), Fraction(1, 2), 4)
 
 
 class TestMachZehnder:
@@ -360,7 +359,7 @@ class TestPbrValues:
 
 class TestPbrSimultaneity:
     def test_cosine_level_exclusion(self):
-        v = simultaneity_obstruction(Fraction(1, 2), Fraction(3, 4), 2)
+        v = simultaneous_describability(Fraction(1, 2), Fraction(3, 4), 2)
         assert v.excluded and v.reason == REASON_IRRATIONAL_SINE
 
     def test_beta_zero_degenerate(self):

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invset.exactmath import ExactAngle, NotOnInvariantSet, gate_amplitude
+from invset import multiqubit
+from invset.exactmath import ExactAngle, NotOnInvariantSet, ResourceBound, gate_amplitude
 from invset.multiqubit import (
     MultiSample,
     TwoQubitParams,
     amplitude_table,
     amplitude_table_mp,
-    bell_agreement,
-    bell_correlation,
     bell_sample,
     bell_sample_from_amplitude,
     bell_statistics,
@@ -29,7 +28,7 @@ from invset.multiqubit import (
     two_qubit_predict,
     two_qubit_sample,
 )
-from invset.samplespace import BitString, pair_shift
+from invset.samplespace import BitString, first_label_count, pair_shift
 
 ZERO = ExactAngle(Fraction(0))
 # amplitude angles admissible for rational turns: cos in {1, 1/2, 0, -1/2, -1}
@@ -81,7 +80,7 @@ class TestComposePair:
     def test_anticorrelated_sources_agreement(self):
         # negated second source at balanced head: agreement = cos^2(theta2/2)
         ms = bell_sample(THETAS[Fraction(3, 4)], 6)
-        assert bell_agreement(ms) == Fraction(3, 4)
+        assert bell_statistics(ms)[0] == Fraction(3, 4)
 
     def test_length_mismatch(self):
         a6, b6 = two_qubit_sample(params_for("1/2", "1/2", "1/2"), 6).rows
@@ -164,21 +163,19 @@ class TestPredict:
 
 class TestBell:
     def test_extreme_orientations(self):
-        assert bell_correlation(bell_sample(THETAS[Fraction(1)], 6)) == 1  # theta2 = 0
-        assert bell_correlation(bell_sample(THETAS[Fraction(0)], 6)) == -1  # theta2 = pi
+        assert bell_statistics(bell_sample(THETAS[Fraction(1)], 6))[1] == 1  # theta2 = 0
+        assert bell_statistics(bell_sample(THETAS[Fraction(0)], 6))[1] == -1  # theta2 = pi
 
     def test_sixty_degrees(self):
         ms = bell_sample(ExactAngle(Fraction(1, 6)), 6)  # cos theta2 = 1/2
-        assert bell_agreement(ms) == Fraction(3, 4)
-        assert bell_correlation(ms) == Fraction(1, 2)
+        assert bell_statistics(ms) == (Fraction(3, 4), Fraction(1, 2))
 
     def test_correlation_equals_cosine_for_every_amplitude(self):
         n_bits = 8
         for count in range(0, 257, 5):
             amp = Fraction(count, 256)
             ms = bell_sample_from_amplitude(amp, n_bits)
-            assert bell_agreement(ms) == amp
-            assert bell_correlation(ms) == 2 * amp - 1
+            assert bell_statistics(ms) == (amp, 2 * amp - 1)
 
     def test_inadmissible_amplitude(self):
         with pytest.raises(NotOnInvariantSet):
@@ -245,6 +242,16 @@ class TestComposeMany:
         # N=3: head count 6, conditional 6 * 3/4 = 4.5 labels
         with pytest.raises(NotOnInvariantSet):
             multi_sample(3, [THETAS[Fraction(3, 4)], THETAS[Fraction(3, 4)], THETAS[Fraction(1, 2)]])
+
+    def test_explicit_label_limit(self, monkeypatch):
+        quarter = [ExactAngle(Fraction(1, 4))] * 3
+        assert [first_label_count(r) for r in multi_sample(24, quarter).rows] == [1 << 23] * 2
+        # past the limit: the one ResourceBound, raised before any row is built
+        monkeypatch.setattr(multiqubit, "_realize", lambda *args: pytest.fail("rows were built"))
+        with pytest.raises(ResourceBound, match=r"^2\*\*25 labels exceed the explicit limit$"):
+            multi_sample(25, quarter)
+        with pytest.raises(NotOnInvariantSet):  # the amplitude gates come first
+            multi_sample(25, [ExactAngle(Fraction(1, 8))] * 3)
 
     def test_arity_mismatch(self):
         ms1 = MultiSample(6, two_qubit_sample(params_for("1/2", "1/2", "1/2"), 6).rows[:1])
