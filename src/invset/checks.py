@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-import mpmath
-
 from . import dirac, exactmath, highprec, multiqubit, padic, samplespace
 from .exactmath import ZERO_ANGLE, ExactAngle
 
@@ -219,6 +217,8 @@ def rational_cosine_grid(n_max: int) -> list[CheckResult]:
     the numeric cosine and 2cos is an integer; elsewhere 2cos is more than
     2^-100 from every integer and the cosine more than 2^-100 from every
     64-bit describable rational."""
+    import mpmath
+
     tiny, gap = mpmath.mpf(2) ** -150, mpmath.mpf(2) ** -100
 
     def failures() -> Iterable[str]:

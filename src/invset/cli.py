@@ -24,7 +24,6 @@ from itertools import chain
 from pathlib import Path
 
 from . import __version__
-from .checks import DEFAULT_SEED, SUITES, golden_d2, golden_table, run_suite
 from .exactmath import (
     ExactAngle,
     NoAdmissibleAngle,
@@ -34,7 +33,7 @@ from .exactmath import (
 )
 from .experiments import WHICH_WAY, ChshConfig, MzConfig, PbrConfig, chsh_run, mz_run, pbr_run
 from .padic import PadicInt, cantor_numerators, euclid_padic_probe, is_prime, padic_dist, similarity_dimension
-from .samplespace import TABLE_SHIFTS, first_label_count, fraction, hilbert_shadow, rotation_table, sample, to_text
+from .samplespace import TABLE_SHIFTS, fraction, hilbert_shadow, rotation_table, sample, to_text
 from . import dirac as dirac_mod
 
 EXIT_OK = 0
@@ -477,6 +476,8 @@ def cmd_sample(args) -> int:
     cfg = _config(args)
     n_bits, theta, phi = cfg["n_bits"], cfg.get("theta_turns"), cfg.get("phi_turns")
     if args.golden:
+        from .checks import golden_table
+
         if not golden_table()[0].passed:
             print("golden mismatch: generated table differs from the stored table", file=sys.stderr)
             return EXIT_USAGE
@@ -513,6 +514,8 @@ def cmd_padic(args) -> int:
         {"a": str(a), "b": str(b), "distance": fraction_str(padic_dist(a, b, p))} for a, b in cfg["pairs"]
     ]
     if args.golden:  # the stored 2-adic examples, whatever the config's pairs and p
+        from .checks import golden_d2
+
         if not golden_d2()[0].passed:
             print("golden mismatch: p-adic distances differ from the stored values", file=sys.stderr)
             return EXIT_USAGE
@@ -540,13 +543,14 @@ def cmd_dirac(args) -> int:
     trace = []
     rows = []
     components = psi.components
+    half = 1 << (n_bits - 1)
     for step in range(trace_length + 1):
         entry = []
-        for idx, comp in enumerate(components):
-            turns = hilbert_shadow(comp).phase_turns
-            count = first_label_count(comp)
-            entry.append({"component": idx + 1, "phase_turns": fraction_str(turns), "first_count": count})
-            rows.append([step, idx + 1, fraction_str(turns), count])
+        for idx, comp in enumerate(components, 1):
+            d = comp.descriptor  # each component stays a phase string: its phase is rotation/2**(N-1)
+            turns = fraction_str(Fraction(d.rotation, half))
+            entry.append({"component": idx, "phase_turns": turns, "first_count": d.first_count})
+            rows.append([step, idx, turns, d.first_count])
         trace.append({"step": step, "components": entry})
         if step < trace_length:
             components = operator.apply(components)
@@ -565,17 +569,20 @@ def cmd_dirac(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .checks import DEFAULT_SEED, SUITES, run_suite  # the suites load for this command only
+
     if args.suite not in (*SUITES, "all"):
         print(f"unknown suite {args.suite!r}; choose from {', '.join([*SUITES, 'all'])}", file=sys.stderr)
         return EXIT_USAGE
-    rows = run_suite(args.suite, args.seed)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    rows = run_suite(args.suite, seed)
     width = max(len(r.name) for r in rows)
     failures = 0
     for r in rows:
         status = "PASS" if r.passed else "FAIL"
         failures += not r.passed
         print(f"{status}  {r.name.ljust(width)}  {r.detail}")
-    print(f"{len(rows) - failures}/{len(rows)} checks passed (seed={args.seed})")
+    print(f"{len(rows) - failures}/{len(rows)} checks passed (seed={seed})")
     return EXIT_OK if failures == 0 else EXIT_USAGE
 
 
@@ -614,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run an invariant suite")
     p_check.add_argument("--suite", type=str, default="all")
-    p_check.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_check.add_argument("--seed", type=int, default=None)  # None: checks.DEFAULT_SEED
     p_check.set_defaults(func=cmd_check)
 
     return parser

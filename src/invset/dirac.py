@@ -147,8 +147,8 @@ def gamma_pattern(axis: int) -> list[list[complex]]:
 @dataclass(frozen=True)
 class SpinorSample:
     """Four bit strings plus the particle data that fixes the evolution
-    grids.  ``physical`` is set only when omega^2 = |k|^2 + m^2 holds with an
-    exactly rational omega."""
+    grids.  ``physical`` is set exactly when omega^2 = |k|^2 + m^2 has a
+    rational root omega."""
 
     n_bits: int
     components: tuple[BitString, BitString, BitString, BitString]
@@ -164,17 +164,15 @@ def spinor(
     components: tuple[BitString, ...] | None = None,
     mass: RationalLike = 1,
     wavevector: tuple[RationalLike, RationalLike, RationalLike] = (0, 0, 0),
-    omega: RationalLike | None = None,
 ) -> SpinorSample:
     if components is None:
         components = tuple(phase_string(n_bits, ZERO_ANGLE, tag) for tag in ("s1", "s2", "s3", "s4"))
     if len(components) != 4 or any(c.n_bits != n_bits for c in components):
         raise ValueError("four components of matching length required")
     disp = dispersion_check(mass, wavevector)
-    w = disp.omega if omega is None else Fraction(omega)
-    physical = w is not None and w * w == disp.omega_sq
     wavevector = tuple(Fraction(x) for x in wavevector)
-    return SpinorSample(n_bits, tuple(components), Fraction(mass), wavevector, w, disp.omega_sq, physical)
+    return SpinorSample(n_bits, tuple(components), Fraction(mass), wavevector, disp.omega, disp.omega_sq,
+                        disp.exact_root)
 
 
 def time_step_over_full_turn(psi: SpinorSample) -> Fraction | None:

@@ -14,11 +14,9 @@ a counterfactual run.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-
-import mpmath
-from mpmath.ctx_iv import MPIntervalContext
 
 from .exactmath import (
     ExactAngle,
@@ -42,7 +40,15 @@ from .samplespace import fraction, sample
 
 PAIR_NAMES = ("A1B1", "A1B2", "A2B1", "A2B2")
 BRIDGE_NAMES = ("A1A2", "B1B2")
-_INTERVALS = MPIntervalContext()  # private: setting its precision leaves mpmath.iv alone
+
+
+@functools.cache
+def _intervals():
+    """The private interval context, made on first use: setting its
+    precision leaves mpmath.iv alone."""
+    from mpmath.ctx_iv import MPIntervalContext
+
+    return MPIntervalContext()
 
 
 def relative_turns(x: ExactAngle, y: ExactAngle) -> Fraction:
@@ -81,10 +87,12 @@ def _decide(turns: Fraction, n_bits: int, window: Fraction, prec: int) -> tuple[
     is at least ``window`` from ``turns``, certified in intervals at prec bits
     (None while one is open); for a cosine in {0, +-1/2, +-1} the angle is
     rational and the window test exact, an exact tie being outside."""
+    import mpmath
+
     length = 1 << n_bits
     with mpmath.workprec(prec):
         count = int(mpmath.nint((1 + cos_turns(turns, prec)) / 2 * length))
-    iv = _INTERVALS
+    iv = _intervals()
     iv.prec = prec
     t = iv.mpf(turns.numerator) / turns.denominator
     if not abs((1 + iv.cos(2 * iv.pi * t)) / 2 * length - count) < 0.5:
@@ -116,6 +124,8 @@ def substitute_describable(
     (``_decide``) at max(prec, N + GUARD_BITS) bits; while one is left open
     the precision doubles (Ziv's strategy).
     """
+    import mpmath
+
     prec = working_prec(n_bits, prec)
     while (decided := _decide(requested_turns, n_bits, window_turns, prec)) is None:
         prec *= 2
@@ -344,6 +354,8 @@ def pbr_x(alpha: ExactAngle, beta: ExactAngle, theta: ExactAngle, prec: int = DE
         c2, s2 = (1 + ct) / 2, (1 - ct) / 2
         if c2 * s2 == 0 or cd is not None:  # the mixed term vanishes or is rational
             return c2 * c2 + s2 * s2 + 2 * c2 * s2 * (cd or 0)
+    import mpmath  # the inexact path only
+
     with mpmath.workprec(prec):
         half = mpmath.pi * to_mpf(theta.turns, prec)
         c, s = mpmath.cos(half), mpmath.sin(half)
@@ -365,6 +377,8 @@ def pbr_z(alpha: ExactAngle, beta: ExactAngle, theta: ExactAngle, prec: int = DE
         if (c2 * s2 == 0 or cd is not None) and (c2 * cs == 0 or cdiff is not None) and (s2 * cs == 0 or cb is not None):
             x = c2 * c2 + s2 * s2 + 2 * c2 * s2 * (cd or 0)
             return x - 4 * c2 * s2 - 4 * c2 * cs * (cdiff or 0) - 4 * s2 * cs * (cb or 0)
+    import mpmath  # the inexact path only
+
     with mpmath.workprec(prec):
         half = mpmath.pi * to_mpf(theta.turns, prec)
         c, s = mpmath.cos(half), mpmath.sin(half)
@@ -414,6 +428,8 @@ class PbrReport:
         def num(v, exact):
             if exact:
                 return {"exact": fraction_str(v), "float_derived": float(v)}
+            import mpmath  # an inexact value is an mpf, so mpmath is loaded already
+
             return {"exact": None, "float_derived": float(v), "highprec_derived": mpmath.nstr(v, 50)}
 
         return {

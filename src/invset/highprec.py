@@ -1,14 +1,18 @@
 """High-precision numeric helpers for oracles and nearest-angle substitution.
 
 mpmath is used only on the numeric side of dual-route checks and for display;
-no admissibility predicate depends on it.
+no admissibility predicate depends on it.  Like every invset function that
+computes with mpmath, each helper here imports it in its own body, so a
+command that never substitutes an angle or runs an oracle never loads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import mpmath
+if TYPE_CHECKING:
+    import mpmath
 
 DEFAULT_PREC = 240  # working precision in bits; comfortably above 200-bit targets
 GUARD_BITS = 80  # bits kept above N, so values on the 2**-N grid stay exact
@@ -20,6 +24,8 @@ def working_prec(n_bits: int, prec: int = DEFAULT_PREC) -> int:
 
 
 def to_mpf(fr: Fraction | int, prec: int = DEFAULT_PREC) -> mpmath.mpf:
+    import mpmath
+
     fr = Fraction(fr)
     with mpmath.workprec(prec):
         return mpmath.mpf(fr.numerator) / fr.denominator
@@ -27,17 +33,23 @@ def to_mpf(fr: Fraction | int, prec: int = DEFAULT_PREC) -> mpmath.mpf:
 
 def cos_turns(turns: Fraction, prec: int = DEFAULT_PREC) -> mpmath.mpf:
     """cos(2*pi*turns) at the given binary precision."""
+    import mpmath
+
     with mpmath.workprec(prec):
         return mpmath.cos(2 * mpmath.pi * to_mpf(turns, prec))
 
 
 def sin_turns(turns: Fraction, prec: int = DEFAULT_PREC) -> mpmath.mpf:
+    import mpmath
+
     with mpmath.workprec(prec):
         return mpmath.sin(2 * mpmath.pi * to_mpf(turns, prec))
 
 
 def acos_as_turns(x, prec: int = DEFAULT_PREC) -> mpmath.mpf:
     """Principal arccos, returned as a fraction of a full turn (in [0, 1/2])."""
+    import mpmath
+
     with mpmath.workprec(prec):
         if isinstance(x, Fraction):
             x = to_mpf(x, prec)
@@ -46,6 +58,8 @@ def acos_as_turns(x, prec: int = DEFAULT_PREC) -> mpmath.mpf:
 
 def mpf_to_fraction(x: mpmath.mpf, bits: int = 180) -> Fraction:
     """Fixed-point rationalization of an mpf (error at most 2**-(bits+1))."""
+    import mpmath
+
     with mpmath.workprec(max(bits + 40, DEFAULT_PREC)):
         n = int(mpmath.nint(x * (1 << bits)))
     return Fraction(n, 1 << bits)
@@ -58,6 +72,8 @@ def best_rational_approx(x: mpmath.mpf, max_denominator: int) -> Fraction:
 
 def nearest_describable(x: mpmath.mpf, n_bits: int) -> Fraction:
     """Closest value of the form n/2**n_bits to a high-precision value."""
+    import mpmath
+
     with mpmath.workprec(working_prec(n_bits)):
         n = int(mpmath.nint(x * (1 << n_bits)))
     return Fraction(n, 1 << n_bits)

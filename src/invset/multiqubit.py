@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import mpmath
+from typing import TYPE_CHECKING, Sequence
 
 from .exactmath import ExactAngle, NotOnInvariantSet, gate_amplitude, gate_phase, is_describable
 from .highprec import DEFAULT_PREC, to_mpf
@@ -30,6 +28,9 @@ from .samplespace import (
     require_explicit,
     sample_from_counts,
 )
+
+if TYPE_CHECKING:
+    import mpmath
 
 _DEFAULT_TAGS = "abcdefgh"
 
@@ -276,6 +277,8 @@ def amplitude_table_mp(
 ) -> list[mpmath.mpc]:
     """Numeric complex amplitudes of the same expansion at high precision,
     for arbitrary (not necessarily admissible) angles."""
+    import mpmath
+
     if len(theta_turns) != len(phi_turns):
         raise ValueError("need equally many amplitude and phase angles")
     _arity(theta_turns)

@@ -1,0 +1,49 @@
+"""What a fresh interpreter loads: ``import invset, invset.cli`` and the exact
+commands load neither mpmath nor the check suites; chsh loads mpmath for its
+angle substitution and ``check`` loads the suites."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = r"""
+import contextlib, io, json, sys
+
+def loaded():
+    return {name: name in sys.modules for name in ("mpmath", "invset.checks")}
+
+import invset, invset.cli
+seen = {"import": loaded()}
+tmp = sys.argv[1]
+for command in ("padic", "sample", "mz", "dirac", "chsh", "check"):
+    if command == "check":
+        argv = ["check", "--suite", "algebra"]
+    else:
+        argv = [command, "--out", f"{tmp}/{command}"]
+        if command in ("mz", "chsh"):
+            argv += ["--config", f"{tmp}/{command}.json"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = invset.cli.main(argv)
+    seen[command] = {**loaded(), "exit": code}
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_commands_that_need_them_load_mpmath_and_the_suites(tmp_path):
+    (tmp_path / "mz.json").write_text(json.dumps({"n_bits": 8, "mode": "which_way", "phi_turns": "1/4"}))
+    (tmp_path / "chsh.json").write_text(
+        json.dumps({"n_bits": 12, "angles": {"A1": "0", "A2": "1/4", "B1": "1/8", "B2": "3/8"}}))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    seen = json.loads(out.stdout.splitlines()[-1])
+    neither = {"mpmath": False, "invset.checks": False}
+    assert seen.pop("import") == neither
+    for command in ("padic", "sample", "mz", "dirac"):
+        assert seen[command] == {**neither, "exit": 0}, command
+    assert seen["chsh"] == {"mpmath": True, "invset.checks": False, "exit": 0}
+    assert seen["check"]["invset.checks"] and seen["check"]["exit"] == 0

@@ -199,10 +199,6 @@ class TestSpinorData:
         assert space_step_over_full_turn(psi, 0) == Fraction(1, 128)
         assert space_step_over_full_turn(psi, 1) is None
 
-    def test_unphysical_omega_flag(self):
-        psi = spinor(6, mass=3, wavevector=(4, 0, 0), omega=Fraction(7))
-        assert not psi.physical
-
     def test_irrational_omega_carried_as_square(self):
         psi = spinor(6, mass=1, wavevector=(1, 0, 0))
         assert psi.omega is None and psi.omega_sq == 2 and not psi.physical
