@@ -32,7 +32,15 @@ from .exactmath import (
     fraction_str,
 )
 from .experiments import WHICH_WAY, ChshConfig, MzConfig, PbrConfig, chsh_run, mz_run, pbr_run
-from .padic import PadicInt, cantor_numerators, euclid_padic_probe, is_prime, padic_dist, similarity_dimension
+from .padic import (
+    PadicInt,
+    cantor_numerators,
+    euclid_padic_probe,
+    is_prime,
+    padic_dist,
+    require_cantor_size,
+    similarity_dimension,
+)
 from .samplespace import TABLE_SHIFTS, fraction, hilbert_shadow, rotation_table, sample, to_text
 from . import dirac as dirac_mod
 
@@ -151,11 +159,12 @@ def _write_json(value, newline: str, out, flush=None) -> None:
 class _CantorArray:
     """The intervals of the level-th Cantor iterate as a report value: the
     writer gives it the JSON text of ``[iv.record() for iv in
-    cantor_iterates(p, level)]`` without building an interval or a record."""
+    cantor_iterates(p, level)]`` without building an interval, a record or
+    the list of all p**level numerators: _cantor_text renders it from the
+    numerators of path heads and tails, by the gcd rule stated there."""
 
     p: int
     level: int
-    numerators: list[int]  # cantor_numerators(p, level)
 
 
 CANTOR_BATCH = 4096  # most intervals the writer renders into one text
@@ -172,27 +181,56 @@ def _digit_paths(p: int, digits: range, newline: str) -> list[str]:
     return texts
 
 
+def _tail_gcd(m: int, qt: int, q: int) -> int:
+    """gcd(m, qt) for qt = q**t when every prime of q divides qt // gcd(m, qt),
+    which makes it gcd(H * qt + m, q**level) for every head H (see
+    _cantor_text); else 0.  No prime's exponent in q reaches q.bit_length(),
+    so q divides that power of qt // gcd(m, qt) exactly when every prime does."""
+    g = math.gcd(m, qt)
+    return 0 if pow(qt // g, q.bit_length(), q) else g
+
+
 def _cantor_text(array: _CantorArray, newline: str):
     """The JSON text of `array` on a line whose newline and indent are
-    `newline`, in pieces of at most CANTOR_BATCH intervals.  Each interval is
-    one template; a path is a head of its leading digits and a tail of the
-    last level // 2, so only about 2 * p**(level / 2) path texts are built."""
-    p, level, numerators = array.p, array.level, array.numerators
-    den = (2 * p - 1) ** level
+    `newline`, in pieces of at most CANTOR_BATCH intervals.
+
+    A path is a head of level - t digits and a tail of the last t = level // 2,
+    so with q = 2p - 1 its left numerator over q**level is n = H * q**t + m,
+    H and m the head's and the tail's numerators: only about 2 * p**(level / 2)
+    numerators and path texts are built.  The gcd rule: if 0 < m and every
+    prime r of q has v_r(m) < v_r(q**t), then gcd(n, q**level) = gcd(m, q**t)
+    for every head, as v_r(H * q**t) >= v_r(q**t) > v_r(m) gives v_r(n) = v_r(m).
+    _tail_gcd decides the condition; it holds for every 0 < m < q**t when q is
+    a prime power.  The right endpoint is the same with m + 1.  A tail that
+    passes for both carries its divisors and "/den" texts, so each of its
+    intervals formats two integers; the others (for a prime power q, m = 0
+    and m + 1 = q**t) take both gcds per interval."""
+    p, level = array.p, array.level
+    q, t = 2 * p - 1, level // 2
+    den, qt = q**level, q**t
     item, key = newline + "  ", newline + "    "
-    template = ("{" + key + '"left": "%d/%d",' + key + f'"level": {level},' + key + f'"p": {p},'
-                + key + '"path": %s%s,' + key + '"right": "%d/%d"' + item + "}")
-    tail = level // 2
-    heads = _digit_paths(p, range(level - tail), key + "  ")
+    left, right = "{" + key + '"left": "', "," + key + '"right": "'
+    fields, end = f'",{key}"level": {level},{key}"p": {p},{key}"path": ', '"' + item + "}"
     close = key + "]" if level else "[]"
-    tails = [text + close for text in _digit_paths(p, range(level - tail, level), key + "  ")]
-    width, gcd = len(tails), math.gcd
-    opening, sep, parts = "[" + item, "," + item, []
-    for start, head in zip(range(0, len(numerators), width), heads):
-        for n, path in zip(numerators[start:start + width], tails):
-            g, h = gcd(n, den), gcd(n + 1, den)
-            parts.append(template % (n // g, den // g, head, path, (n + 1) // h, den // h))
-        if len(parts) + width > CANTOR_BATCH:
+    tails = []  # (m, left divisor, left text after n, path close, right divisor, right text after n + 1)
+    for m, path in zip(cantor_numerators(p, t), _digit_paths(p, range(level - t, level), key + "  ")):
+        g, h = _tail_gcd(m, qt, q), _tail_gcd(m + 1, qt, q)
+        if not (g and h):
+            g = h = 0  # depends on the head: both gcds per interval
+        tails.append((m, g, f"/{den // g}{fields}" if g else "", path + close + right,
+                      h, f"/{den // h}{end}" if h else ""))
+    heads = zip(cantor_numerators(p, level - t), _digit_paths(p, range(level - t), key + "  "))
+    gcd, opening, sep, parts = math.gcd, "[" + item, "," + item, []
+    for head_numerator, head in heads:
+        base = head_numerator * qt
+        for m, g, after_left, path, h, after_right in tails:
+            n = base + m
+            if g:
+                parts.append(f"{left}{n // g}{after_left}{head}{path}{(n + 1) // h}{after_right}")
+            else:
+                g, h = gcd(n, den), gcd(n + 1, den)
+                parts.append(f"{left}{n // g}/{den // g}{fields}{head}{path}{(n + 1) // h}/{den // h}{end}")
+        if len(parts) + len(tails) > CANTOR_BATCH:
             yield opening + sep.join(parts)
             opening, parts = sep, []
     if parts:
@@ -522,8 +560,8 @@ def cmd_padic(args) -> int:
         print("golden distance check: PASS")
     report: dict = {"p": p, "distances": distances, "similarity_dimension_float": similarity_dimension(p)}
     if "cantor_level" in cfg:
-        level = cfg["cantor_level"]
-        report["cantor_intervals"] = _CantorArray(p, level, cantor_numerators(p, level))
+        require_cantor_size(p, cfg["cantor_level"])
+        report["cantor_intervals"] = _CantorArray(p, cfg["cantor_level"])
     if "probe" in cfg:
         a = PadicInt(p, tuple(cfg["probe"]["a_digits"]))
         report["probe"] = euclid_padic_probe(a, cfg["probe"]["b_off"]).record()

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .exactmath import RationalLike, ResourceBound, fraction_str
 
-CANTOR_ITERATE_BOUND = 1 << 20  # max number of intervals cantor_numerators will list
+CANTOR_ITERATE_BOUND = 1 << 20  # max number of intervals of an iterate that is listed or written
 
 Infinity = math.inf
 
@@ -214,10 +214,11 @@ def interval_for(z: PadicInt, level: int) -> CantorInterval:
     return interval_for_path(z.p, z.digits[:level])
 
 
-def cantor_numerators(p: int, level: int, *, bound: int = CANTOR_ITERATE_BOUND) -> list[int]:
-    """The left numerators over (2p-1)**level of all p**level intervals of the
-    level-th iterate, in path-lexicographic order.  p >= 2 here need not be
-    prime: the keep-every-second-subinterval construction is pure geometry."""
+def require_cantor_size(p: int, level: int, *, bound: int = CANTOR_ITERATE_BOUND) -> None:
+    """Raise ResourceBound when the p**level intervals of the level-th iterate
+    exceed `bound`: the one check before any interval is listed or written.
+    p >= 2 here need not be prime: the keep-every-second-subinterval
+    construction is pure geometry."""
     if p < 2:
         raise ValueError("p must be >= 2")
     if level < 0:
@@ -225,6 +226,12 @@ def cantor_numerators(p: int, level: int, *, bound: int = CANTOR_ITERATE_BOUND) 
     # p**level >= 2**level > bound once level >= bound.bit_length(): no need to compute p**level
     if level >= bound.bit_length() or p**level > bound:
         raise ResourceBound(f"{p}**{level} intervals exceed the bound {bound}")
+
+
+def cantor_numerators(p: int, level: int, *, bound: int = CANTOR_ITERATE_BOUND) -> list[int]:
+    """The left numerators over (2p-1)**level of all p**level intervals of the
+    level-th iterate, in path-lexicographic order."""
+    require_cantor_size(p, level, bound=bound)
     q = 2 * p - 1
     numerators = [0]
     for _ in range(level):  # the Horner step of _left_numerator, for every path at once

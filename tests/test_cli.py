@@ -673,23 +673,59 @@ class TestPrimalityOncePerP:
 
 
 class TestCantorText:
-    # p = 4099 at level 1 has more digits than one piece holds intervals
+    # p = 4099 at level 1 has more digits than one piece holds intervals; from p = 17 on, q = 2p - 1 is
+    # 33 = 3 * 11, 45 = 3**2 * 5, 57 = 3 * 19, 81 = 3**4 and 105 = 3 * 5 * 7
     @pytest.mark.parametrize("p,levels", [(2, [0, 1, 2, 5, 11, 12, 13]), (3, [0, 1, 2, 4, 8]), (5, [0, 1, 3, 5, 6]),
                                           (7, [0, 1, 2, 4, 5]), (11, [0, 1, 2, 4]), (13, [0, 1, 2, 3]),
-                                          (4099, [1])])
+                                          (4099, [1]), (17, [0, 1, 2, 3]), (23, [0, 1, 2, 3]), (29, [0, 1, 2, 3]),
+                                          (41, [0, 1, 2, 3]), (53, [0, 1, 2, 3])])
     def test_equals_json_dumps_of_the_records(self, p, levels):
-        # depth 0, the report's depth and one deeper: the writer indents by where the array sits
+        # depth 0, the report's depth and one deeper: the writer indents by where the array sits; past
+        # 20,000 intervals only the report's depth, as the indented oracle takes about 2 s a wrap there
+        wraps = (lambda x: {"cantor_intervals": x, "p": p}, lambda x: x, lambda x: [{"a": [x]}])
         for level in levels:
-            array = cli._CantorArray(p, level, cantor_numerators(p, level))
+            array = cli._CantorArray(p, level)
             records = [iv.record() for iv in cantor_iterates(p, level)]
-            for wrap in (lambda x: x, lambda x: {"cantor_intervals": x, "p": p}, lambda x: [{"a": [x]}]):
+            for wrap in wraps if p**level <= 20_000 else wraps[:1]:
                 assert _stable_json(wrap(array)) == _json_oracle(wrap(records))
 
     @pytest.mark.parametrize("p,level", [(2, 13), (3, 9), (4099, 1)])
     def test_pieces_hold_at_most_a_batch_of_intervals(self, p, level):
-        pieces = list(cli._cantor_text(cli._CantorArray(p, level, cantor_numerators(p, level)), "\n"))
+        pieces = list(cli._cantor_text(cli._CantorArray(p, level), "\n"))
         counts = [piece.count('"left"') for piece in pieces]
         assert sum(counts) == p**level and max(counts) <= cli.CANTOR_BATCH
+
+    # q = 2p - 1: 3, 5, 9 = 3**2, 13, 15 = 3 * 5, 27 = 3**3, 33 = 3 * 11, 45 = 3**2 * 5
+    @pytest.mark.parametrize("p,prime_power", [(2, True), (3, True), (5, True), (7, True), (8, False), (14, True),
+                                               (17, False), (23, False)])
+    def test_a_head_free_tail_gcd_holds_for_every_head(self, p, prime_power):
+        # every tail 0 <= m <= q**t, not only the Cantor ones, against every head H < q**(level - t)
+        q = 2 * p - 1
+        for level in range(6):
+            t = level // 2
+            qt = q**t
+            if q**level > 50_000:
+                break
+            for m in range(qt + 1):
+                g = cli._tail_gcd(m, qt, q)
+                if prime_power:  # the rule passes every tail strictly between 0 and q**t
+                    assert (g != 0) == (0 < m < qt)
+                if g:
+                    assert g == math.gcd(m, qt)
+                    assert all(math.gcd(h * qt + m, q**level) == g for h in range(q ** (level - t)))
+
+    def test_a_run_lists_numerators_only_for_heads_and_tails(self, tmp_path, monkeypatch):
+        levels = []
+
+        def listing(p, level):
+            levels.append(level)
+            return cantor_numerators(p, level)
+
+        monkeypatch.setattr(cli, "cantor_numerators", listing)
+        cfg = write_config(tmp_path, "c.json", {"p": 2, "pairs": [], "cantor_level": 11})
+        assert main(["padic", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert sorted(levels) == [5, 6]
+        assert len(read_json(tmp_path / "o" / "report.json")["cantor_intervals"]) == 2**11
 
 
 class TestStreamedReports:

@@ -20,6 +20,7 @@ from invset.padic import (
     ord_p,
     padic_dist,
     padic_norm,
+    require_cantor_size,
     similarity_dimension,
 )
 
@@ -163,6 +164,12 @@ class TestCantor:
         with pytest.raises(ResourceBound, match=r"^3\*\*13 intervals exceed the bound 1048576$"):
             cantor_numerators(3, 13)
         assert len(cantor_numerators(2, 20)) == 1 << 20
+        require_cantor_size(3, 12)
+        require_cantor_size(1_000_003, 0)
+        with pytest.raises(ResourceBound, match=r"^2\*\*1000000000 intervals exceed the bound 1048576$"):
+            require_cantor_size(2, 10**9)
+        with pytest.raises(ValueError):
+            require_cantor_size(3, -1)
 
     @pytest.mark.parametrize("p,level", [(2, 0), (2, 7), (3, 4), (4, 3), (13, 2)])
     def test_numerators_are_the_path_numerators(self, p, level):
