@@ -78,8 +78,7 @@ def _json_float(value: float) -> str:
 
 
 _json_str = json.encoder.encode_basestring_ascii
-#: JSON text of each scalar type, looked up by exact type; a subclass is
-#: found through the first of str, int, float it is an instance of.
+#: JSON text of each scalar type a report holds, looked up by exact type.
 _JSON_SCALARS = {
     str: _json_str,
     int: int.__repr__,
@@ -90,21 +89,11 @@ _JSON_SCALARS = {
 _INT_TYPE = frozenset((int,))
 
 
-def _json_scalar(value) -> str | None:
-    """JSON text of a str, int, float, bool or None; None for anything else."""
-    encode = _JSON_SCALARS.get(type(value))
-    if encode is not None:
-        return encode(value)
-    for base in (str, int, float):
-        if isinstance(value, base):  # a subclass: json writes it as its base
-            return _JSON_SCALARS[base](value)
-    return None
-
-
 def _write_json(value, newline: str, out, flush=None) -> None:
     """Append the JSON text of `value`, indented 2 per level, to `out`;
     `newline` is a newline followed by the indent of the line `value` is on.
-    Items of exact scalar type are written in their container's loop.
+    Keys must be str and scalars of a type in _JSON_SCALARS (a subclass is
+    a TypeError); items of scalar type are written in their container's loop.
     `flush`, when given, is called after each piece of a Cantor array, so
     that a sink can write those pieces out as they are made."""
     if isinstance(value, dict):
@@ -114,14 +103,11 @@ def _write_json(value, newline: str, out, flush=None) -> None:
         inner = newline + "  "
         comma, sep = "," + inner, "{" + inner
         for key, item in sorted(value.items()):
-            text = key if isinstance(key, str) else _json_scalar(key)
-            if text is None:
-                raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
             encode = _JSON_SCALARS.get(type(item))
             if encode is not None:
-                out(sep + _json_str(text) + ": " + encode(item))
+                out(sep + _json_str(key) + ": " + encode(item))
             else:
-                out(sep + _json_str(text) + ": ")
+                out(sep + _json_str(key) + ": ")
                 _write_json(item, inner, out, flush)
             sep = comma
         out(newline + "}")
@@ -148,11 +134,10 @@ def _write_json(value, newline: str, out, flush=None) -> None:
             out(text)
             if flush is not None:
                 flush()
+    elif type(value) in _JSON_SCALARS:
+        out(_JSON_SCALARS[type(value)](value))
     else:
-        text = _json_scalar(value)
-        if text is None:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        out(text)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,7 @@ def rational_sqrt(x: RationalLike) -> Fraction | None:
     return None
 
 
-def pythagorean_solutions(k: int, *, scan_bound: int = PYTHAGOREAN_SCAN_BOUND) -> list[tuple[int, int]]:
+def pythagorean_solutions(k: int) -> list[tuple[int, int]]:
     """Scan for positive solutions of a^2 + b^2 = (2^k)^2 with a, b >= 1.
 
     There are none (Euclid); the exhaustive scan is the executable witness of
@@ -167,8 +167,8 @@ def pythagorean_solutions(k: int, *, scan_bound: int = PYTHAGOREAN_SCAN_BOUND) -
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > scan_bound:
-        raise ResourceBound(f"k={k} exceeds the configured scan bound {scan_bound}")
+    if k > PYTHAGOREAN_SCAN_BOUND:
+        raise ResourceBound(f"k={k} exceeds the configured scan bound {PYTHAGOREAN_SCAN_BOUND}")
     target = 1 << (2 * k)
     found = []
     for a in range(1, (1 << k) + 1):
@@ -181,11 +181,7 @@ def pythagorean_solutions(k: int, *, scan_bound: int = PYTHAGOREAN_SCAN_BOUND) -
     return found
 
 
-# Sine classification statuses used by the addition-obstruction engine.
-_SINE_ZERO = "zero"
-_SINE_DESCRIBABLE = "describable"
-_SINE_IRRATIONAL = "irrational_sine"
-_SINE_OBSTRUCTED = "pythagorean_obstruction"
+_SINE_ZERO = "zero"  # the one sine status of the addition-obstruction engine that is not a reason
 
 REASON_DESCRIBABLE = "describable"
 REASON_IRRATIONAL_SINE = "irrational_sine"
@@ -205,15 +201,14 @@ class ObstructionVerdict:
 
 
 def _sine_status(cos_val: Fraction, n_bits: int) -> str:
+    """_SINE_ZERO, or the REASON_* the sine of an angle with cosine cos_val implies."""
     s2 = 1 - cos_val * cos_val
     if s2 == 0:
         return _SINE_ZERO
     s = rational_sqrt(s2)
     if s is None:
-        return _SINE_IRRATIONAL
-    if not is_describable(s, n_bits):
-        return _SINE_OBSTRUCTED
-    return _SINE_DESCRIBABLE
+        return REASON_IRRATIONAL_SINE
+    return REASON_DESCRIBABLE if is_describable(s, n_bits) else REASON_PYTHAGOREAN
 
 
 def simultaneous_describability(cos_a: RationalLike, cos_b: RationalLike, n_bits: int) -> ObstructionVerdict:
@@ -237,10 +232,9 @@ def simultaneous_describability(cos_a: RationalLike, cos_b: RationalLike, n_bits
     sa, sb = _sine_status(ca, n_bits), _sine_status(cb, n_bits)
     if _SINE_ZERO in (sa, sb):
         return ObstructionVerdict(False, REASON_DESCRIBABLE)
-    if _SINE_IRRATIONAL in (sa, sb):
-        return ObstructionVerdict(True, REASON_IRRATIONAL_SINE)
-    if _SINE_OBSTRUCTED in (sa, sb):
-        return ObstructionVerdict(True, REASON_PYTHAGOREAN)
+    for reason in (REASON_IRRATIONAL_SINE, REASON_PYTHAGOREAN):
+        if reason in (sa, sb):
+            return ObstructionVerdict(True, reason)
     return ObstructionVerdict(False, REASON_DESCRIBABLE)
 
 

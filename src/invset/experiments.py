@@ -24,19 +24,17 @@ from .exactmath import (
     NotOnInvariantSet,
     ObstructionVerdict,
     REASON_DESCRIBABLE,
-    ZERO_ANGLE,
     acos_exact,
     combine_degenerate_cosine,
     cos_exact,
     fraction_str,
     gate_amplitude,
     gate_phase,
-    is_describable,
     simultaneous_describability,
     sin_exact,
 )
 from .highprec import DEFAULT_PREC, acos_as_turns, cos_turns, to_mpf, working_prec
-from .samplespace import fraction, sample
+from .samplespace import fraction, sample_from_counts
 
 PAIR_NAMES = ("A1B1", "A1B2", "A2B1", "A2B2")
 BRIDGE_NAMES = ("A1A2", "B1B2")
@@ -106,11 +104,7 @@ def _decide(turns: Fraction, n_bits: int, window: Fraction, prec: int) -> tuple[
 
 
 def substitute_describable(
-    requested_turns: Fraction,
-    n_bits: int,
-    window_turns: Fraction,
-    name: str = "",
-    prec: int = DEFAULT_PREC,
+    requested_turns: Fraction, n_bits: int, window_turns: Fraction, name: str = ""
 ) -> AngleSubstitution:
     """Nearest angle whose cos^2(theta/2) is describable by N bits.
 
@@ -121,12 +115,12 @@ def substitute_describable(
     rather than stretch.  Substitutions are always reported, never silent.
 
     Both decisions, the nearest count and delta >= window, are certified
-    (``_decide``) at max(prec, N + GUARD_BITS) bits; while one is left open
-    the precision doubles (Ziv's strategy).
+    (``_decide``) at max(DEFAULT_PREC, N + GUARD_BITS) bits; while one is
+    left open the precision doubles (Ziv's strategy).
     """
     import mpmath
 
-    prec = working_prec(n_bits, prec)
+    prec = working_prec(n_bits)
     while (decided := _decide(requested_turns, n_bits, window_turns, prec)) is None:
         prec *= 2
     count, outside = decided
@@ -226,7 +220,7 @@ def _admissibility_matrix(
     return matrix
 
 
-def chsh_run(cfg: ChshConfig, prec: int = DEFAULT_PREC) -> ChshReport:
+def chsh_run(cfg: ChshConfig) -> ChshReport:
     """Run the four sub-experiments on separate sub-ensembles and assemble
     S = |C(A1,B1) - C(A1,B2)| + |C(A2,B1) + C(A2,B2)| exactly.  Pairs and
     bridges at the same folded angle share one substitution.  A
@@ -238,7 +232,7 @@ def chsh_run(cfg: ChshConfig, prec: int = DEFAULT_PREC) -> ChshReport:
     def substitution(name: str) -> AngleSubstitution:
         t = relative_turns(settings[name[:2]], settings[name[2:]])
         if t not in found:
-            found[t] = substitute_describable(t, cfg.n_bits, cfg.window, name, prec)
+            found[t] = substitute_describable(t, cfg.n_bits, cfg.window, name)
         return replace(found[t], name=name)
 
     subs = {pair: substitution(pair) for pair in PAIR_NAMES}
@@ -293,6 +287,14 @@ class MzReport:
         }
 
 
+def _gate(gate, angle: ExactAngle, n_bits: int) -> int | NotOnInvariantSet:
+    """The gate's count for angle, or the NotOnInvariantSet it raised."""
+    try:
+        return gate(angle, n_bits)
+    except NotOnInvariantSet as exc:
+        return exc
+
+
 def mz_gates(phi: ExactAngle, n_bits: int) -> tuple[bool, bool]:
     """(phase gate, amplitude gate) for one phase-shifter setting.
 
@@ -300,40 +302,32 @@ def mz_gates(phi: ExactAngle, n_bits: int) -> tuple[bool, bool]:
     cosine set - the number-theoretic incommensurateness of a phase and its
     cosine.
     """
-    return _passes(gate_phase, phi, n_bits), _passes(gate_amplitude, phi, n_bits)
-
-
-def _passes(gate, angle: ExactAngle, n_bits: int) -> bool:
-    try:
-        gate(angle, n_bits)
-    except NotOnInvariantSet:
-        return False
-    return True
+    return tuple(type(_gate(gate, phi, n_bits)) is int for gate in (gate_phase, gate_amplitude))
 
 
 def mz_run(cfg: MzConfig) -> MzReport:
     """Which-way mode sends the input to the balanced string at phase phi
     (detector probabilities exactly 1/2); interference mode sends it to the
     amplitude-phi string at phase zero (bright-port probability exactly
-    cos^2(phi/2)).  The mode whose gate fails is off the invariant set."""
-    phase_ok, amplitude_ok = mz_gates(cfg.phi, cfg.n_bits)
-    quarter = ExactAngle(Fraction(1, 4))
+    cos^2(phi/2)).  The mode whose gate fails is off the invariant set and
+    raises that gate's exception; each gate runs once."""
+    shift, count = _gate(gate_phase, cfg.phi, cfg.n_bits), _gate(gate_amplitude, cfg.phi, cfg.n_bits)
+    phase_ok, amplitude_ok = type(shift) is int, type(count) is int
     if cfg.mode == WHICH_WAY:
-        s = sample(cfg.n_bits, quarter, cfg.phi, tag="b")  # raises if phase gate fails
-        p = fraction(s)
-        probs = {"D_b": p, "D_not_b": 1 - p}
+        decided, first_count, rotation, tag = shift, 1 << (cfg.n_bits - 1), shift, "b"
         counterfactual, cf_ok = INTERFERENCE, amplitude_ok
     elif cfg.mode == INTERFERENCE:
-        s = sample(cfg.n_bits, cfg.phi, ZERO_ANGLE, tag="c")  # raises if amplitude gate fails
-        p = fraction(s)
-        probs = {"D_c": p, "D_not_c": 1 - p}
+        decided, first_count, rotation, tag = count, count, 0, "c"
         counterfactual, cf_ok = WHICH_WAY, phase_ok
     else:
         raise ValueError(f"unknown mode {cfg.mode!r}")
+    if isinstance(decided, NotOnInvariantSet):
+        raise decided
+    p = fraction(sample_from_counts(cfg.n_bits, first_count, rotation, tag))
     return MzReport(
         cfg.mode,
         cfg.phi.turns,
-        probs,
+        {f"D_{tag}": p, f"D_not_{tag}": 1 - p},
         phase_ok,
         amplitude_ok,
         counterfactual,
@@ -342,24 +336,41 @@ def mz_run(cfg: MzConfig) -> MzReport:
     )
 
 
-def pbr_x(alpha: ExactAngle, beta: ExactAngle, theta: ExactAngle, prec: int = DEFAULT_PREC):
-    """Closed-form probability of the distinguishing outcome for the matched
-    preparation: cos^4(t/2) + sin^4(t/2) + 2cos^2 sin^2 cos(a-2b).
-
-    Exact Fraction when all trigonometric values are rational, else an mpf at
-    the working precision."""
-    delta = alpha - beta - beta  # alpha - 2*beta
-    ct, cd = cos_exact(theta), cos_exact(delta)
+def _pbr_xz(alpha: ExactAngle, beta: ExactAngle, theta: ExactAngle, prec: int):
+    """(pbr_x, pbr_z): each an exact Fraction when every trigonometric value
+    its nonzero terms need is rational, else an mpf at prec bits.  Z is exact
+    only where X is."""
+    delta, diff = alpha - beta - beta, alpha - beta
+    ct, st, cd = cos_exact(theta), sin_exact(theta), cos_exact(delta)
+    x = None
     if ct is not None:
         c2, s2 = (1 + ct) / 2, (1 - ct) / 2
         if c2 * s2 == 0 or cd is not None:  # the mixed term vanishes or is rational
-            return c2 * c2 + s2 * s2 + 2 * c2 * s2 * (cd or 0)
+            x = c2 * c2 + s2 * s2 + 2 * c2 * s2 * (cd or 0)
+            cdiff, cb = cos_exact(diff), cos_exact(beta)
+            # each phase cosine is needed only where its coefficient is nonzero
+            if st is not None and (c2 * st == 0 or cdiff is not None) and (s2 * st == 0 or cb is not None):
+                cs = st / 2
+                return x, x - 4 * c2 * s2 - 4 * c2 * cs * (cdiff or 0) - 4 * s2 * cs * (cb or 0)
     import mpmath  # the inexact path only
 
     with mpmath.workprec(prec):
         half = mpmath.pi * to_mpf(theta.turns, prec)
         c, s = mpmath.cos(half), mpmath.sin(half)
-        return c**4 + s**4 + 2 * c**2 * s**2 * cos_turns(delta.turns, prec)
+        x_mp = c**4 + s**4 + 2 * c**2 * s**2 * cos_turns(delta.turns, prec)
+        z = (
+            x_mp
+            - 4 * c**2 * s**2
+            - 4 * c**3 * s * cos_turns(diff.turns, prec)
+            - 4 * c * s**3 * cos_turns(beta.turns, prec)
+        )
+    return (x_mp if x is None else x), z
+
+
+def pbr_x(alpha: ExactAngle, beta: ExactAngle, theta: ExactAngle, prec: int = DEFAULT_PREC):
+    """Closed-form probability of the distinguishing outcome for the matched
+    preparation: cos^4(t/2) + sin^4(t/2) + 2cos^2 sin^2 cos(a-2b)."""
+    return _pbr_xz(alpha, beta, theta, prec)[0]
 
 
 def pbr_z(alpha: ExactAngle, beta: ExactAngle, theta: ExactAngle, prec: int = DEFAULT_PREC):
@@ -367,28 +378,7 @@ def pbr_z(alpha: ExactAngle, beta: ExactAngle, theta: ExactAngle, prec: int = DE
     for the mismatched preparation:
     X - 4c^2s^2 - 4c^3 s cos(a-b) - 4c s^3 cos(b) with c, s the half-angle
     cosine and sine."""
-    delta = alpha - beta - beta
-    diff = alpha - beta
-    ct, st = cos_exact(theta), sin_exact(theta)
-    cd, cdiff, cb = cos_exact(delta), cos_exact(diff), cos_exact(beta)
-    if ct is not None and st is not None:
-        c2, s2, cs = (1 + ct) / 2, (1 - ct) / 2, st / 2
-        # each phase cosine is needed only where its coefficient is nonzero
-        if (c2 * s2 == 0 or cd is not None) and (c2 * cs == 0 or cdiff is not None) and (s2 * cs == 0 or cb is not None):
-            x = c2 * c2 + s2 * s2 + 2 * c2 * s2 * (cd or 0)
-            return x - 4 * c2 * s2 - 4 * c2 * cs * (cdiff or 0) - 4 * s2 * cs * (cb or 0)
-    import mpmath  # the inexact path only
-
-    with mpmath.workprec(prec):
-        half = mpmath.pi * to_mpf(theta.turns, prec)
-        c, s = mpmath.cos(half), mpmath.sin(half)
-        x = c**4 + s**4 + 2 * c**2 * s**2 * cos_turns(delta.turns, prec)
-        return (
-            x
-            - 4 * c**2 * s**2
-            - 4 * c**3 * s * cos_turns(diff.turns, prec)
-            - 4 * c * s**3 * cos_turns(beta.turns, prec)
-        )
+    return _pbr_xz(alpha, beta, theta, prec)[1]
 
 
 def pbr_simultaneity(alpha: ExactAngle, beta: ExactAngle, n_bits: int) -> ObstructionVerdict:
@@ -413,7 +403,6 @@ class PbrConfig:
     beta: ExactAngle
     theta: ExactAngle
     n_bits: int
-    prec: int = DEFAULT_PREC
 
 
 @dataclass(frozen=True)
@@ -440,13 +429,13 @@ class PbrReport:
 
 
 def pbr_run(cfg: PbrConfig) -> PbrReport:
-    x = pbr_x(cfg.alpha, cfg.beta, cfg.theta, cfg.prec)
-    z = pbr_z(cfg.alpha, cfg.beta, cfg.theta, cfg.prec)
-    cd = cos_exact(cfg.alpha - cfg.beta - cfg.beta)
-    cb = cos_exact(cfg.beta)
-    if cd is None or cb is None or not (is_describable(cd, cfg.n_bits) and is_describable(cb, cfg.n_bits)):
+    """X, Z and the obstruction as ``pbr_simultaneity`` decides it; where its
+    precondition fails, the obstruction is not applicable."""
+    x, z = _pbr_xz(cfg.alpha, cfg.beta, cfg.theta, DEFAULT_PREC)
+    try:
+        v = pbr_simultaneity(cfg.alpha, cfg.beta, cfg.n_bits)
+    except ValueError:
         sim = {"applicable": False, "reason": "cos(alpha-2beta) or cos(beta) not describable"}
     else:
-        v = simultaneous_describability(cd, cb, cfg.n_bits)
         sim = {"applicable": True, "verdict": v.verdict, "reason": v.reason}
     return PbrReport(x, z, isinstance(x, Fraction), isinstance(z, Fraction), sim)

@@ -18,9 +18,9 @@ DEFAULT_PREC = 240  # working precision in bits; comfortably above 200-bit targe
 GUARD_BITS = 80  # bits kept above N, so values on the 2**-N grid stay exact
 
 
-def working_prec(n_bits: int, prec: int = DEFAULT_PREC) -> int:
-    """prec, raised to n_bits + GUARD_BITS where the 2**-n_bits grid needs more."""
-    return max(prec, n_bits + GUARD_BITS)
+def working_prec(n_bits: int) -> int:
+    """DEFAULT_PREC, raised to n_bits + GUARD_BITS where the 2**-n_bits grid needs more."""
+    return max(DEFAULT_PREC, n_bits + GUARD_BITS)
 
 
 def to_mpf(fr: Fraction | int, prec: int = DEFAULT_PREC) -> mpmath.mpf:
@@ -56,13 +56,13 @@ def acos_as_turns(x, prec: int = DEFAULT_PREC) -> mpmath.mpf:
         return mpmath.acos(x) / (2 * mpmath.pi)
 
 
-def mpf_to_fraction(x: mpmath.mpf, bits: int = 180) -> Fraction:
-    """Fixed-point rationalization of an mpf (error at most 2**-(bits+1))."""
+def mpf_to_fraction(x: mpmath.mpf) -> Fraction:
+    """Fixed-point rationalization of an mpf over 2**180 (error at most 2**-181)."""
     import mpmath
 
-    with mpmath.workprec(max(bits + 40, DEFAULT_PREC)):
-        n = int(mpmath.nint(x * (1 << bits)))
-    return Fraction(n, 1 << bits)
+    with mpmath.workprec(DEFAULT_PREC):
+        n = int(mpmath.nint(x * (1 << 180)))
+    return Fraction(n, 1 << 180)
 
 
 def best_rational_approx(x: mpmath.mpf, max_denominator: int) -> Fraction:

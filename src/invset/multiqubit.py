@@ -188,22 +188,18 @@ def _arity(angles: Sequence) -> int:
     return m
 
 
-def multi_sample(n_bits: int, thetas: Sequence[ExactAngle], tags: Sequence[str] | None = None) -> MultiSample:
+def multi_sample(n_bits: int, thetas: Sequence[ExactAngle]) -> MultiSample:
     """Realize the m-qubit sample space for a full binary tree of 2**m - 1
     amplitude angles (phases do not affect label statistics; they live in the
     amplitude table).  Past the explicit-label limit, once the amplitudes
     are gated, it raises ResourceBound before building any row."""
-    m = _arity(thetas)
+    _arity(thetas)
     counts = [gate_amplitude(t, n_bits) for t in thetas]
     require_explicit(n_bits)
     length = 1 << n_bits
     rows_bits = _realize(counts, [(0, length)], full_mask(length), n_bits)
-    if tags is None:
-        tags = [_DEFAULT_TAGS[i] if i < len(_DEFAULT_TAGS) else f"q{i}" for i in range(m)]
-    if len(tags) != m:
-        raise ValueError(f"need {m} row tags")
-    rows = tuple(BitString(n_bits, rb, tag, None) for rb, tag in zip(rows_bits, tags))
-    return MultiSample(n_bits, rows)
+    tags = [_DEFAULT_TAGS[i] if i < len(_DEFAULT_TAGS) else f"q{i}" for i in range(len(rows_bits))]
+    return MultiSample(n_bits, tuple(BitString(n_bits, rb, tag) for rb, tag in zip(rows_bits, tags)))
 
 
 def two_qubit_sample(params: "TwoQubitParams", n_bits: int) -> MultiSample:

@@ -214,24 +214,24 @@ def interval_for(z: PadicInt, level: int) -> CantorInterval:
     return interval_for_path(z.p, z.digits[:level])
 
 
-def require_cantor_size(p: int, level: int, *, bound: int = CANTOR_ITERATE_BOUND) -> None:
+def require_cantor_size(p: int, level: int) -> None:
     """Raise ResourceBound when the p**level intervals of the level-th iterate
-    exceed `bound`: the one check before any interval is listed or written.
+    exceed CANTOR_ITERATE_BOUND: the one check before any interval is listed or written.
     p >= 2 here need not be prime: the keep-every-second-subinterval
     construction is pure geometry."""
     if p < 2:
         raise ValueError("p must be >= 2")
     if level < 0:
         raise ValueError("level must be >= 0")
-    # p**level >= 2**level > bound once level >= bound.bit_length(): no need to compute p**level
-    if level >= bound.bit_length() or p**level > bound:
-        raise ResourceBound(f"{p}**{level} intervals exceed the bound {bound}")
+    # p**level >= 2**level > the bound once level >= its bit length: no need to compute p**level
+    if level >= CANTOR_ITERATE_BOUND.bit_length() or p**level > CANTOR_ITERATE_BOUND:
+        raise ResourceBound(f"{p}**{level} intervals exceed the bound {CANTOR_ITERATE_BOUND}")
 
 
-def cantor_numerators(p: int, level: int, *, bound: int = CANTOR_ITERATE_BOUND) -> list[int]:
+def cantor_numerators(p: int, level: int) -> list[int]:
     """The left numerators over (2p-1)**level of all p**level intervals of the
     level-th iterate, in path-lexicographic order."""
-    require_cantor_size(p, level, bound=bound)
+    require_cantor_size(p, level)
     q = 2 * p - 1
     numerators = [0]
     for _ in range(level):  # the Horner step of _left_numerator, for every path at once
@@ -239,10 +239,10 @@ def cantor_numerators(p: int, level: int, *, bound: int = CANTOR_ITERATE_BOUND) 
     return numerators
 
 
-def cantor_iterates(p: int, level: int, *, bound: int = CANTOR_ITERATE_BOUND) -> list[CantorInterval]:
+def cantor_iterates(p: int, level: int) -> list[CantorInterval]:
     """All p**level intervals of the level-th iterate, in the order of
     cantor_numerators."""
-    numerators = cantor_numerators(p, level, bound=bound)
+    numerators = cantor_numerators(p, level)
     return [CantorInterval(p, level, path, n) for path, n in zip(product(range(p), repeat=level), numerators)]
 
 

@@ -262,7 +262,7 @@ def phase_string(n_bits: int, phi: ExactAngle, tag: str = "a") -> BitString:
     return sample_from_counts(n_bits, 1 << (n_bits - 1), gate_phase(phi, n_bits), tag)
 
 
-def sample(n_bits: int, theta: ExactAngle, phi: ExactAngle, tag: str = "a") -> BitString:
+def sample(n_bits: int, theta: ExactAngle, phi: ExactAngle) -> BitString:
     """The string whose first-label fraction is cos^2(theta/2) at phase phi.
 
     Starting from the phase string, the first 2**(N-1)cos(theta) negated
@@ -271,7 +271,7 @@ def sample(n_bits: int, theta: ExactAngle, phi: ExactAngle, tag: str = "a") -> B
     when pi/2 <= theta <= pi.  Gates: cos^2(theta/2) must be describable by N
     bits and the phase by N-1 bits.
     """
-    return sample_from_counts(n_bits, gate_amplitude(theta, n_bits), gate_phase(phi, n_bits), tag)
+    return sample_from_counts(n_bits, gate_amplitude(theta, n_bits), gate_phase(phi, n_bits))
 
 
 @dataclass(frozen=True)
@@ -306,7 +306,7 @@ def to_text(s: BitString) -> str:
     return format(s.bits, f"0{s.size}b")[::-1]
 
 
-def from_text(line: str, tag: str = "a") -> BitString:
+def from_text(line: str) -> BitString:
     line = line.strip()
     length = len(line)
     n_bits = length.bit_length() - 1
@@ -315,7 +315,7 @@ def from_text(line: str, tag: str = "a") -> BitString:
     # int(..., 2) alone would also accept "_", a sign and non-ASCII digits
     if line.count("0") + line.count("1") != length:
         raise ValueError("labels must be 0 or 1")
-    return BitString(n_bits, int(line[::-1], 2), tag, None)
+    return BitString(n_bits, int(line[::-1], 2))
 
 
 def rotation_table(n_bits: int) -> list[str]:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -29,7 +30,7 @@ from invset.experiments import (
     relative_turns,
     substitute_describable,
 )
-from invset import experiments, multiqubit
+from invset import exactmath, experiments, multiqubit, samplespace
 from invset.highprec import to_mpf
 from invset.multiqubit import amplitude_table_mp
 
@@ -273,6 +274,23 @@ class TestMachZehnder:
                 both.add(phi.turns)
         assert both == exceptional
 
+    @pytest.mark.parametrize("mode, phi_turns", [("which_way", Fraction(3, 128)), ("which_way", Fraction(1, 4)),
+                                                 ("which_way", Fraction(1, 3)), ("interference", Fraction(1, 6)),
+                                                 ("interference", Fraction(1, 8))])
+    def test_each_gate_runs_once(self, monkeypatch, mode, phi_turns):
+        calls = Counter()
+        for module in (experiments, samplespace):  # every module that calls a gate on mz_run's way
+            for name in ("gate_phase", "gate_amplitude"):
+                def counted(*args, _gate=getattr(exactmath, name), _name=name):
+                    calls[_name] += 1
+                    return _gate(*args)
+                monkeypatch.setattr(module, name, counted)
+        try:
+            mz_run(MzConfig(mode, ExactAngle(phi_turns), 10))
+        except NotOnInvariantSet:
+            pass
+        assert calls == {"gate_phase": 1, "gate_amplitude": 1}
+
     def test_counterfactual_verdict_recorded(self):
         report = mz_run(MzConfig("which_way", angle(3, 128), 10))
         assert report.counterfactual_mode == "interference"
@@ -374,6 +392,20 @@ class TestPbrSimultaneity:
     def test_irrational_cosines_violate_precondition(self):
         with pytest.raises(ValueError):
             pbr_simultaneity(angle(1, 10), angle(1, 5), 8)
+
+    def test_run_report_follows_pbr_simultaneity(self):
+        # applicable exactly where pbr_simultaneity's precondition holds, with its verdict
+        grid = [angle(k, 24) for k in range(24)]
+        for n_bits in (4, 8):
+            for alpha in grid:
+                for beta in grid:
+                    sim = pbr_run(PbrConfig(alpha, beta, angle(0), n_bits)).simultaneity
+                    try:
+                        v = pbr_simultaneity(alpha, beta, n_bits)
+                    except ValueError:
+                        assert sim == {"applicable": False, "reason": "cos(alpha-2beta) or cos(beta) not describable"}
+                    else:
+                        assert sim == {"applicable": True, "verdict": v.verdict, "reason": v.reason}
 
     def test_run_report(self):
         rep = pbr_run(PbrConfig(angle(1, 2), angle(1, 6), angle(1, 4), 8))
