@@ -14,7 +14,6 @@ a counterfactual run.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -33,20 +32,11 @@ from .exactmath import (
     simultaneous_describability,
     sin_exact,
 )
-from .highprec import DEFAULT_PREC, acos_as_turns, cos_turns, to_mpf, working_prec
+from .highprec import DEFAULT_PREC, cos_turns, to_mpf, working_prec
 from .samplespace import fraction, sample_from_counts
 
 PAIR_NAMES = ("A1B1", "A1B2", "A2B1", "A2B2")
 BRIDGE_NAMES = ("A1A2", "B1B2")
-
-
-@functools.cache
-def _intervals():
-    """The private interval context, made on first use: setting its
-    precision leaves mpmath.iv alone."""
-    from mpmath.ctx_iv import MPIntervalContext
-
-    return MPIntervalContext()
 
 
 def relative_turns(x: ExactAngle, y: ExactAngle) -> Fraction:
@@ -60,8 +50,8 @@ class AngleSubstitution:
     """A requested relative angle and its nearest describable stand-in.
 
     ``cos_value`` = 2*first_count/2^N - 1 is exact; ``delta_turns_float`` is
-    the display-only size of the (irrational) angular adjustment, checked
-    against the window at high precision before this record is built.
+    the display-only size of the angular adjustment, the double nearest it,
+    checked against the window before this record is built.
     """
 
     name: str
@@ -80,27 +70,54 @@ class AngleSubstitution:
         }
 
 
-def _decide(turns: Fraction, n_bits: int, window: Fraction, prec: int) -> tuple[int, bool] | None:
-    """The count nearest 2**N (1 + cos(2 pi turns)) / 2 and whether its angle
-    is at least ``window`` from ``turns``, certified in intervals at prec bits
-    (None while one is open); for a cosine in {0, +-1/2, +-1} the angle is
-    rational and the window test exact, an exact tie being outside."""
-    import mpmath
-
+def _decide(turns: Fraction, n_bits: int, window: Fraction, prec: int) -> tuple[int, float, bool] | None:
+    """(count, delta, outside): the count nearest 2**N (1 + cos(2 pi turns)) / 2,
+    the distance in turns of its angle from ``turns`` as the nearest double,
+    and whether that distance is at least ``window``, an exact tie being
+    outside.  A cosine in {0, +-1/2, +-1} has a rational angle: a rational
+    cos(2 pi turns) gives the count exactly (at N = 1, +-1/2 falls halfway
+    and the lower count is taken), a rational substitute cosine the window
+    test, and neither touches mpmath.  Otherwise each
+    decision is read off one enclosure from mpmath's interval kernels at prec
+    bits: the count is the one integer within 1/2 of the whole enclosure, and
+    delta's double is the one both ends of its enclosure round to; None while
+    an enclosure leaves one open."""
     length = 1 << n_bits
-    with mpmath.workprec(prec):
-        count = int(mpmath.nint((1 + cos_turns(turns, prec)) / 2 * length))
-    iv = _intervals()
-    iv.prec = prec
-    t = iv.mpf(turns.numerator) / turns.denominator
-    if not abs((1 + iv.cos(2 * iv.pi * t)) / 2 * length - count) < 0.5:
-        return None
+    cos_t = cos_exact(ExactAngle(turns))
+    if cos_t is not None:
+        count = int((1 + cos_t) * (length >> 1))
+    else:
+        from mpmath.libmp import (
+            fhalf, from_int, from_man_exp, from_rational, mpf_add, mpf_lt, round_ceiling, round_floor, to_int,
+        )
+        from mpmath.libmp.libmpi import mpi_add, mpi_cos, mpi_mul, mpi_one, mpi_pi, mpi_shift
+
+        def enclose(x: Fraction) -> tuple:
+            return tuple(from_rational(x.numerator, x.denominator, prec, rnd) for rnd in (round_floor, round_ceiling))
+
+        t, two_pi = enclose(turns), mpi_shift(mpi_pi(prec), 1)
+        lo, hi = mpi_shift(mpi_add(mpi_cos(mpi_mul(two_pi, t, prec), prec), mpi_one, prec), n_bits - 1)
+        count = to_int(mpf_add(lo, fhalf), round_floor)
+        if not (mpf_lt(from_man_exp(2 * count - 1, -1), lo) and mpf_lt(hi, from_man_exp(2 * count + 1, -1))):
+            return None
     sub_turns = acos_exact(Fraction(2 * count, length) - 1)
     if sub_turns is not None:
-        return count, abs(sub_turns - turns) >= window
-    c = iv.mpf(2 * count - length) / length
-    outside = abs(iv.atan2(iv.sqrt(1 - c * c), c) / (2 * iv.pi) - t) >= iv.mpf(window.numerator) / window.denominator
-    return None if outside is None else (count, outside)
+        delta = abs(sub_turns - turns)
+        return count, float(delta), delta >= window
+    # the substitute cosine is irrational-angled, so cos_t was irrational and t, two_pi are set
+    from mpmath.libmp import mpf_ge, round_nearest, to_float
+    from mpmath.libmp.libmpi import mpi_abs, mpi_atan2, mpi_div, mpi_sqrt, mpi_sub
+
+    x = from_int(2 * count - length)
+    angle = mpi_atan2(mpi_sqrt((from_int(4 * count * (length - count)),) * 2, prec), (x, x), prec)
+    lo, hi = mpi_abs(mpi_sub(mpi_div(angle, two_pi, prec), t, prec))
+    w_lo, w_hi = enclose(window)
+    near = to_float(lo, rnd=round_nearest)
+    if near != to_float(hi, rnd=round_nearest):
+        return None
+    if mpf_ge(lo, w_hi):
+        return count, near, True
+    return (count, near, False) if mpf_lt(hi, w_lo) else None
 
 
 def substitute_describable(
@@ -114,24 +131,21 @@ def substitute_describable(
     the poles the cosine grid is angularly coarse, so tight windows refuse
     rather than stretch.  Substitutions are always reported, never silent.
 
-    Both decisions, the nearest count and delta >= window, are certified
+    The nearest count, delta's double and delta >= window are each certified
     (``_decide``) at max(DEFAULT_PREC, N + GUARD_BITS) bits; while one is
-    left open the precision doubles (Ziv's strategy).
+    left open the precision doubles (Ziv's strategy).  An irrational cosine
+    never gives a half-integer count, an irrational-angled substitute never a
+    delta on a rounding boundary or an exact tie, so the loop ends.
     """
-    import mpmath
-
     prec = working_prec(n_bits)
     while (decided := _decide(requested_turns, n_bits, window_turns, prec)) is None:
         prec *= 2
-    count, outside = decided
+    count, delta, outside = decided
     if outside:
         raise NoAdmissibleAngle(
             f"no describable angle within {window_turns} turns of {requested_turns} at N={n_bits}"
         )
-    cos_sub = Fraction(2 * count, 1 << n_bits) - 1
-    with mpmath.workprec(prec):
-        delta = abs(acos_as_turns(cos_sub, prec) - to_mpf(requested_turns, prec))
-    return AngleSubstitution(name, requested_turns, count, cos_sub, float(delta))
+    return AngleSubstitution(name, requested_turns, count, Fraction(2 * count, 1 << n_bits) - 1, delta)
 
 
 @dataclass(frozen=True)
@@ -192,7 +206,9 @@ def _admissibility_matrix(
     subs: dict[str, AngleSubstitution], bridges: dict[str, AngleSubstitution], n_bits: int
 ) -> dict[str, dict[str, dict]]:
     """Verdict per (actual, counterfactual) pair: each bridge on the way asks
-    whether the summed setting's cosine can still be describable."""
+    whether the summed setting's cosine can still be describable.  Each
+    distinct (bridge cosine, current cosine) pair is decided once."""
+    verdicts: dict[tuple[Fraction, Fraction], ObstructionVerdict] = {}
     matrix: dict[str, dict[str, dict]] = {}
     for actual in PAIR_NAMES:
         row: dict[str, dict] = {}
@@ -208,7 +224,10 @@ def _admissibility_matrix(
             current = subs[actual].cos_value
             outcome: dict | None = None
             for bridge in chain:
-                verdict = simultaneous_describability(bridges[bridge].cos_value, current, n_bits)
+                key = (bridges[bridge].cos_value, current)
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    verdict = verdicts[key] = simultaneous_describability(*key, n_bits)
                 if verdict.excluded:
                     outcome = {"verdict": "excluded", "reason": verdict.reason, "via": chain}
                     break

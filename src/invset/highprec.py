@@ -1,4 +1,5 @@
-"""High-precision numeric helpers for oracles and nearest-angle substitution.
+"""High-precision numeric helpers for oracles, the PBR fallback and the
+working precision of the nearest-angle substitution.
 
 mpmath is used only on the numeric side of dual-route checks and for display;
 no admissibility predicate depends on it.  Like every invset function that
@@ -44,16 +45,6 @@ def sin_turns(turns: Fraction, prec: int = DEFAULT_PREC) -> mpmath.mpf:
 
     with mpmath.workprec(prec):
         return mpmath.sin(2 * mpmath.pi * to_mpf(turns, prec))
-
-
-def acos_as_turns(x, prec: int = DEFAULT_PREC) -> mpmath.mpf:
-    """Principal arccos, returned as a fraction of a full turn (in [0, 1/2])."""
-    import mpmath
-
-    with mpmath.workprec(prec):
-        if isinstance(x, Fraction):
-            x = to_mpf(x, prec)
-        return mpmath.acos(x) / (2 * mpmath.pi)
 
 
 def mpf_to_fraction(x: mpmath.mpf) -> Fraction:

@@ -47,3 +47,17 @@ def test_only_the_commands_that_need_them_load_mpmath_and_the_suites(tmp_path):
         assert seen[command] == {**neither, "exit": 0}, command
     assert seen["chsh"] == {"mpmath": True, "invset.checks": False, "exit": 0}
     assert seen["check"]["invset.checks"] and seen["check"]["exit"] == 0
+
+
+def test_chsh_at_rational_cosines_loads_no_mpmath(tmp_path):
+    # every relative angle and bridge is in {0, 1/6, 1/3, 1/2}: each substitution takes the exact route
+    config = tmp_path / "chsh.json"
+    config.write_text(json.dumps({"n_bits": 12, "angles": {"A1": "0", "A2": "1/3", "B1": "1/6", "B2": "1/2"}}))
+    code = ("import contextlib, io, sys, invset.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = invset.cli.main(sys.argv[1:])\n"
+            "print(code, 'mpmath' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code, "chsh", "--config", str(config), "--out", str(tmp_path / "o")],
+                         capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert out.stdout.split() == ["0", "False"]

@@ -123,6 +123,31 @@ class TestSubstitution:
         else:
             assert sub.first_count == count
             assert delta < to_mpf(window, prec)
+            assert sub.delta_turns_float == float(delta)
+
+    @pytest.mark.parametrize("n_bits", [165, 166, 1000, 8192])
+    @pytest.mark.parametrize("turns,cos", [(Fraction(1, 6), Fraction(1, 2)), (Fraction(1, 3), Fraction(-1, 2))])
+    def test_rational_angles_report_an_exact_zero_delta(self, n_bits, turns, cos):
+        # from N=165 the working precision used to leave rounding noise (4.4e-75 for 1/6 at N=165)
+        sub = substitute_describable(turns, n_bits, Fraction(1, 1 << (n_bits - 2)), "x")
+        assert sub.cos_value == cos
+        assert sub.first_count == (1 + cos) * (1 << (n_bits - 1))
+        assert sub.delta_turns_float == 0.0
+
+    def test_rational_cosines_never_touch_mpmath(self, monkeypatch):
+        from mpmath.libmp import libmpi
+
+        def refuse(*args):
+            raise AssertionError("an interval kernel ran for a rational cosine")
+
+        for kernel in ("mpi_cos", "mpi_atan2"):
+            monkeypatch.setattr(libmpi, kernel, refuse)
+        for n_bits in (3, 16, 8192):
+            for turns in (Fraction(0), Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
+                assert substitute_describable(turns, n_bits, Fraction(1, 1 << 40), "x").delta_turns_float == 0.0
+        # an irrational cosine does use them
+        with pytest.raises(AssertionError, match="interval kernel"):
+            substitute_describable(Fraction(1, 8), 16, Fraction(1, 1 << 14), "x")
 
     def test_relative_turns_folds_to_half(self):
         assert relative_turns(angle(0), angle(7, 8)) == Fraction(1, 8)
@@ -214,6 +239,14 @@ class TestChsh:
                           *report.bridges.items()]:
             assert sub.name == name
             assert sub == substitute(sub.requested_turns, 10, report.window_turns, name)
+
+    @pytest.mark.parametrize("angles", [OPTIMAL, dict(a1=angle(0), a2=angle(1, 3), b1=angle(1, 6), b2=angle(1, 2))])
+    def test_each_distinct_bridge_pair_is_decided_once(self, monkeypatch, angles):
+        decided = []
+        decide = experiments.simultaneous_describability
+        monkeypatch.setattr(experiments, "simultaneous_describability", lambda *a: decided.append(a) or decide(*a))
+        chsh_run(ChshConfig(10, **angles))
+        assert len(decided) == len(set(decided)) == 2
 
     def test_report_round_trip(self):
         rec = chsh_run(ChshConfig(10, **OPTIMAL)).record()
