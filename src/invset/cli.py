@@ -1,5 +1,6 @@
 """Command-line front-end: run experiments and invariant checks from JSON
-configs and emit deterministic JSON/CSV reports with a run manifest.
+configs; ``invset.report`` writes their deterministic JSON/CSV reports and
+run manifest.
 
 Exit codes: 0 success, 1 usage/IO/schema errors, 2 invariant-set exclusion
 (NotOnInvariantSet / NoAdmissibleAngle) - "physics says no" is a result, not
@@ -10,20 +11,11 @@ reports; the manifest's timestamp is excluded from the output hash.
 from __future__ import annotations
 
 import argparse
-import csv
-import datetime
 import functools
-import hashlib
 import json
-import math
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from pathlib import Path
 
-from . import __version__
 from .exactmath import (
     ExactAngle,
     NoAdmissibleAngle,
@@ -34,13 +26,13 @@ from .exactmath import (
 from .experiments import WHICH_WAY, ChshConfig, MzConfig, PbrConfig, chsh_run, mz_run, pbr_run
 from .padic import (
     PadicInt,
-    cantor_numerators,
     euclid_padic_probe,
     is_prime,
     padic_dist,
     require_cantor_size,
     similarity_dimension,
 )
+from .report import _CantorArray, _DiracTrace, _emit, _Labels
 from .samplespace import TABLE_SHIFTS, fraction, hilbert_shadow, rotation_table, sample, to_text
 from . import dirac as dirac_mod
 
@@ -50,182 +42,6 @@ EXIT_EXCLUDED = 2
 
 TRACE_LENGTH_BOUND = 1 << 12  # max evolution steps a dirac trace will take
 CHSH_N_BITS_BOUND = 1 << 13  # largest chsh N: a run there takes about 70 ms on 2 CPUs
-
-
-def _utc_now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0).isoformat()
-
-
-def _stable_json(obj) -> bytes:
-    """The bytes of ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.
-
-    json writes an indented document with its pure-Python encoder; this
-    writer makes the same choices (sorted keys, ASCII-escaped strings, the
-    same number, key and error forms) with fewer calls per value."""
-    chunks: list[str] = []
-    _write_json(obj, "\n", chunks.append)
-    chunks.append("\n")
-    return "".join(chunks).encode()
-
-
-def _json_float(value: float) -> str:
-    """A float as json writes it: NaN and the infinities by name, else its repr."""
-    if value != value:
-        return "NaN"
-    if value in (math.inf, -math.inf):
-        return "Infinity" if value > 0 else "-Infinity"
-    return float.__repr__(value)
-
-
-_json_str = json.encoder.encode_basestring_ascii
-#: JSON text of each scalar type a report holds, looked up by exact type.
-_JSON_SCALARS = {
-    str: _json_str,
-    int: int.__repr__,
-    float: _json_float,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-_INT_TYPE = frozenset((int,))
-
-
-def _write_json(value, newline: str, out, flush=None) -> None:
-    """Append the JSON text of `value`, indented 2 per level, to `out`;
-    `newline` is a newline followed by the indent of the line `value` is on.
-    Keys must be str and scalars of a type in _JSON_SCALARS (a subclass is
-    a TypeError); items of scalar type are written in their container's loop.
-    `flush`, when given, is called after each piece of a Cantor array, so
-    that a sink can write those pieces out as they are made."""
-    if isinstance(value, dict):
-        if not value:
-            out("{}")
-            return
-        inner = newline + "  "
-        comma, sep = "," + inner, "{" + inner
-        for key, item in sorted(value.items()):
-            encode = _JSON_SCALARS.get(type(item))
-            if encode is not None:
-                out(sep + _json_str(key) + ": " + encode(item))
-            else:
-                out(sep + _json_str(key) + ": ")
-                _write_json(item, inner, out, flush)
-            sep = comma
-        out(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out("[]")
-            return
-        inner = newline + "  "
-        comma, sep = "," + inner, "[" + inner
-        if _INT_TYPE.issuperset(map(type, value)):  # exact ints: str is int.__repr__
-            out(sep + comma.join(map(str, value)) + newline + "]")
-            return
-        for item in value:
-            encode = _JSON_SCALARS.get(type(item))
-            if encode is not None:
-                out(sep + encode(item))
-            else:
-                out(sep)
-                _write_json(item, inner, out, flush)
-            sep = comma
-        out(newline + "]")
-    elif isinstance(value, _CantorArray):
-        for text in _cantor_text(value, newline):
-            out(text)
-            if flush is not None:
-                flush()
-    elif type(value) in _JSON_SCALARS:
-        out(_JSON_SCALARS[type(value)](value))
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-@dataclass(frozen=True)
-class _CantorArray:
-    """The intervals of the level-th Cantor iterate as a report value: the
-    writer gives it the JSON text of ``[iv.record() for iv in
-    cantor_iterates(p, level)]`` without building an interval, a record or
-    the list of all p**level numerators: _cantor_text renders it from the
-    numerators of path heads and tails, by the gcd rule stated there."""
-
-    p: int
-    level: int
-
-
-CANTOR_BATCH = 4096  # most intervals the writer renders into one text
-
-
-def _digit_paths(p: int, digits: range, newline: str) -> list[str]:
-    """JSON text of every path of the given digit positions, in
-    lexicographic order, without the closing bracket: position 0 opens the
-    list, each later one follows a comma."""
-    texts = [""]
-    for k in digits:
-        sep = ("[" if k == 0 else ",") + newline
-        texts = [text + sep + str(c) for text in texts for c in range(p)]
-    return texts
-
-
-def _tail_gcd(m: int, qt: int, q: int) -> int:
-    """gcd(m, qt) for qt = q**t when every prime of q divides qt // gcd(m, qt),
-    which makes it gcd(H * qt + m, q**level) for every head H (see
-    _cantor_text); else 0.  No prime's exponent in q reaches q.bit_length(),
-    so q divides that power of qt // gcd(m, qt) exactly when every prime does."""
-    g = math.gcd(m, qt)
-    return 0 if pow(qt // g, q.bit_length(), q) else g
-
-
-def _cantor_text(array: _CantorArray, newline: str):
-    """The JSON text of `array` on a line whose newline and indent are
-    `newline`, in pieces of at most CANTOR_BATCH intervals.
-
-    A path is a head of level - t digits and a tail of the last t = level // 2,
-    so with q = 2p - 1 its left numerator over q**level is n = H * q**t + m,
-    H and m the head's and the tail's numerators: only about 2 * p**(level / 2)
-    numerators and path texts are built.  The gcd rule: if 0 < m and every
-    prime r of q has v_r(m) < v_r(q**t), then gcd(n, q**level) = gcd(m, q**t)
-    for every head, as v_r(H * q**t) >= v_r(q**t) > v_r(m) gives v_r(n) = v_r(m).
-    _tail_gcd decides the condition; it holds for every 0 < m < q**t when q is
-    a prime power.  The right endpoint is the same with m + 1.  A tail that
-    passes for both carries its divisors and "/den" texts, so each of its
-    intervals formats two integers; the others (for a prime power q, m = 0
-    and m + 1 = q**t) take both gcds per interval."""
-    p, level = array.p, array.level
-    q, t = 2 * p - 1, level // 2
-    den, qt = q**level, q**t
-    item, key = newline + "  ", newline + "    "
-    left, right = "{" + key + '"left": "', "," + key + '"right": "'
-    fields, end = f'",{key}"level": {level},{key}"p": {p},{key}"path": ', '"' + item + "}"
-    close = key + "]" if level else "[]"
-    tails = []  # (m, left divisor, left text after n, path close, right divisor, right text after n + 1)
-    for m, path in zip(cantor_numerators(p, t), _digit_paths(p, range(level - t, level), key + "  ")):
-        g, h = _tail_gcd(m, qt, q), _tail_gcd(m + 1, qt, q)
-        if not (g and h):
-            g = h = 0  # depends on the head: both gcds per interval
-        tails.append((m, g, f"/{den // g}{fields}" if g else "", path + close + right,
-                      h, f"/{den // h}{end}" if h else ""))
-    heads = zip(cantor_numerators(p, level - t), _digit_paths(p, range(level - t), key + "  "))
-    gcd, opening, sep, parts = math.gcd, "[" + item, "," + item, []
-    for head_numerator, head in heads:
-        base = head_numerator * qt
-        for m, g, after_left, path, h, after_right in tails:
-            n = base + m
-            if g:
-                parts.append(f"{left}{n // g}{after_left}{head}{path}{(n + 1) // h}{after_right}")
-            else:
-                g, h = gcd(n, den), gcd(n + 1, den)
-                parts.append(f"{left}{n // g}/{den // g}{fields}{head}{path}{(n + 1) // h}/{den // h}{end}")
-        if len(parts) + len(tails) > CANTOR_BATCH:
-            yield opening + sep.join(parts)
-            opening, parts = sep, []
-    if parts:
-        yield opening + sep.join(parts)
-    yield newline + "]"
-
-
-def _exact_str(value) -> str:
-    """JSON form of the parsed config values JSON lacks: rationals and angles."""
-    return str(value.turns if isinstance(value, ExactAngle) else value)
 
 
 REQUIRED = object()  # schema default of a key that every config must give
@@ -379,88 +195,6 @@ def _config(args) -> dict:
     return _parse(SCHEMAS[args.command], raw)
 
 
-def _csv_text(rows: list[list[str]]) -> str | None:
-    """The text ``csv.writer(..., lineterminator="\n")`` writes for `rows`, as
-    the plain comma/newline join, or None where the two might differ: a field
-    that is not a str, an empty line (csv quotes a lone empty field), or a
-    comma, newline, quote or carriage return inside a field.  Those
-    characters are looked for by one scan each of all fields at once.
-    Numbers are left to the csv module, which converts them faster than a
-    join can."""
-    try:
-        lines = list(map(",".join, rows))
-        fields = "".join(chain.from_iterable(rows))
-    except TypeError:
-        return None
-    if "" in lines or "," in fields or "\n" in fields or '"' in fields or "\r" in fields:
-        return None
-    return "\n".join([*lines, ""])
-
-
-class _HashedFile:
-    """Report text on its way to a binary file: ``write`` collects pieces of
-    text, and ``flush`` encodes those collected so far, writes them to `fh`
-    and feeds the same bytes to `digest`."""
-
-    def __init__(self, fh, digest) -> None:
-        self.fh, self.digest = fh, digest
-        self.parts: list[str] = []
-        self.write = self.parts.append
-
-    def flush(self) -> None:
-        data = "".join(self.parts).encode()
-        self.fh.write(data)
-        self.digest.update(data)
-        self.parts.clear()
-
-
-def _emit(args, cfg: dict, report: dict, header: list[str], rows: list[list]) -> None:
-    """Write the report files and manifest.json to ``--out``.  Each report
-    goes to a temporary file there while it is hashed, a Cantor array piece
-    by piece, and all of them are moved into place only once every one is
-    complete."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    names = [f"report.{kind}" for kind in ("csv", "json") if args.format in (kind, "both")]  # in name order
-    temporary = {name: os.path.join(out, f".{name}.{os.getpid()}.tmp") for name in names}
-    digest = hashlib.sha256()  # over each report's name and bytes, in name order
-    try:
-        for name in names:
-            digest.update(name.encode() + b"\0")
-            with open(temporary[name], "wb") as fh:
-                sink = _HashedFile(fh, digest)
-                if name == "report.json":
-                    _write_json(report, "\n", sink.write, sink.flush)
-                    sink.write("\n")
-                else:
-                    table = [header, *rows]
-                    text = _csv_text(table)
-                    if text is not None:
-                        sink.write(text)
-                    else:
-                        csv.writer(sink, lineterminator="\n").writerows(table)
-                sink.flush()
-        for name in names:
-            os.replace(temporary[name], os.path.join(out, name))
-    except BaseException:  # leave no partial report, whatever stopped the run
-        for path in temporary.values():
-            Path(path).unlink(missing_ok=True)
-        raise
-    echo = json.loads(json.dumps(cfg, default=_exact_str))
-    manifest = {
-        "tool": "invset",
-        "version": __version__,
-        "command": args.command,
-        "config": echo,
-        "input_sha256": hashlib.sha256(_stable_json(echo)).hexdigest(),
-        "timestamp_utc": _utc_now(),
-        "output_sha256": digest.hexdigest(),
-    }
-    (out / "manifest.json").write_bytes(_stable_json(manifest))
-    print(f"{args.command}: wrote {', '.join(names)} and manifest.json to {out} "
-          f"(output_sha256={manifest['output_sha256'][:16]}...)")
-
-
 def cmd_chsh(args) -> int:
     cfg = _config(args)
     config = ChshConfig(cfg["n_bits"], *cfg["angles"].values(), cfg.get("window_turns"))
@@ -512,7 +246,7 @@ def cmd_sample(args) -> int:
         shadow = hilbert_shadow(s)
         report = {
             "n_bits": n_bits,
-            "string": to_text(s),
+            "string": _Labels(to_text(s)),
             "descriptor": s.descriptor.record(),
             "fraction": fraction_str(fraction(s)),
             "shadow": {
@@ -523,7 +257,7 @@ def cmd_sample(args) -> int:
         }
         rows = [["sample", report["string"]]]
     else:
-        table_lines = rotation_table(n_bits)
+        table_lines = [_Labels(line) for line in rotation_table(n_bits)]
         report = {"n_bits": n_bits, "table_shifts": TABLE_SHIFTS, "strings": table_lines}
         rows = [[f"shift_{k}", line] for k, line in zip(TABLE_SHIFTS, table_lines)]
     _emit(args, cfg, report, ["name", "labels"], rows)
@@ -563,20 +297,7 @@ def cmd_dirac(args) -> int:
         raise ValueError(f"config keys 'mass' and 'wavevector': omega^2 exceeds the digit limit "
                          f"{sys.get_int_max_str_digits()}")
     operator = dirac_mod.evolution_operator(psi, *steps)  # the same product at every step
-    trace = []
-    rows = []
-    components = psi.components
-    half = 1 << (n_bits - 1)
-    for step in range(trace_length + 1):
-        entry = []
-        for idx, comp in enumerate(components, 1):
-            d = comp.descriptor  # each component stays a phase string: its phase is rotation/2**(N-1)
-            turns = fraction_str(Fraction(d.rotation, half))
-            entry.append({"component": idx, "phase_turns": turns, "first_count": d.first_count})
-            rows.append([step, idx, turns, d.first_count])
-        trace.append({"step": step, "components": entry})
-        if step < trace_length:
-            components = operator.apply(components)
+    trace = _DiracTrace(n_bits, dirac_mod.phase_trace(operator, psi.components, trace_length))
     report = {
         "n_bits": n_bits,
         "mass": fraction_str(psi.mass),
@@ -587,7 +308,7 @@ def cmd_dirac(args) -> int:
         "steps_per_application": steps,
         "trace": trace,
     }
-    _emit(args, cfg, report, ["step", "component", "phase_turns", "first_count"], rows)
+    _emit(args, cfg, report, ["step", "component", "phase_turns", "first_count"], trace.csv_rows())
     return EXIT_OK
 
 

@@ -83,7 +83,8 @@ class FormalOperatorMatrix:
         if e is None:
             return None
         s, r = e
-        return (Fraction(s, 4) + Fraction(r, 1 << (self.n_bits - 1))) % 1
+        half = 1 << (self.n_bits - 1)
+        return Fraction((s * half + 4 * r) % (4 * half), 4 * half)  # s/4 + r/half, mod 1
 
     def skeleton(self, step: int) -> list[list[complex]]:
         """Sign/permutation skeleton: pair-shift by +step reads as +1, by
@@ -213,6 +214,40 @@ def evolution_operator(psi: SpinorSample, n_t: int, n_1: int, n_2: int, n_3: int
         if psi.wavevector[axis - 1] != 0:
             mat = mat @ evolution_matrix(axis, steps, psi.n_bits)
     return mat
+
+
+def phase_trace(operator: FormalOperatorMatrix, components: tuple[BitString, ...],
+                length: int) -> list[tuple[int, ...]]:
+    """The rotations of `components` after 0, 1, ..., length applications of
+    `operator`, each the rotation of the string ``operator.apply`` leaves.
+
+    Every component must be a phase string: a constructed string with half
+    its labels first-regime.  On such a string a pair-shift by r adds r to
+    the rotation and a quarter-turn adds 2**(N-3), and the result is again a
+    phase string.  So one application maps the rotation vector x to
+    x[col_i] + entry_phase_turns(i, col_i) * 2**(N-1) mod 2**(N-1) in row i,
+    a fixed number of 2**-(N-1) turns per row and step.  Raw and
+    amplitude-flipped components have no such rotation and raise ValueError."""
+    if len(components) != 4:
+        raise ValueError("four components required")
+    for c in components:
+        d = c.descriptor
+        if c.n_bits != operator.n_bits or d is None or d.first_count != c.size >> 1:
+            raise ValueError("phase strings of the operator's n_bits required: "
+                             "a raw or amplitude-flipped component has no rotation")
+    half = 1 << (operator.n_bits - 1)
+    moves = []  # (col_i, rotation added in row i)
+    for i, row in enumerate(operator.entries):
+        col = next(j for j, e in enumerate(row) if e is not None)
+        turns = operator.entry_phase_turns(i, col)
+        moves.append((col, turns.numerator * (half // turns.denominator)))
+    (c1, r1), (c2, r2), (c3, r3), (c4, r4) = moves
+    x = tuple(c.descriptor.rotation for c in components)
+    trace = [x]
+    for _ in range(length):
+        x = ((x[c1] + r1) % half, (x[c2] + r2) % half, (x[c3] + r3) % half, (x[c4] + r4) % half)
+        trace.append(x)
+    return trace
 
 
 def full_evolve(psi: SpinorSample, n_t: int, n_1: int, n_2: int, n_3: int) -> SpinorSample:

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from invset import checks, cli, padic
-from invset.cli import CHSH_N_BITS_BOUND, SCHEMAS, TRACE_LENGTH_BOUND, _stable_json, build_parser, main
+from invset import checks, padic
+from invset import report as report_mod
+from invset.cli import CHSH_N_BITS_BOUND, SCHEMAS, TRACE_LENGTH_BOUND, build_parser, main
+from invset.report import _stable_json
 from invset.padic import cantor_iterates, cantor_numerators
 
 OPTIMAL_CHSH = {
@@ -648,7 +650,7 @@ class TestCsvText:
     @given(st.lists(st.lists(_CSV_STR, max_size=4), min_size=1, max_size=5)
            | st.lists(st.lists(_CSV_FIELD, max_size=4), min_size=1, max_size=5))
     def test_equals_the_csv_module_or_declines(self, rows):
-        text = cli._csv_text(rows)
+        text = report_mod._csv_text(rows)
         assert (text is not None) == _joinable(rows)
         assert text is None or text == _csv_oracle(rows)
 
@@ -658,17 +660,17 @@ class TestCsvText:
         [["a", "", "b"], ["", ""], [" padded ", "\x00"], [_Label("x"), _Label("")]],
     ])
     def test_plain_rows_take_the_join(self, rows):
-        assert cli._csv_text(rows) == _csv_oracle(rows)
+        assert report_mod._csv_text(rows) == _csv_oracle(rows)
 
     @pytest.mark.parametrize("rows", [[["h"], [""]], [["h"], []], [[""]], [["a,b"]], [['say "x"']], [["a\rb"]],
                                       [["a\nb"]], [["h"], [None]], [["h"], [True]], [[Fraction(1, 3)]],
                                       [["step"], [0, "3/4"]], [["p"], [0.5, math.nan, -math.inf]]])
     def test_other_rows_fall_back_to_the_csv_module(self, tmp_path, rows):
-        assert cli._csv_text(rows) is None
+        assert report_mod._csv_text(rows) is None
         cfg = write_config(tmp_path, "c.json", {"p": 2, "pairs": [["7", "3"]]})
         args = build_parser().parse_args(["padic", "--config", cfg, "--out", str(tmp_path / "o"), "--format", "csv"])
         with redirect_stdout(io.StringIO()):
-            cli._emit(args, {}, {}, rows[0], rows[1:])
+            report_mod._emit(args, {}, {}, rows[0], rows[1:])
         assert (tmp_path / "o" / "report.csv").read_bytes() == _csv_oracle(rows).encode()
 
 
@@ -696,16 +698,16 @@ class TestCantorText:
         # 20,000 intervals only the report's depth, as the indented oracle takes about 2 s a wrap there
         wraps = (lambda x: {"cantor_intervals": x, "p": p}, lambda x: x, lambda x: [{"a": [x]}])
         for level in levels:
-            array = cli._CantorArray(p, level)
+            array = report_mod._CantorArray(p, level)
             records = [iv.record() for iv in cantor_iterates(p, level)]
             for wrap in wraps if p**level <= 20_000 else wraps[:1]:
                 assert _stable_json(wrap(array)) == _json_oracle(wrap(records))
 
     @pytest.mark.parametrize("p,level", [(2, 13), (3, 9), (4099, 1)])
     def test_pieces_hold_at_most_a_batch_of_intervals(self, p, level):
-        pieces = list(cli._cantor_text(cli._CantorArray(p, level), "\n"))
+        pieces = list(report_mod._cantor_text(report_mod._CantorArray(p, level), "\n"))
         counts = [piece.count('"left"') for piece in pieces]
-        assert sum(counts) == p**level and max(counts) <= cli.CANTOR_BATCH
+        assert sum(counts) == p**level and max(counts) <= report_mod.CANTOR_BATCH
 
     # q = 2p - 1: 3, 5, 9 = 3**2, 13, 15 = 3 * 5, 27 = 3**3, 33 = 3 * 11, 45 = 3**2 * 5
     @pytest.mark.parametrize("p,prime_power", [(2, True), (3, True), (5, True), (7, True), (8, False), (14, True),
@@ -719,7 +721,7 @@ class TestCantorText:
             if q**level > 50_000:
                 break
             for m in range(qt + 1):
-                g = cli._tail_gcd(m, qt, q)
+                g = report_mod._tail_gcd(m, qt, q)
                 if prime_power:  # the rule passes every tail strictly between 0 and q**t
                     assert (g != 0) == (0 < m < qt)
                 if g:
@@ -733,7 +735,7 @@ class TestCantorText:
             levels.append(level)
             return cantor_numerators(p, level)
 
-        monkeypatch.setattr(cli, "cantor_numerators", listing)
+        monkeypatch.setattr(report_mod, "cantor_numerators", listing)
         cfg = write_config(tmp_path, "c.json", {"p": 2, "pairs": [], "cantor_level": 11})
         assert main(["padic", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert sorted(levels) == [5, 6]
@@ -753,7 +755,7 @@ class TestStreamedReports:
     def test_a_failed_write_leaves_no_report(self, tmp_path, monkeypatch, capsys, error):
         cfg = write_config(tmp_path, "c.json", self.CONFIG)
         out = tmp_path / "o"
-        cantor_text = cli._cantor_text
+        cantor_text = report_mod._cantor_text
         flushed = []
 
         def failing(array, newline):
@@ -764,7 +766,7 @@ class TestStreamedReports:
                     flushed.append(partial[0].name)
                     raise error
 
-        monkeypatch.setattr(cli, "_cantor_text", failing)
+        monkeypatch.setattr(report_mod, "_cantor_text", failing)
         if isinstance(error, OSError):
             assert main(["padic", "--config", cfg, "--out", str(out)]) == 1
             assert capsys.readouterr().err == f"error: {error}\n"

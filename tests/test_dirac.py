@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invset.dirac import (
     FormalOperatorMatrix,
@@ -11,13 +13,14 @@ from invset.dirac import (
     evolution_operator,
     full_evolve,
     gamma_pattern,
+    phase_trace,
     rest_step,
     space_step_over_full_turn,
     spinor,
     time_step_over_full_turn,
 )
 from invset.exactmath import ExactAngle
-from invset.samplespace import hilbert_shadow, phase_string
+from invset.samplespace import from_text, hilbert_shadow, phase_string, sample_from_counts, to_text
 
 
 def mat_mul(a, b):
@@ -184,6 +187,55 @@ class TestFullEvolution:
         psi = phase_psi(n_bits)
         evolved = full_evolve(psi, 1 << (n_bits - 1), 0, 0, 0)
         assert evolved.components == psi.components
+
+
+def apply_trace(operator, components, length):
+    """The oracle: the rotations the components have after each operator.apply."""
+    trace = [tuple(c.descriptor.rotation for c in components)]
+    for _ in range(length):
+        components = operator.apply(components)
+        trace.append(tuple(c.descriptor.rotation for c in components))
+    return trace
+
+
+_WAVEVECTOR = st.tuples(*[st.sampled_from((0, 1, -3, Fraction(1, 2)))] * 3)  # each axis zero or not
+
+
+class TestPhaseTrace:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.integers(3, 16), st.lists(st.integers(-9, 9), min_size=4, max_size=4), _WAVEVECTOR,
+           st.integers(0, 20), st.lists(st.integers(0, 2**15), min_size=4, max_size=4))
+    def test_equals_the_rotations_apply_leaves(self, n_bits, steps, wavevector, length, rotations):
+        psi = phase_psi(n_bits, [r % (1 << (n_bits - 1)) for r in rotations], mass=2, wavevector=wavevector)
+        operator = evolution_operator(psi, *steps)
+        assert phase_trace(operator, psi.components, length) == apply_trace(operator, psi.components, length)
+
+    @pytest.mark.parametrize("n_bits", [64, 14000])
+    def test_equals_the_rotations_apply_leaves_at_large_n(self, n_bits):
+        half = 1 << (n_bits - 1)
+        psi = phase_psi(n_bits, (0, 1, half // 3, half - 1), mass=2, wavevector=(1, -3, Fraction(1, 2)))
+        operator = evolution_operator(psi, -9, 9, 4, -1)
+        assert phase_trace(operator, psi.components, 20) == apply_trace(operator, psi.components, 20)
+
+    def test_each_step_advances_by_the_entry_phase(self):
+        n_bits = 8
+        psi = phase_psi(n_bits, mass=2, wavevector=(1, 0, 3))
+        operator = evolution_operator(psi, 3, 1, 0, -2)
+        (x, y) = phase_trace(operator, psi.components, 1)
+        for row in range(4):
+            col = next(j for j in range(4) if operator.entries[row][j] is not None)
+            assert Fraction(y[row] - x[col], 1 << (n_bits - 1)) % 1 == operator.entry_phase_turns(row, col)
+
+    @pytest.mark.parametrize("component", [
+        from_text(to_text(phase_string(6, ExactAngle(Fraction(1, 8))))),  # raw: the same labels, no descriptor
+        sample_from_counts(6, 33, 5),  # amplitude-flipped
+        sample_from_counts(6, 0, 5),  # constant
+    ], ids=["raw", "amplitude-flipped", "constant"])
+    def test_refuses_a_component_that_is_not_a_phase_string(self, component):
+        psi = phase_psi(6)
+        components = (*psi.components[:3], component)
+        with pytest.raises(ValueError, match="phase strings"):
+            phase_trace(evolution_operator(psi, 1, 0, 0, 0), components, 4)
 
 
 class TestSpinorData:
