@@ -58,9 +58,7 @@ from .multiqubit import (
     amplitude_table,
     bell_sample,
     bell_statistics,
-    compose_many,
     compose_pair,
-    counts_csv,
     joint_counts,
     joint_frequencies,
     multi_sample,
@@ -86,8 +84,7 @@ from .experiments import (
     mz_run,
     pbr_run,
     pbr_simultaneity,
-    pbr_x,
-    pbr_z,
+    pbr_values,
 )
 
 __version__ = "0.1.0"

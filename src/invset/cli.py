@@ -32,7 +32,7 @@ from .padic import (
     require_cantor_size,
     similarity_dimension,
 )
-from .report import _CantorArray, _DiracTrace, _emit, _Labels
+from .report import _CantorArray, _csv, _DiracTrace, _emit, _Labels
 from .samplespace import TABLE_SHIFTS, fraction, hilbert_shadow, rotation_table, sample, to_text
 from . import dirac as dirac_mod
 
@@ -204,7 +204,7 @@ def cmd_chsh(args) -> int:
              fraction_str(se.substitution.cos_value), fraction_str(se.correlation), float(se.correlation)]
             for pair, se in report.sub_ensembles.items()]
     header = ["pair", "requested_turns", "first_count", "cos_substitute", "correlation", "correlation_float"]
-    _emit(args, {**cfg, "window_turns": config.window}, rec, header, rows)
+    _emit(args, {**cfg, "window_turns": config.window}, rec, _csv(header, rows))
     print(f"S = {rec['s_value']} ({rec['s_value_float_derived']:.6f})")
     return EXIT_OK
 
@@ -213,7 +213,7 @@ def cmd_mz(args) -> int:
     cfg = _config(args)
     report = mz_run(MzConfig(cfg["mode"], cfg["phi_turns"], cfg["n_bits"]))
     rows = [[detector, fraction_str(p), float(p)] for detector, p in sorted(report.probabilities.items())]
-    _emit(args, cfg, report.record(), ["detector", "probability", "probability_float"], rows)
+    _emit(args, cfg, report.record(), _csv(["detector", "probability", "probability_float"], rows))
     return EXIT_OK
 
 
@@ -221,11 +221,8 @@ def cmd_pbr(args) -> int:
     cfg = _config(args)
     report = pbr_run(PbrConfig(cfg["alpha_turns"], cfg["beta_turns"], cfg["theta_turns"], cfg["n_bits"]))
     rec = report.record()
-    rows = [
-        ["X", rec["X"]["exact"], rec["X"]["float_derived"]],
-        ["Z", rec["Z"]["exact"], rec["Z"]["float_derived"]],
-    ]
-    _emit(args, cfg, rec, ["quantity", "exact", "float"], rows)
+    rows = [[name, rec[name]["exact"] or "", rec[name]["float_derived"]] for name in ("X", "Z")]  # inexact: ""
+    _emit(args, cfg, rec, _csv(["quantity", "exact", "float"], rows))
     return EXIT_OK
 
 
@@ -260,7 +257,7 @@ def cmd_sample(args) -> int:
         table_lines = [_Labels(line) for line in rotation_table(n_bits)]
         report = {"n_bits": n_bits, "table_shifts": TABLE_SHIFTS, "strings": table_lines}
         rows = [[f"shift_{k}", line] for k, line in zip(TABLE_SHIFTS, table_lines)]
-    _emit(args, cfg, report, ["name", "labels"], rows)
+    _emit(args, cfg, report, _csv(["name", "labels"], rows))
     return EXIT_OK
 
 
@@ -285,7 +282,7 @@ def cmd_padic(args) -> int:
         a = PadicInt(p, tuple(cfg["probe"]["a_digits"]))
         report["probe"] = euclid_padic_probe(a, cfg["probe"]["b_off"]).record()
     rows = [[d["a"], d["b"], d["distance"]] for d in distances]
-    _emit(args, cfg, report, ["a", "b", "distance"], rows)
+    _emit(args, cfg, report, _csv(["a", "b", "distance"], rows))
     return EXIT_OK
 
 
@@ -308,7 +305,7 @@ def cmd_dirac(args) -> int:
         "steps_per_application": steps,
         "trace": trace,
     }
-    _emit(args, cfg, report, ["step", "component", "phase_turns", "first_count"], trace.csv_rows())
+    _emit(args, cfg, report, "step,component,phase_turns,first_count\n" + trace.csv_rows())
     return EXIT_OK
 
 

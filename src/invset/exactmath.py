@@ -44,10 +44,6 @@ class ExactAngle:
     def __post_init__(self) -> None:
         object.__setattr__(self, "turns", Fraction(self.turns) % 1)
 
-    @classmethod
-    def parse(cls, text: str) -> "ExactAngle":
-        return cls(Fraction(text.strip()))
-
     def __add__(self, other: "ExactAngle") -> "ExactAngle":
         return ExactAngle(self.turns + other.turns)
 

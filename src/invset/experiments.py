@@ -314,16 +314,6 @@ def _gate(gate, angle: ExactAngle, n_bits: int) -> int | NotOnInvariantSet:
         return exc
 
 
-def mz_gates(phi: ExactAngle, n_bits: int) -> tuple[bool, bool]:
-    """(phase gate, amplitude gate) for one phase-shifter setting.
-
-    The two gates are simultaneously satisfiable only on the exceptional
-    cosine set - the number-theoretic incommensurateness of a phase and its
-    cosine.
-    """
-    return tuple(type(_gate(gate, phi, n_bits)) is int for gate in (gate_phase, gate_amplitude))
-
-
 def mz_run(cfg: MzConfig) -> MzReport:
     """Which-way mode sends the input to the balanced string at phase phi
     (detector probabilities exactly 1/2); interference mode sends it to the
@@ -355,10 +345,17 @@ def mz_run(cfg: MzConfig) -> MzReport:
     )
 
 
-def _pbr_xz(alpha: ExactAngle, beta: ExactAngle, theta: ExactAngle, prec: int):
-    """(pbr_x, pbr_z): each an exact Fraction when every trigonometric value
-    its nonzero terms need is rational, else an mpf at prec bits.  Z is exact
-    only where X is."""
+def pbr_values(alpha: ExactAngle, beta: ExactAngle, theta: ExactAngle, prec: int = DEFAULT_PREC):
+    """(X, Z) in closed form, with c, s the cosine and sine of theta/2:
+
+    - X = c^4 + s^4 + 2c^2 s^2 cos(a-2b), the probability of the
+      distinguishing outcome for the matched preparation;
+    - Z = X - 4c^2 s^2 - 4c^3 s cos(a-b) - 4c s^3 cos(b), the value whose
+      vanishing the circuit parameters must achieve for the mismatched one.
+
+    Each is an exact Fraction when every trigonometric value its nonzero
+    terms need is rational, else an mpf at prec bits.  Z is exact only where
+    X is."""
     delta, diff = alpha - beta - beta, alpha - beta
     ct, st, cd = cos_exact(theta), sin_exact(theta), cos_exact(delta)
     x = None
@@ -384,20 +381,6 @@ def _pbr_xz(alpha: ExactAngle, beta: ExactAngle, theta: ExactAngle, prec: int):
             - 4 * c * s**3 * cos_turns(beta.turns, prec)
         )
     return (x_mp if x is None else x), z
-
-
-def pbr_x(alpha: ExactAngle, beta: ExactAngle, theta: ExactAngle, prec: int = DEFAULT_PREC):
-    """Closed-form probability of the distinguishing outcome for the matched
-    preparation: cos^4(t/2) + sin^4(t/2) + 2cos^2 sin^2 cos(a-2b)."""
-    return _pbr_xz(alpha, beta, theta, prec)[0]
-
-
-def pbr_z(alpha: ExactAngle, beta: ExactAngle, theta: ExactAngle, prec: int = DEFAULT_PREC):
-    """Closed-form value whose vanishing the circuit parameters must achieve
-    for the mismatched preparation:
-    X - 4c^2s^2 - 4c^3 s cos(a-b) - 4c s^3 cos(b) with c, s the half-angle
-    cosine and sine."""
-    return _pbr_xz(alpha, beta, theta, prec)[1]
 
 
 def pbr_simultaneity(alpha: ExactAngle, beta: ExactAngle, n_bits: int) -> ObstructionVerdict:
@@ -450,7 +433,7 @@ class PbrReport:
 def pbr_run(cfg: PbrConfig) -> PbrReport:
     """X, Z and the obstruction as ``pbr_simultaneity`` decides it; where its
     precondition fails, the obstruction is not applicable."""
-    x, z = _pbr_xz(cfg.alpha, cfg.beta, cfg.theta, DEFAULT_PREC)
+    x, z = pbr_values(cfg.alpha, cfg.beta, cfg.theta)
     try:
         v = pbr_simultaneity(cfg.alpha, cfg.beta, cfg.n_bits)
     except ValueError:

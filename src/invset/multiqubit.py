@@ -76,22 +76,6 @@ def compose_pair(sa: BitString, sb1: BitString, sb2: BitString) -> MultiSample:
     return MultiSample(sa.n_bits, (sa, row_b))
 
 
-def compose_many(head: BitString, left: MultiSample, right: MultiSample) -> MultiSample:
-    """Inductive m-qubit composition: rows 2..m take the left sample's values
-    where the head label is the first regime and the right sample's values
-    elsewhere.  Reduces to compose_pair at m = 2."""
-    if left.m != right.m:
-        raise ValueError("left/right arity mismatch")
-    if not head.n_bits == left.n_bits == right.n_bits:
-        raise ValueError("length mismatch")
-    full = full_mask(head.size)
-    rows = [head]
-    for lw, rw in zip(left.rows, right.rows):
-        rows.append(lw if lw.bits == rw.bits else BitString(
-            head.n_bits, _select(head.bits, lw.bits, rw.bits, full), lw.tag, None))
-    return MultiSample(head.n_bits, tuple(rows))
-
-
 def joint_counts(ms: MultiSample) -> dict[int, int]:
     """Exact outcome counts over the 2**m joint outcomes.
 
@@ -118,15 +102,6 @@ def joint_counts(ms: MultiSample) -> dict[int, int]:
 
 def joint_frequencies(ms: MultiSample) -> dict[int, Fraction]:
     return {o: Fraction(c, ms.size) for o, c in joint_counts(ms).items()}
-
-
-def counts_csv(ms: MultiSample) -> str:
-    """Frequency table as CSV: outcome bitmask, count, exact frequency."""
-    lines = ["outcome,count,freq_numerator,freq_denominator"]
-    for outcome, count in joint_counts(ms).items():
-        fr = Fraction(count, ms.size)
-        lines.append(f"{outcome},{count},{fr.numerator},{fr.denominator}")
-    return "\n".join(lines) + "\n"
 
 
 def marginal(ms: MultiSample, row: int) -> Fraction:

@@ -11,7 +11,6 @@ Cantor intervals of ``padic`` (``_CantorArray``) and the phase trace of
 
 from __future__ import annotations
 
-import csv
 import datetime
 import hashlib
 import json
@@ -68,7 +67,6 @@ _JSON_SCALARS = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
-_INT_TYPE = frozenset((int,))
 
 
 def _write_json(value, newline: str, out, flush=None) -> None:
@@ -100,9 +98,6 @@ def _write_json(value, newline: str, out, flush=None) -> None:
             return
         inner = newline + "  "
         comma, sep = "," + inner, "[" + inner
-        if _INT_TYPE.issuperset(map(type, value)):  # exact ints: str is int.__repr__
-            out(sep + comma.join(map(str, value)) + newline + "]")
-            return
         for item in value:
             encode = _JSON_SCALARS.get(type(item))
             if encode is not None:
@@ -245,22 +240,11 @@ class _DiracTrace:
                        for k, (a, b, c, d) in enumerate(self.phases))
 
 
-def _csv_text(rows: list[list[str]]) -> str | None:
-    """The text ``csv.writer(..., lineterminator="\n")`` writes for `rows`, as
-    the plain comma/newline join, or None where the two might differ: a field
-    that is not a str, an empty line (csv quotes a lone empty field), or a
-    comma, newline, quote or carriage return inside a field.  Those
-    characters are looked for by one scan each of all fields at once.
-    Numbers are left to the csv module, which converts them faster than a
-    join can."""
-    try:
-        lines = list(map(",".join, rows))
-        fields = "".join(chain.from_iterable(rows))
-    except TypeError:
-        return None
-    if "" in lines or "," in fields or "\n" in fields or '"' in fields or "\r" in fields:
-        return None
-    return "\n".join([*lines, ""])
+def _csv(header: list[str], rows) -> str:
+    """CSV text of `header` and `rows`, one comma-joined line each.  Every
+    field a command writes is a name, a number or fraction text, or 0/1
+    labels, none of which csv would quote."""
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
 
 
 class _HashedFile:
@@ -285,12 +269,11 @@ def _exact_str(value) -> str:
     return str(value.turns if isinstance(value, ExactAngle) else value)
 
 
-def _emit(args, cfg: dict, report: dict, header: list[str], rows: list[list] | str) -> None:
-    """Write the report files and manifest.json to ``--out``.  `rows` are the
-    CSV rows below `header`, or their CSV text.  Each report goes to a
-    temporary file there while it is hashed, a value that renders itself
-    piece by piece, and all of them are moved into place only once every one is
-    complete."""
+def _emit(args, cfg: dict, report: dict, csv_text: str) -> None:
+    """Write the report files and manifest.json to ``--out``; `csv_text` is
+    report.csv's text.  Each report goes to a temporary file there while it
+    is hashed, a value that renders itself piece by piece, and all of them
+    are moved into place only once every one is complete."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     names = [f"report.{kind}" for kind in ("csv", "json") if args.format in (kind, "both")]  # in name order
@@ -304,15 +287,8 @@ def _emit(args, cfg: dict, report: dict, header: list[str], rows: list[list] | s
                 if name == "report.json":
                     _write_json(report, "\n", sink.write, sink.flush)
                     sink.write("\n")
-                elif isinstance(rows, str):
-                    sink.write(",".join(header) + "\n" + rows)
                 else:
-                    table = [header, *rows]
-                    text = _csv_text(table)
-                    if text is not None:
-                        sink.write(text)
-                    else:
-                        csv.writer(sink, lineterminator="\n").writerows(table)
+                    sink.write(csv_text)
                 sink.flush()
         for name in names:
             os.replace(temporary[name], os.path.join(out, name))

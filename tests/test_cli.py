@@ -127,6 +127,9 @@ class TestPbrCommand:
         report = read_json(out / "report.json")
         assert report["X"]["exact"] is None
         assert report["simultaneity"]["applicable"] is False
+        # the one report.csv with empty fields
+        assert read_json(out / "manifest.json")["output_sha256"] == (
+            "0df21be21797c9d056c5beddf13fb4898d754217d5020110c5d01907bef77560")
 
     def test_zero_beta_is_degenerate(self, tmp_path):
         # sin(beta) = 0: admissible although cos(alpha - 2beta) is irrational
@@ -631,47 +634,42 @@ def _csv_oracle(rows) -> str:
     return out.getvalue()
 
 
-_CSV_SPECIAL = (",", '"', "\r", "\n")
-_Label = type("Label", (str,), {})
-_CSV_STR = (st.text(st.sampled_from(["0", "1", "a", " ", ",", '"', "\r", "\n", "\x00"]), max_size=5)
-            | st.text(max_size=3))
-_CSV_FIELD = _CSV_STR | st.builds(_Label, _CSV_STR) | st.integers() | st.floats() | st.booleans() | st.none()
+CSV_CONFIGS = {
+    "chsh": ("chsh", OPTIMAL_CHSH),
+    "chsh-rational": ("chsh", {"n_bits": 12, "angles": {"A1": "0", "A2": "1/3", "B1": "1/6", "B2": "1/2"}}),
+    "mz-which_way": ("mz", {"n_bits": 8, "mode": "which_way", "phi_turns": "1/4"}),
+    "mz-interference": ("mz", {"n_bits": 8, "mode": "interference", "phi_turns": "1/6"}),
+    "pbr-exact": ("pbr", {"n_bits": 8, "alpha_turns": "1/2", "beta_turns": "1/6", "theta_turns": "1/4"}),
+    "pbr-mpmath": ("pbr", {"n_bits": 8, "alpha_turns": "1/10", "beta_turns": "1/7", "theta_turns": "1/9"}),
+    "sample-string": ("sample", {"n_bits": 8, "theta_turns": "1/3", "phi_turns": "1/4"}),
+    "sample-table": ("sample", {"n_bits": 10}),
+    "padic-negative": ("padic", {"p": 3, "pairs": [["-7/5", "3/4"], ["1/9", "-2/27"], ["-1", "-1"]]}),
+    "padic-large-prime": ("padic", {"p": 1_000_000_007, "pairs": [["1", "1000000008"], ["-5/3", "7/1000000007"]]}),
+    "dirac-0": ("dirac", {"n_bits": 6, "trace_length": 0}),
+    "dirac-20": ("dirac", {"n_bits": 8, "mass": "3/5", "wavevector": ["4/5", "0", "0"], "trace_length": 20}),
+}
 
 
-def _joinable(rows) -> bool:
-    """Whether _csv_text must take the plain join for rows."""
-    return (all(isinstance(f, str) for row in rows for f in row)
-            and not any(c in f for row in rows for f in row for c in _CSV_SPECIAL)
-            and all(row not in ([], [""]) for row in rows))
+class TestCsvContract:
+    @pytest.mark.parametrize("name", sorted(CSV_CONFIGS))
+    def test_report_csv_is_what_the_csv_module_writes(self, tmp_path, name):
+        command, payload = CSV_CONFIGS[name]
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--format", "csv"]) == 0
+        text = (tmp_path / "o" / "report.csv").read_bytes().decode()
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert len(rows) > 1 and len({len(row) for row in rows}) == 1
+        assert text == _csv_oracle(rows)
 
 
 class TestCsvText:
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(st.lists(st.lists(_CSV_STR, max_size=4), min_size=1, max_size=5)
-           | st.lists(st.lists(_CSV_FIELD, max_size=4), min_size=1, max_size=5))
-    def test_equals_the_csv_module_or_declines(self, rows):
-        text = report_mod._csv_text(rows)
-        assert (text is not None) == _joinable(rows)
-        assert text is None or text == _csv_oracle(rows)
-
     @pytest.mark.parametrize("rows", [
         [["name", "labels"], ["sample", "01" * (1 << 15)]],
         [["a", "b", "distance"], ["7", "-1/3", "1/1000000007"], ["15", "7", "0/1"]],
-        [["a", "", "b"], ["", ""], [" padded ", "\x00"], [_Label("x"), _Label("")]],
+        [["a", "", "b"], ["", ""], [" padded ", "\x00"], [report_mod._Labels("x"), report_mod._Labels("")]],
     ])
     def test_plain_rows_take_the_join(self, rows):
-        assert report_mod._csv_text(rows) == _csv_oracle(rows)
-
-    @pytest.mark.parametrize("rows", [[["h"], [""]], [["h"], []], [[""]], [["a,b"]], [['say "x"']], [["a\rb"]],
-                                      [["a\nb"]], [["h"], [None]], [["h"], [True]], [[Fraction(1, 3)]],
-                                      [["step"], [0, "3/4"]], [["p"], [0.5, math.nan, -math.inf]]])
-    def test_other_rows_fall_back_to_the_csv_module(self, tmp_path, rows):
-        assert report_mod._csv_text(rows) is None
-        cfg = write_config(tmp_path, "c.json", {"p": 2, "pairs": [["7", "3"]]})
-        args = build_parser().parse_args(["padic", "--config", cfg, "--out", str(tmp_path / "o"), "--format", "csv"])
-        with redirect_stdout(io.StringIO()):
-            report_mod._emit(args, {}, {}, rows[0], rows[1:])
-        assert (tmp_path / "o" / "report.csv").read_bytes() == _csv_oracle(rows).encode()
+        assert report_mod._csv(rows[0], rows[1:]) == _csv_oracle(rows)
 
 
 class TestPrimalityOncePerP:

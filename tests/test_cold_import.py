@@ -1,6 +1,7 @@
 """What a fresh interpreter loads: ``import invset, invset.cli`` and the exact
 commands load neither mpmath nor the check suites; chsh loads mpmath for its
-angle substitution and ``check`` loads the suites."""
+angle substitution and ``check`` loads the suites.  No command loads the csv
+module: every report.csv is a plain join."""
 
 import json
 import os
@@ -14,7 +15,7 @@ SCRIPT = r"""
 import contextlib, io, json, sys
 
 def loaded():
-    return {name: name in sys.modules for name in ("mpmath", "invset.checks")}
+    return {name: name in sys.modules for name in ("mpmath", "invset.checks", "csv")}
 
 import invset, invset.cli
 seen = {"import": loaded()}
@@ -41,12 +42,12 @@ def test_only_the_commands_that_need_them_load_mpmath_and_the_suites(tmp_path):
     out = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], capture_output=True, text=True,
                          env=env, check=True, timeout=120)
     seen = json.loads(out.stdout.splitlines()[-1])
-    neither = {"mpmath": False, "invset.checks": False}
+    neither = {"mpmath": False, "invset.checks": False, "csv": False}
     assert seen.pop("import") == neither
     for command in ("padic", "sample", "mz", "dirac"):
         assert seen[command] == {**neither, "exit": 0}, command
-    assert seen["chsh"] == {"mpmath": True, "invset.checks": False, "exit": 0}
-    assert seen["check"]["invset.checks"] and seen["check"]["exit"] == 0
+    assert seen["chsh"] == {**neither, "mpmath": True, "exit": 0}
+    assert seen["check"]["invset.checks"] and not seen["check"]["csv"] and seen["check"]["exit"] == 0
 
 
 def test_chsh_at_rational_cosines_loads_no_mpmath(tmp_path):

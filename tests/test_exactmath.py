@@ -56,10 +56,6 @@ class TestExactAngle:
             )
             assert ((a + b) + c).turns == (a + (b + c)).turns
 
-    def test_parse(self):
-        assert ExactAngle.parse("3/8").turns == Fraction(3, 8)
-        assert ExactAngle.parse("0").turns == 0
-
 
 class TestDescribability:
     def test_examples(self):

@@ -21,12 +21,10 @@ from invset.experiments import (
     MzConfig,
     PbrConfig,
     chsh_run,
-    mz_gates,
     mz_run,
     pbr_run,
     pbr_simultaneity,
-    pbr_x,
-    pbr_z,
+    pbr_values,
     relative_turns,
     substitute_describable,
 )
@@ -301,9 +299,9 @@ class TestMachZehnder:
         both = set()
         for k in range(1 << (n_bits - 1)):
             phi = angle(k, 1 << (n_bits - 1))
-            phase_ok, amp_ok = mz_gates(phi, n_bits)
-            assert phase_ok
-            if amp_ok:
+            report = mz_run(MzConfig("which_way", phi, n_bits))
+            assert report.phase_gate
+            if report.amplitude_gate:
                 both.add(phi.turns)
         assert both == exceptional
 
@@ -349,18 +347,15 @@ def pbr_oracle(alpha_t, beta_t, theta_t, prec=240):
 
 class TestPbrValues:
     def test_collapsed_theta_zero(self):
-        assert pbr_x(angle(1, 7), angle(2, 9), angle(0)) == 1
-        assert pbr_z(angle(1, 7), angle(2, 9), angle(0)) == 1
+        assert pbr_values(angle(1, 7), angle(2, 9), angle(0)) == (1, 1)
 
     def test_collapsed_theta_half_turn(self):
         # cos(theta/2) = 0 kills every mixed term
-        assert pbr_x(angle(1, 7), angle(2, 9), angle(1, 2)) == 1
-        assert pbr_z(angle(1, 7), angle(2, 9), angle(1, 2)) == 1
+        assert pbr_values(angle(1, 7), angle(2, 9), angle(1, 2)) == (1, 1)
 
     def test_exact_path_frozen_values(self):
         # theta = 1/4 turn, alpha = 1/2, beta = 1/6: all trig values rational
-        x = pbr_x(angle(1, 2), angle(1, 6), angle(1, 4))
-        z = pbr_z(angle(1, 2), angle(1, 6), angle(1, 4))
+        x, z = pbr_values(angle(1, 2), angle(1, 6), angle(1, 4))
         assert x == Fraction(3, 4)
         assert z == Fraction(-1, 4)
         assert isinstance(x, Fraction) and isinstance(z, Fraction)
@@ -373,8 +368,7 @@ class TestPbrValues:
                 at = Fraction(rng.randrange(0, 360), 360)
                 bt = Fraction(rng.randrange(0, 360), 360)
                 tt = Fraction(rng.randrange(0, 180), 360)
-                x = pbr_x(ExactAngle(at), ExactAngle(bt), ExactAngle(tt))
-                z = pbr_z(ExactAngle(at), ExactAngle(bt), ExactAngle(tt))
+                x, z = pbr_values(ExactAngle(at), ExactAngle(bt), ExactAngle(tt))
                 ox, oz = pbr_oracle(at, bt, tt)
                 xv = mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else x
                 zv = mpmath.mpf(z.numerator) / z.denominator if isinstance(z, Fraction) else z
@@ -390,7 +384,7 @@ class TestPbrValues:
 
             def z_at(t):
                 turns = Fraction(int(t * (1 << 200)), 1 << 200)
-                return pbr_z(alpha, beta, ExactAngle(turns), prec=320)
+                return pbr_values(alpha, beta, ExactAngle(turns), prec=320)[1]
 
             z_lo, z_hi = z_at(lo), z_at(hi)
             assert z_lo > 0 > z_hi
@@ -404,7 +398,7 @@ class TestPbrValues:
             z_root = z_at(root)
             assert abs(z_root) < mpmath.mpf(2) ** -60
             turns = Fraction(int(root * (1 << 200)), 1 << 200)
-            x_root = pbr_x(alpha, beta, ExactAngle(turns), prec=320)
+            x_root = pbr_values(alpha, beta, ExactAngle(turns), prec=320)[0]
             assert x_root > 0
 
 

@@ -18,7 +18,6 @@ from invset.multiqubit import (
     bell_sample,
     bell_sample_from_amplitude,
     bell_statistics,
-    compose_many,
     compose_pair,
     joint_counts,
     joint_frequencies,
@@ -203,8 +202,8 @@ class TestComposeMany:
         sb2_bits, _, _ = _fill(firsts + seconds, gate_amplitude(params.theta3, 6), 6)
         sb1 = BitString(6, sb1_bits, "b", None)
         sb2 = BitString(6, sb2_bits, "b", None)
-        many = compose_many(head, MultiSample(6, (sb1,)), MultiSample(6, (sb2,)))
-        assert [r.bits for r in many.rows] == [r.bits for r in pair.rows]
+        composed = compose_pair(head, sb1, sb2)
+        assert [r.bits for r in composed.rows] == [r.bits for r in pair.rows]
 
     def test_equal_branches_make_head_independent(self):
         sub = [THETAS[Fraction(1, 4)], THETAS[Fraction(1, 2)], THETAS[Fraction(3, 4)]]
@@ -252,22 +251,6 @@ class TestComposeMany:
             multi_sample(25, quarter)
         with pytest.raises(NotOnInvariantSet):  # the amplitude gates come first
             multi_sample(25, [ExactAngle(Fraction(1, 8))] * 3)
-
-    def test_arity_mismatch(self):
-        ms1 = MultiSample(6, two_qubit_sample(params_for("1/2", "1/2", "1/2"), 6).rows[:1])
-        ms2 = two_qubit_sample(params_for("1/2", "1/2", "1/2"), 6)
-        with pytest.raises(ValueError):
-            compose_many(ms2.rows[0], ms1, ms2)
-
-
-def test_counts_csv_layout():
-    from invset.multiqubit import counts_csv
-
-    ms = two_qubit_sample(params_for("1/2", "1/2", "1/2"), 4)
-    lines = counts_csv(ms).splitlines()
-    assert lines[0] == "outcome,count,freq_numerator,freq_denominator"
-    assert lines[1] == "0,4,1,4"
-    assert len(lines) == 5
 
 
 class TestAmplitudeExpander:
@@ -341,9 +324,9 @@ class TestPinnedTwoQubit:
 
 
 class TestPinnedTrees:
-    """amplitude_table at m = 1 and m = 3, and counts_csv of the m = 3
-    multi_sample, or their exclusion messages, over the Niven angles on the
-    full turn (every eighth m = 3 tree with one irrational-cosine angle),
+    """amplitude_table at m = 1 and m = 3, and the joint counts of the m = 3
+    multi_sample as CSV lines, or their exclusion messages, over the Niven
+    angles on the full turn (every eighth m = 3 tree with one irrational-cosine angle),
     phase grids admissible from N = 3, from N = 5, from N = 7 or 8, and never,
     and N in 3..8; the digests pin every output and message.  m = 2 is pinned
     by TestPinnedTwoQubit."""
@@ -377,12 +360,19 @@ class TestPinnedTrees:
                     digest.update(outcome(lambda: amplitude_table(thetas, phis, n_bits)).encode())
         assert digest.hexdigest() == self.AMPLITUDE_DIGEST
 
-    def test_counts_csv_digest(self):
-        from invset.multiqubit import counts_csv
+    @staticmethod
+    def counts_csv(ms: MultiSample) -> str:
+        """Outcome bitmask, count and exact frequency, one CSV line each."""
+        lines = ["outcome,count,freq_numerator,freq_denominator\n"]
+        for outcome, count in joint_counts(ms).items():
+            fr = Fraction(count, ms.size)
+            lines.append(f"{outcome},{count},{fr.numerator},{fr.denominator}\n")
+        return "".join(lines)
 
+    def test_counts_csv_digest(self):
         outcome = TestPinnedTwoQubit.outcome
         digest = hashlib.sha256()
         for n_bits in range(3, 9):
             for thetas in self.trees(400, 100 + n_bits):
-                digest.update(outcome(lambda: counts_csv(multi_sample(n_bits, thetas))).encode())
+                digest.update(outcome(lambda: self.counts_csv(multi_sample(n_bits, thetas))).encode())
         assert digest.hexdigest() == self.COUNTS_DIGEST
