@@ -77,17 +77,24 @@ def _printable(value: Fraction) -> bool:
     return not limit or big.bit_length() <= 3 * limit or big < 10**limit
 
 
+def _printable_power(base: int, exponent: int) -> bool:
+    """True iff base**exponent (base >= 2) is printable under the digit limit
+    (0: no limit).  base**exponent is built only for an exponent below 4 times
+    the limit; from there on it has more digits than the limit."""
+    limit = sys.get_int_max_str_digits()
+    return not limit or (exponent < 4 * limit and _printable(Fraction(base**exponent)))
+
+
 def _n_bits(bound: int | None = None):
     """Parser for a chsh or dirac n_bits: an integer in [3, bound] such that
     2**(N+1), above every number those reports print (chsh's S numerator can
-    pass 2**N), is printable under the digit limit (0: no limit).  2**(N+1)
-    is built only for N below 4 times the limit."""
+    pass 2**N), is printable under the digit limit."""
     parse_int = _int(3, bound)
 
     def parse(value) -> int:
-        n_bits, limit = parse_int(value), sys.get_int_max_str_digits()
-        if limit and (n_bits >= 4 * limit or not _printable(Fraction(1 << (n_bits + 1)))):
-            raise ValueError(f"2**{n_bits + 1} exceeds the digit limit {limit}")
+        n_bits = parse_int(value)
+        if not _printable_power(2, n_bits + 1):
+            raise ValueError(f"2**{n_bits + 1} exceeds the digit limit {sys.get_int_max_str_digits()}")
         return n_bits
     return parse
 
@@ -96,11 +103,15 @@ def _fraction(value) -> Fraction:
     """Parser for a rational (an integer, ratio or decimal).  A decimal
     exponent beyond Python's digit limit for integer strings is refused
     before its power of ten is built, and so is a value the report could not
-    print."""
+    print.  A text with no exponent and no longer than the limit needs
+    neither check: every digit of its numerator and denominator is in the
+    text (a decimal's 10**k has k + 1 digits, at most the text's length)."""
     text = str(value)
+    limit = sys.get_int_max_str_digits()
+    if not limit or (len(text) <= limit and "e" not in text and "E" not in text):
+        return Fraction(text)
     head, _, exponent = text.lower().rpartition("e")
     digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-    limit = sys.get_int_max_str_digits()
     if head and limit and digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit):
         raise ValueError(f"decimal exponent {exponent.strip()} exceeds the digit limit {limit}")
     fr = Fraction(text)
@@ -279,8 +290,13 @@ def cmd_padic(args) -> int:
         require_cantor_size(p, cfg["cantor_level"])
         report["cantor_intervals"] = _CantorArray(p, cfg["cantor_level"])
     if "probe" in cfg:
-        a = PadicInt(p, tuple(cfg["probe"]["a_digits"]))
-        report["probe"] = euclid_padic_probe(a, cfg["probe"]["b_off"]).record()
+        a, limit = PadicInt(p, tuple(cfg["probe"]["a_digits"])), sys.get_int_max_str_digits()
+        if not _printable_power(p, a.precision):  # a_value < p**K: checked before a.value() runs
+            raise ValueError(f"config key 'a_digits': {p}**{a.precision} exceeds the digit limit {limit}")
+        probe = euclid_padic_probe(a, cfg["probe"]["b_off"])
+        if not _printable(probe.euclid_gap):
+            raise ValueError(f"config keys 'a_digits' and 'b_off': the Euclidean gap exceeds the digit limit {limit}")
+        report["probe"] = probe.record()
     rows = [[d["a"], d["b"], d["distance"]] for d in distances]
     _emit(args, cfg, report, _csv(["a", "b", "distance"], rows))
     return EXIT_OK

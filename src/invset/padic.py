@@ -98,8 +98,15 @@ def padic_norm(x: RationalLike, p: int) -> Fraction:
 
 
 def padic_dist(a: RationalLike, b: RationalLike, p: int) -> Fraction:
-    """The ultrametric d_p(a, b) = |a - b|_p, exact."""
-    return padic_norm(Fraction(a) - Fraction(b), p)
+    """The ultrametric d_p(a, b) = |a - b|_p, exact, for ints or Fractions
+    a = r/s and b = t/u: ord_p(a - b) = ord_p(r*u - t*s) - ord_p(s) - ord_p(u)."""
+    _require_prime(p)
+    s, u = a.denominator, b.denominator
+    difference = a.numerator * u - b.numerator * s
+    if not difference:
+        return Fraction(0)
+    o = _int_ord(difference, p) - _int_ord(s, p) - _int_ord(u, p)
+    return Fraction(1, p**o) if o >= 0 else Fraction(p ** (-o))
 
 
 @dataclass(frozen=True)
@@ -136,8 +143,12 @@ class PadicInt:
         return cls(p, tuple(digits))
 
     def value(self) -> int:
-        """The truncated integer sum(a_k * p**k)."""
-        return sum(d * self.p**k for k, d in enumerate(self.digits))
+        """The truncated integer sum(a_k * p**k), by Horner's rule from the
+        last digit."""
+        n = 0
+        for d in reversed(self.digits):
+            n = n * self.p + d
+        return n
 
     def shared_prefix(self, other: "PadicInt") -> int:
         if self.p != other.p:

@@ -17,6 +17,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
@@ -75,8 +76,9 @@ def _write_json(value, newline: str, out, flush=None) -> None:
     Keys must be str and scalars of a type in _JSON_SCALARS (a subclass is
     a TypeError); items of scalar type are written in their container's loop.
     A Cantor array or a dirac trace renders itself: ``pieces(newline)`` gives
-    its text in pieces, and `flush`, when given, is called after each one, so
-    that a sink can write those pieces out as they are made."""
+    its text in pieces, and `flush`, when given, is called before the first
+    and after each one, so that a sink can write each piece out as it is made,
+    joined to no other text."""
     if isinstance(value, dict):
         if not value:
             out("{}")
@@ -108,6 +110,8 @@ def _write_json(value, newline: str, out, flush=None) -> None:
             sep = comma
         out(newline + "]")
     elif isinstance(value, (_CantorArray, _DiracTrace)):
+        if flush is not None:
+            flush()  # the text before the value goes out first, so each piece is flushed on its own
         for text in value.pieces(newline):
             out(text)
             if flush is not None:
@@ -250,7 +254,8 @@ def _csv(header: list[str], rows) -> str:
 class _HashedFile:
     """Report text on its way to a binary file: ``write`` collects pieces of
     text, and ``flush`` encodes those collected so far, writes them to `fh`
-    and feeds the same bytes to `digest`."""
+    and feeds the same bytes to `digest`.  A join of one piece is that piece,
+    so a piece flushed alone is encoded without a copy."""
 
     def __init__(self, fh, digest) -> None:
         self.fh, self.digest = fh, digest
@@ -267,6 +272,16 @@ class _HashedFile:
 def _exact_str(value) -> str:
     """JSON form of the parsed config values JSON lacks: rationals and angles."""
     return str(value.turns if isinstance(value, ExactAngle) else value)
+
+
+def _echo(value):
+    """A parsed config as JSON reads it back: rationals and angles as
+    _exact_str writes them, tuples as lists."""
+    if isinstance(value, dict):
+        return {key: _echo(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_echo(item) for item in value]
+    return _exact_str(value) if isinstance(value, (Fraction, ExactAngle)) else value
 
 
 def _emit(args, cfg: dict, report: dict, csv_text: str) -> None:
@@ -296,16 +311,24 @@ def _emit(args, cfg: dict, report: dict, csv_text: str) -> None:
         for path in temporary.values():
             Path(path).unlink(missing_ok=True)
         raise
-    echo = json.loads(json.dumps(cfg, default=_exact_str))
-    manifest = {
-        "tool": "invset",
-        "version": __version__,
-        "command": args.command,
-        "config": echo,
-        "input_sha256": hashlib.sha256(_stable_json(echo)).hexdigest(),
-        "timestamp_utc": _utc_now(),
-        "output_sha256": digest.hexdigest(),
-    }
-    (out / "manifest.json").write_bytes(_stable_json(manifest))
+    output_sha256 = digest.hexdigest()
+    (out / "manifest.json").write_bytes(_manifest(args.command, cfg, output_sha256))
     print(f"{args.command}: wrote {', '.join(names)} and manifest.json to {out} "
-          f"(output_sha256={manifest['output_sha256'][:16]}...)")
+          f"(output_sha256={output_sha256[:16]}...)")
+
+
+def _manifest(command: str, cfg: dict, output_sha256: str) -> bytes:
+    """manifest.json: ``_stable_json`` of the run's tool, version, command,
+    config echo, ``input_sha256`` (over the echo's own ``_stable_json``
+    bytes), timestamp and ``output_sha256``.  The echo is rendered once and
+    its lines indented one level into the manifest's sorted-key layout; a
+    JSON string holds no raw newline, so every newline in it is a line end."""
+    config = _stable_json(_echo(cfg))
+    echo = config[:-1].decode().replace("\n", "\n  ")
+    return (f'{{\n  "command": {_json_str(command)},'
+            f'\n  "config": {echo},'
+            f'\n  "input_sha256": "{hashlib.sha256(config).hexdigest()}",'
+            f'\n  "output_sha256": "{output_sha256}",'
+            f'\n  "timestamp_utc": {_json_str(_utc_now())},'
+            f'\n  "tool": "invset",'
+            f'\n  "version": {_json_str(__version__)}\n}}\n').encode()

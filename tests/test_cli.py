@@ -1,5 +1,6 @@
 import csv
 import enum
+import hashlib
 import io
 import json
 import math
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from invset import checks, padic
+import invset
+from invset import checks, cli, padic
 from invset import report as report_mod
 from invset.cli import CHSH_N_BITS_BOUND, SCHEMAS, TRACE_LENGTH_BOUND, build_parser, main
 from invset.report import _stable_json
@@ -276,17 +278,18 @@ class TestLargeN:
         assert not (tmp_path / "o").exists()
 
 
+@pytest.fixture
+def digit_limit():
+    saved = sys.get_int_max_str_digits()
+    try:
+        yield sys.set_int_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 class TestNBitsDigitLimit:
     """chsh and dirac print numbers below 2**(N+1), so their n_bits must leave
     2**(N+1) printable under Python's digit limit for integer strings."""
-
-    @pytest.fixture
-    def digit_limit(self):
-        saved = sys.get_int_max_str_digits()
-        try:
-            yield sys.set_int_max_str_digits
-        finally:
-            sys.set_int_max_str_digits(saved)
 
     @pytest.mark.parametrize("n_bits", [4000, 2126])
     def test_chsh_exits_one_naming_n_bits(self, tmp_path, capsys, digit_limit, n_bits):
@@ -315,6 +318,62 @@ class TestNBitsDigitLimit:
     def test_a_limit_of_zero_checks_nothing(self, tmp_path, digit_limit):
         digit_limit(0)
         assert main(["dirac", "--n-bits", "20000", "--out", str(tmp_path / "o")]) == 0
+
+
+def _full_fraction(value) -> Fraction:
+    """cli._fraction without its fast path: the exponent and printability
+    checks on every text."""
+    text = str(value)
+    head, _, exponent = text.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    limit = sys.get_int_max_str_digits()
+    if head and limit and digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit):
+        raise ValueError(f"decimal exponent {exponent.strip()} exceeds the digit limit {limit}")
+    fr = Fraction(text)
+    if not cli._printable(fr):
+        raise ValueError(f"{text} exceeds the digit limit {limit}")
+    return fr
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def _texts(n):
+    """Rational texts of exactly n characters: signs, whitespace, underscores,
+    decimals, ratios, exponents and junk."""
+    half = n // 2
+    return [
+        "9" * n, "-" + "9" * (n - 1), "+" + "0" * (n - 2) + "7", " \t" + "1" * (n - 3) + "\n",
+        "1" + "_2" * ((n - 1) // 2) + "3" * ((n - 1) % 2),
+        "0." + "0" * (n - 3) + "1", "." + "0" * (n - 2) + "1", "-." + "9" * (n - 2),
+        "9" * half + "." + "9" * (n - half - 1),
+        " " + "3" * (half - 1) + "/" + "7" * (n - half - 2) + " ", "1/" + "0" * (n - 2),
+        "1" * half + "/" + "2_5" * ((n - half - 1) // 3) + "5" * ((n - half - 1) % 3),
+        "1" * (n - 5) + "e-100", "1" * (n - 4) + "E+99", "x" * n, "1/2/" + "3" * (n - 4),
+    ]
+
+
+class TestFractionFastPath:
+    """A text with no exponent and no longer than the digit limit skips the
+    checks; every text parses and fails as it does with them."""
+
+    @pytest.mark.parametrize("limit", [4300, 640, 0])
+    def test_equals_the_full_route(self, digit_limit, limit):
+        digit_limit(limit)
+        for n in (640, 641, 4300, 4301):
+            for text in _texts(n):
+                assert len(text) == n
+                assert _outcome(cli._fraction, text) == _outcome(_full_fraction, text), text[:40]
+                if n == limit and "e" not in text.lower():
+                    assert _outcome(cli._fraction, text + "0") == _outcome(_full_fraction, text + "0")
+
+    def test_short_texts(self):
+        for text in ["7", "-3/4", " 0.125 ", "1_000/3", "1e-3", "2.5E2", "-.5", "1/0", "", "e", "nan", "1e"]:
+            assert _outcome(cli._fraction, text) == _outcome(_full_fraction, text)
 
 
 class TestMalformedInput:
@@ -380,6 +439,14 @@ class TestMalformedInput:
             ("chsh", dict(OPTIMAL_CHSH, n_bits=8193), "error: config key 'n_bits': 8193 exceeds the bound 8192"),
             ("chsh", dict(OPTIMAL_CHSH, n_bits=10**9),
              "error: config key 'n_bits': 1000000000 exceeds the bound 8192"),
+            ("padic", {"p": 2, "probe": {"a_digits": [1] * 10**5, "b_off": "5/4"}},
+             "error: config key 'a_digits': 2**100000 exceeds the digit limit 4300"),
+            ("padic", {"p": 1_000_000_007, "probe": {"a_digits": [1] * 200_000, "b_off": "1/1000000007"}},
+             "error: config key 'a_digits': 1000000007**200000 exceeds the digit limit 4300"),
+            ("padic", {"p": 2, "probe": {"a_digits": [0] * 14285, "b_off": "5/4"}},
+             "error: config key 'a_digits': 2**14285 exceeds the digit limit 4300"),
+            ("padic", {"p": 2, "probe": {"a_digits": [1] * 14284, "b_off": "5/4"}},
+             "error: config keys 'a_digits' and 'b_off': the Euclidean gap exceeds the digit limit 4300"),
         ],
     )
     def test_huge_sizes_exit_one_at_once(self, tmp_path, capsys, command, payload, message):
@@ -388,6 +455,14 @@ class TestMalformedInput:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err.splitlines() == [message]
+
+    def test_a_probe_below_the_digit_limit_runs(self, tmp_path):
+        # 10**4 binary digits: a_value = 2**10000 - 1 has 3,011 decimal digits
+        cfg = write_config(tmp_path, "c.json", {"p": 2, "probe": {"a_digits": [1] * 10**4, "b_off": "5/4"}})
+        start = time.perf_counter()
+        assert main(["padic", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert read_json(tmp_path / "o" / "report.json")["probe"]["a_value"] == 2**10000 - 1
 
     def test_deeply_nested_config(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
@@ -494,6 +569,60 @@ class TestReadmeConfigs:
         assert main(["dirac", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
         assert read_json(tmp_path / "d" / "manifest.json")["config"] == {
             "n_bits": 6, "mass": "3", "wavevector": ["0", "0", "0"], "steps": [1, 0, 0, 0], "trace_length": 4}
+
+
+# Each command on its defaults or fewest keys, chsh with its default window and
+# with one given, a padic probe and dirac's lists, with the input_sha256 each
+# gave when manifest.json was built from a json.dumps/json.loads round trip.
+MANIFEST_CONFIGS = {
+    "chsh": ({"n_bits": 12, "angles": OPTIMAL_CHSH["angles"]},
+             "fa52ce3113df3680d407c96e03768ba4be65a1700f59cc6c922cc61ae06408af"),
+    "chsh-window": ({"n_bits": 20, "angles": {**OPTIMAL_CHSH["angles"], "B2": "0.375"}, "window_turns": "1/262144"},
+                    "ecba2ff921585a42cc583bd879dd246a692cd45f4faafe3eaf573c727ee59b85"),
+    "mz": ({"n_bits": 10, "phi_turns": "5/256"}, "240be8031fb5036d8cb27d38c8777ad69cdd9d860641b2f92c32e53f0681996d"),
+    "pbr": ({"n_bits": 8, "alpha_turns": "1/2", "beta_turns": "1/6", "theta_turns": "-0.25"},
+            "a5070efd3b916dcb59a44b294addbcf44c8e6adde8883527a7dfaa6a826d1e30"),
+    "sample": ({}, "cd1c2f792f5860fada030574f74287a20335d5822c7638ce7f19d83f890e041e"),
+    "sample-string": ({"n_bits": 5, "theta_turns": "1/6", "phi_turns": "1_0/160"},
+                      "decb3374fbed6405d553f660acb968778fa6677dd6e22287d816126608bed351"),
+    "padic": ({}, "26a8b83129ff7d27509000e09dd77bc5f2bb132882249e5a89ed8cc2fd56b34c"),
+    "padic-probe": ({"p": 3, "pairs": [["-7/3", "5e2"], ["1/9", "2/3"]], "cantor_level": 2,
+                     "probe": {"a_digits": [2, 1, 0], "b_off": "1/3"}},
+                    "9f9d2e40eb524ac2d3f1d7dac0041747957219ee45395e48ea7f896ee4cc3735"),
+    "dirac": ({}, "5502deebd59d695efdbb0f59146f5e3e437cab8157e1081f01123c11301d01ab"),
+    "dirac-lists": ({"n_bits": 6, "mass": "6/2", "wavevector": ["4", "-0.5", "0"], "steps": [1, 1, 0, 2],
+                     "trace_length": 4},
+                    "97910f6007f476279928d9d42d9af58aa3bea220b8b755c7f7096f5a8f6bb3c3"),
+}
+
+
+class TestManifest:
+    @pytest.mark.parametrize("name", sorted(MANIFEST_CONFIGS))
+    def test_equals_the_round_trip_dict(self, tmp_path, monkeypatch, name):
+        payload, input_sha256 = MANIFEST_CONFIGS[name]
+        command = name.partition("-")[0]
+        emitted = []
+
+        def emit(args, cfg, *rest):
+            emitted.append(cfg)
+            return report_mod._emit(args, cfg, *rest)
+
+        monkeypatch.setattr(cli, "_emit", emit)
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        written = (tmp_path / "o" / "manifest.json").read_bytes()
+        manifest = json.loads(written)
+        echo = json.loads(json.dumps(emitted[0], default=report_mod._exact_str))
+        assert written == _stable_json({
+            "tool": "invset",
+            "version": invset.__version__,
+            "command": command,
+            "config": echo,
+            "input_sha256": hashlib.sha256(_stable_json(echo)).hexdigest(),
+            "timestamp_utc": manifest["timestamp_utc"],
+            "output_sha256": manifest["output_sha256"],
+        })
+        assert manifest["input_sha256"] == input_sha256
 
 
 # Scaled padic configs (Cantor levels up to 2**11 intervals, with pairs and a
@@ -748,6 +877,29 @@ class TestStreamedReports:
         out = tmp_path / "o"
         assert main(["padic", "--config", cfg, "--out", str(out)]) == 0
         assert sorted(path.name for path in out.iterdir()) == ["manifest.json", "report.csv", "report.json"]
+
+    def test_each_cantor_piece_is_written_alone(self, tmp_path, monkeypatch):
+        # no piece is joined into a larger text: every write is at most the largest piece, and each piece
+        # is one write of its own
+        pieces = [text.encode() for text in report_mod._cantor_text(report_mod._CantorArray(2, 13), "\n  ")]
+        writes = []
+
+        class Recorder:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                writes.append(data)
+                return self.fh.write(data)
+
+        hashed_file = report_mod._HashedFile
+        monkeypatch.setattr(report_mod, "_HashedFile",
+                            lambda fh, digest: hashed_file(Recorder(fh) if ".report.json" in fh.name else fh, digest))
+        cfg = write_config(tmp_path, "c.json", {"p": 2, "pairs": [["7", "3"]], "cantor_level": 13})
+        assert main(["padic", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(pieces) > 2 and max(map(len, writes)) <= max(map(len, pieces))
+        assert set(pieces) <= set(writes)
+        assert b"".join(writes) == (tmp_path / "o" / "report.json").read_bytes()
 
     @pytest.mark.parametrize("error", [OSError("no space left on device"), RuntimeError("renderer failed")])
     def test_a_failed_write_leaves_no_report(self, tmp_path, monkeypatch, capsys, error):

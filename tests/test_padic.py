@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invset.exactmath import ResourceBound, fraction_str
 from invset.padic import (
@@ -95,6 +97,21 @@ class TestMetric:
             a, b, c = (rand_fraction(rng) for _ in range(3))
             assert padic_dist(a, c, p) <= max(padic_dist(a, b, p), padic_dist(b, c, p))
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 1_000_003, 1_000_000_007])
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_dist_is_the_norm_of_the_difference(self, p, data):
+        # padic_dist works on integer valuations; padic_norm of the Fraction difference is the reference
+        def rational():
+            return st.builds(lambda n, d, e: Fraction(n, d) * Fraction(p) ** e,
+                             st.integers(-10**6, 10**6), st.integers(1, 10**6), st.integers(-3, 3))
+
+        a = data.draw(rational())
+        b = data.draw(st.one_of(st.just(a), st.builds(lambda x: -x, st.just(a)), rational(),
+                                st.builds(lambda x, e: a + x * Fraction(p) ** e, rational(), st.integers(0, 4))))
+        for x, y in ((a, b), (b, a), (int(a), b), (a, int(b))):
+            assert padic_dist(x, y, p) == padic_norm(Fraction(x) - Fraction(y), p)
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_norm_multiplicative(self, p):
         rng = random.Random(200 + p)
@@ -114,6 +131,13 @@ class TestPadicInt:
         z = PadicInt.from_int(11, 2, 6)
         assert z.digits == (1, 1, 0, 1, 0, 0)
         assert z.value() == 11
+
+    @pytest.mark.parametrize("p", [2, 3, 13, 1_000_003])
+    def test_value_is_the_digit_sum(self, p):
+        rng = random.Random(p)
+        for precision in (1, 2, 7, 40, 300):
+            digits = tuple(rng.randrange(p) for _ in range(precision))
+            assert PadicInt(p, digits).value() == sum(d * p**k for k, d in enumerate(digits))
 
     def test_equality_up_to_shared_precision(self):
         a = PadicInt(2, (1, 0, 1))
