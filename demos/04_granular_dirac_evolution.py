@@ -53,7 +53,7 @@ for axis in range(4):
 print("\ndispersion is exact arithmetic: omega^2 = |k|^2 + m^2")
 for mass, k in ((1, (0, 0, 0)), (3, (4, 0, 0)), (1, (1, 0, 0))):
     r = dispersion_check(mass, k)
-    omega = str(r.omega) if r.exact_root else f"irrational (omega^2 = {r.omega_sq})"
+    omega = str(r.omega) if r.omega is not None else f"irrational (omega^2 = {r.omega_sq})"
     print(f"  m={mass}, k={k}: omega = {omega}")
 
 print("\na moving particle advances all four operators at once:")

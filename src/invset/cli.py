@@ -33,7 +33,7 @@ from .padic import (
     similarity_dimension,
 )
 from .report import _CantorArray, _csv, _DiracTrace, _emit, _Labels
-from .samplespace import TABLE_SHIFTS, fraction, hilbert_shadow, rotation_table, sample, to_text
+from .samplespace import TABLE_SHIFTS, fraction, hilbert_shadow, require_explicit, rotation_table, sample, to_text
 from . import dirac as dirac_mod
 
 EXIT_OK = 0
@@ -42,6 +42,7 @@ EXIT_EXCLUDED = 2
 
 TRACE_LENGTH_BOUND = 1 << 12  # max evolution steps a dirac trace will take
 CHSH_N_BITS_BOUND = 1 << 13  # largest chsh N: a run there takes about 70 ms on 2 CPUs
+MZ_N_BITS_BOUND = 1 << 26  # largest mz N: its counts have 2**N bits; a process there peaks near 72 MB
 
 
 REQUIRED = object()  # schema default of a key that every config must give
@@ -144,7 +145,7 @@ SCHEMAS: dict[str, dict] = {
         "angles": ({key: (_turns, REQUIRED) for key in ("A1", "A2", "B1", "B2")}, REQUIRED),  # ChshConfig order
         "window_turns": (_fraction, None),  # absent: ChshConfig's 2**-(N-2)
     },
-    "mz": {"n_bits": (_int(3), REQUIRED), "mode": (str, WHICH_WAY), "phi_turns": (_turns, REQUIRED)},
+    "mz": {"n_bits": (_int(3, MZ_N_BITS_BOUND), REQUIRED), "mode": (str, WHICH_WAY), "phi_turns": (_turns, REQUIRED)},
     "pbr": {"n_bits": (_int(1), REQUIRED),
             **{key: (_turns, REQUIRED) for key in ("alpha_turns", "beta_turns", "theta_turns")}},
     # both angles: one string; neither: the rotation table
@@ -240,6 +241,7 @@ def cmd_pbr(args) -> int:
 def cmd_sample(args) -> int:
     cfg = _config(args)
     n_bits, theta, phi = cfg["n_bits"], cfg.get("theta_turns"), cfg.get("phi_turns")
+    require_explicit(n_bits)  # the report prints every label
     if args.golden:
         from .checks import golden_table
 
@@ -274,10 +276,14 @@ def cmd_sample(args) -> int:
 
 def cmd_padic(args) -> int:
     cfg = _config(args)
-    p = cfg["p"]
-    distances = [
-        {"a": str(a), "b": str(b), "distance": fraction_str(padic_dist(a, b, p))} for a, b in cfg["pairs"]
-    ]
+    p, limit = cfg["p"], sys.get_int_max_str_digits()
+    distances = []
+    for index, (a, b) in enumerate(cfg["pairs"]):
+        distance = padic_dist(a, b, p)
+        if not _printable(distance):
+            raise ValueError(f"config key 'pairs': the {p}-adic distance of pair {index} exceeds the digit limit "
+                             f"{limit}")
+        distances.append({"a": str(a), "b": str(b), "distance": fraction_str(distance)})
     if args.golden:  # the stored 2-adic examples, whatever the config's pairs and p
         from .checks import golden_d2
 
@@ -290,7 +296,7 @@ def cmd_padic(args) -> int:
         require_cantor_size(p, cfg["cantor_level"])
         report["cantor_intervals"] = _CantorArray(p, cfg["cantor_level"])
     if "probe" in cfg:
-        a, limit = PadicInt(p, tuple(cfg["probe"]["a_digits"])), sys.get_int_max_str_digits()
+        a = PadicInt(p, tuple(cfg["probe"]["a_digits"]))
         if not _printable_power(p, a.precision):  # a_value < p**K: checked before a.value() runs
             raise ValueError(f"config key 'a_digits': {p}**{a.precision} exceeds the digit limit {limit}")
         probe = euclid_padic_probe(a, cfg["probe"]["b_off"])
@@ -317,7 +323,7 @@ def cmd_dirac(args) -> int:
         "wavevector": [fraction_str(k) for k in psi.wavevector],
         "omega_sq": fraction_str(psi.omega_sq),
         "omega": fraction_str(psi.omega) if psi.omega is not None else None,
-        "physical": psi.physical,
+        "physical": psi.omega is not None,
         "steps_per_application": steps,
         "trace": trace,
     }

@@ -30,59 +30,38 @@ Entry = tuple[int, int]  # (quarter-turns mod 4, pair-shifts mod 2**(N-1))
 @dataclass(frozen=True)
 class FormalOperatorMatrix:
     """4x4 generalized permutation matrix over the pair-shift/quarter-turn
-    operator algebra."""
+    operator algebra: row i holds its one nonzero entry, entries[i], in
+    column cols[i]."""
 
     n_bits: int
-    entries: tuple[tuple[Entry | None, ...], ...]
+    cols: tuple[int, int, int, int]
+    entries: tuple[Entry, Entry, Entry, Entry]
 
     def __post_init__(self) -> None:
-        if len(self.entries) != 4 or any(len(row) != 4 for row in self.entries):
-            raise ValueError("4x4 matrix required")
+        if sorted(self.cols) != [0, 1, 2, 3] or len(self.entries) != 4:
+            raise ValueError("a permutation of columns 0..3 and four entries required")
         half = 1 << (self.n_bits - 1)
-        norm = tuple(
-            tuple(None if e is None else (e[0] % 4, e[1] % half) for e in row)
-            for row in self.entries
-        )
-        object.__setattr__(self, "entries", norm)
-        for idx, row in enumerate(self.entries):
-            if sum(e is not None for e in row) != 1:
-                raise ValueError(f"row {idx} must have exactly one nonzero entry")
-        for col in range(4):
-            if sum(self.entries[r][col] is not None for r in range(4)) != 1:
-                raise ValueError(f"column {col} must have exactly one nonzero entry")
+        object.__setattr__(self, "cols", tuple(self.cols))
+        object.__setattr__(self, "entries", tuple((s % 4, r % half) for s, r in self.entries))
 
     def __matmul__(self, other: "FormalOperatorMatrix") -> "FormalOperatorMatrix":
+        """Row i's entry, in column k = cols[i], times row k of `other`."""
         if self.n_bits != other.n_bits:
             raise ValueError("mixed n_bits")
-        rows: list[list[Entry | None]] = [[None] * 4 for _ in range(4)]
-        for i in range(4):
-            for k in range(4):
-                a = self.entries[i][k]
-                if a is None:
-                    continue
-                for j in range(4):
-                    b = other.entries[k][j]
-                    if b is None:
-                        continue
-                    rows[i][j] = (a[0] + b[0], a[1] + b[1])
-        return FormalOperatorMatrix(self.n_bits, tuple(tuple(r) for r in rows))
+        return FormalOperatorMatrix(
+            self.n_bits, tuple(other.cols[c] for c in self.cols),
+            tuple((s + other.entries[c][0], r + other.entries[c][1]) for c, (s, r) in zip(self.cols, self.entries)))
 
     def apply(self, components: tuple[BitString, ...]) -> tuple[BitString, ...]:
         if len(components) != 4:
             raise ValueError("four components required")
-        out: list[BitString] = []
-        for row in self.entries:
-            col = next(j for j, e in enumerate(row) if e is not None)
-            s, r = row[col]
-            out.append(quarter_turn(pair_shift(components[col], r), s))
-        return tuple(out)
+        return tuple(quarter_turn(pair_shift(components[c], r), s) for c, (s, r) in zip(self.cols, self.entries))
 
     def entry_phase_turns(self, row: int, col: int) -> Fraction | None:
         """The root of unity the entry maps to, as a fraction of a turn."""
-        e = self.entries[row][col]
-        if e is None:
+        if col != self.cols[row]:
             return None
-        s, r = e
+        s, r = self.entries[row]
         half = 1 << (self.n_bits - 1)
         return Fraction((s * half + 4 * r) % (4 * half), 4 * half)  # s/4 + r/half, mod 1
 
@@ -92,19 +71,25 @@ class FormalOperatorMatrix:
         half = 1 << (self.n_bits - 1)
         fwd, back = step % half, (-step) % half
         out: list[list[complex]] = [[0] * 4 for _ in range(4)]
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                if e is None:
-                    continue
-                s, r = e
-                if r == fwd:
-                    sign = 1
-                elif r == back:
-                    sign = -1
-                else:
-                    raise ValueError(f"entry shift {r} is neither +{step} nor -{step}")
-                out[i][j] = (1j**s) * sign
+        for row, c, (s, r) in zip(out, self.cols, self.entries):
+            if r == fwd:
+                sign = 1
+            elif r == back:
+                sign = -1
+            else:
+                raise ValueError(f"entry shift {r} is neither +{step} nor -{step}")
+            row[c] = (1j**s) * sign
         return out
+
+
+#: axis -> (column of each row, (quarter-turns, sign of the step) of each
+#: row's entry), transcribed as constructed.
+_AXES = (
+    ((0, 1, 2, 3), ((0, 1), (0, 1), (0, -1), (0, -1))),
+    ((3, 2, 1, 0), ((0, 1), (0, 1), (0, -1), (0, -1))),
+    ((3, 2, 1, 0), ((1, -1), (1, 1), (1, 1), (1, -1))),
+    ((2, 3, 0, 1), ((0, 1), (0, -1), (0, -1), (0, 1))),
+)
 
 
 def evolution_matrix(axis: int, steps: int, n_bits: int) -> FormalOperatorMatrix:
@@ -114,22 +99,10 @@ def evolution_matrix(axis: int, steps: int, n_bits: int) -> FormalOperatorMatrix
     are (block) anti-diagonal with the transcribed sign and quarter-turn
     pattern; their skeletons are the gamma matrices.
     """
-    half = 1 << (n_bits - 1)
-    f: Entry = (0, steps % half)  # forward shift
-    b: Entry = (0, (-steps) % half)  # backward shift
-    jf: Entry = (1, steps % half)  # quarter-turn times forward
-    jb: Entry = (1, (-steps) % half)
-    if axis == 0:
-        rows = ((f, None, None, None), (None, f, None, None), (None, None, b, None), (None, None, None, b))
-    elif axis == 1:
-        rows = ((None, None, None, f), (None, None, f, None), (None, b, None, None), (b, None, None, None))
-    elif axis == 2:
-        rows = ((None, None, None, jb), (None, None, jf, None), (None, jf, None, None), (jb, None, None, None))
-    elif axis == 3:
-        rows = ((None, None, f, None), (None, None, None, b), (b, None, None, None), (None, f, None, None))
-    else:
+    if axis not in range(4):
         raise ValueError("axis must be 0..3")
-    return FormalOperatorMatrix(n_bits, rows)
+    cols, turns_and_signs = _AXES[axis]
+    return FormalOperatorMatrix(n_bits, cols, tuple((s, sign * steps) for s, sign in turns_and_signs))
 
 
 #: The standard Dirac matrices, for the skeleton correspondence.
@@ -148,8 +121,8 @@ def gamma_pattern(axis: int) -> list[list[complex]]:
 @dataclass(frozen=True)
 class SpinorSample:
     """Four bit strings plus the particle data that fixes the evolution
-    grids.  ``physical`` is set exactly when omega^2 = |k|^2 + m^2 has a
-    rational root omega."""
+    grids.  ``omega`` is None exactly when omega^2 = |k|^2 + m^2 has no
+    rational root."""
 
     n_bits: int
     components: tuple[BitString, BitString, BitString, BitString]
@@ -157,7 +130,6 @@ class SpinorSample:
     wavevector: tuple[Fraction, Fraction, Fraction]
     omega: Fraction | None
     omega_sq: Fraction
-    physical: bool
 
 
 def spinor(
@@ -172,8 +144,7 @@ def spinor(
         raise ValueError("four components of matching length required")
     disp = dispersion_check(mass, wavevector)
     wavevector = tuple(Fraction(x) for x in wavevector)
-    return SpinorSample(n_bits, tuple(components), Fraction(mass), wavevector, disp.omega, disp.omega_sq,
-                        disp.exact_root)
+    return SpinorSample(n_bits, tuple(components), Fraction(mass), wavevector, disp.omega, disp.omega_sq)
 
 
 def time_step_over_full_turn(psi: SpinorSample) -> Fraction | None:
@@ -225,9 +196,10 @@ def phase_trace(operator: FormalOperatorMatrix, components: tuple[BitString, ...
     its labels first-regime.  On such a string a pair-shift by r adds r to
     the rotation and a quarter-turn adds 2**(N-3), and the result is again a
     phase string.  So one application maps the rotation vector x to
-    x[col_i] + entry_phase_turns(i, col_i) * 2**(N-1) mod 2**(N-1) in row i,
-    a fixed number of 2**-(N-1) turns per row and step.  Raw and
-    amplitude-flipped components have no such rotation and raise ValueError."""
+    x[cols[i]] + r_i + s_i * 2**(N-3) mod 2**(N-1) in row i, for row i's
+    entry (s_i quarter-turns, r_i pair-shifts): a fixed number of
+    2**-(N-1) turns per row and step.  Raw and amplitude-flipped components
+    have no such rotation and raise ValueError."""
     if len(components) != 4:
         raise ValueError("four components required")
     for c in components:
@@ -235,13 +207,9 @@ def phase_trace(operator: FormalOperatorMatrix, components: tuple[BitString, ...
         if c.n_bits != operator.n_bits or d is None or d.first_count != c.size >> 1:
             raise ValueError("phase strings of the operator's n_bits required: "
                              "a raw or amplitude-flipped component has no rotation")
-    half = 1 << (operator.n_bits - 1)
-    moves = []  # (col_i, rotation added in row i)
-    for i, row in enumerate(operator.entries):
-        col = next(j for j, e in enumerate(row) if e is not None)
-        turns = operator.entry_phase_turns(i, col)
-        moves.append((col, turns.numerator * (half // turns.denominator)))
-    (c1, r1), (c2, r2), (c3, r3), (c4, r4) = moves
+    half, quarter = 1 << (operator.n_bits - 1), 1 << (operator.n_bits - 3)  # strings have N >= 3
+    c1, c2, c3, c4 = operator.cols
+    r1, r2, r3, r4 = ((r + s * quarter) % half for s, r in operator.entries)
     x = tuple(c.descriptor.rotation for c in components)
     trace = [x]
     for _ in range(length):
@@ -259,14 +227,12 @@ def full_evolve(psi: SpinorSample, n_t: int, n_1: int, n_2: int, n_3: int) -> Sp
 class DispersionResult:
     omega_sq: Fraction
     omega: Fraction | None  # exact rational root when one exists
-    exact_root: bool
 
 
 def dispersion_check(mass: RationalLike, wavevector: tuple[RationalLike, RationalLike, RationalLike]) -> DispersionResult:
-    """omega^2 = |k|^2 + m^2 exactly; flags whether omega itself is rational
-    (perfect square) or must be carried as omega^2 only."""
+    """omega^2 = |k|^2 + m^2 exactly, and omega itself when it is rational
+    (a perfect square); otherwise omega is None and only omega^2 is carried."""
     m = Fraction(mass)
     k = [Fraction(x) for x in wavevector]
     omega_sq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2 + m * m
-    w = rational_sqrt(omega_sq)
-    return DispersionResult(omega_sq, w, w is not None)
+    return DispersionResult(omega_sq, rational_sqrt(omega_sq))

@@ -66,7 +66,7 @@ def is_describable(x: RationalLike, n_bits: int) -> bool:
     if n_bits < 1:
         raise ValueError("n_bits must be >= 1")
     den = x.denominator if isinstance(x, (int, Fraction)) else Fraction(x).denominator
-    return den & (den - 1) == 0 and den <= (1 << n_bits)
+    return den & (den - 1) == 0 and den.bit_length() <= n_bits + 1  # den <= 2**n_bits, 2**n_bits unbuilt
 
 
 # The full exceptional set of the rational-cosine theorem (Niven): for a

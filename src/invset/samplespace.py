@@ -118,8 +118,8 @@ class BitString:
 
 def require_explicit(n_bits: int) -> None:
     """Raise ResourceBound when 2**n_bits labels exceed EXPLICIT_LABEL_LIMIT:
-    the one check on every path that builds labels."""
-    if 1 << n_bits > EXPLICIT_LABEL_LIMIT:
+    the one check on every path that builds labels.  2**n_bits is not built."""
+    if n_bits >= EXPLICIT_LABEL_LIMIT.bit_length():
         raise ResourceBound(f"2**{n_bits} labels exceed the explicit limit")
 
 

@@ -207,7 +207,7 @@ def test_10_dirac():
         evolved = full_evolve(psi, *steps)
         in_turns = [hilbert_shadow(c).phase_turns for c in psi.components]
         for row in range(4):
-            col = next(j for j in range(4) if mat.entries[row][j] is not None)
+            col = mat.cols[row]
             predicted = (mat.entry_phase_turns(row, col) + in_turns[col]) % 1
             assert hilbert_shadow(evolved.components[row]).phase_turns == predicted
 

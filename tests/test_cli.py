@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import invset
 from invset import checks, cli, padic
 from invset import report as report_mod
-from invset.cli import CHSH_N_BITS_BOUND, SCHEMAS, TRACE_LENGTH_BOUND, build_parser, main
+from invset.cli import CHSH_N_BITS_BOUND, MZ_N_BITS_BOUND, SCHEMAS, TRACE_LENGTH_BOUND, build_parser, main
 from invset.report import _stable_json
 from invset.padic import cantor_iterates, cantor_numerators
 
@@ -270,6 +270,12 @@ class TestLargeN:
         assert time.perf_counter() - start < 1.0
         assert len(read_json(tmp_path / "o" / "report.json")["trace"]) == TRACE_LENGTH_BOUND + 1
 
+    def test_pbr_runs_at_any_n(self, tmp_path):
+        cfg = write_config(tmp_path, "p.json", {"n_bits": 10**30, "alpha_turns": "1/2", "beta_turns": "1/6",
+                                                "theta_turns": "1/4"})
+        assert main(["pbr", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert read_json(tmp_path / "o" / "report.json")["X"]["exact"] == "3/4"
+
     def test_sample_above_the_limit_still_exits_one(self, tmp_path, capsys):
         # its report prints every label, so it keeps the explicit-label limit
         cfg = write_config(tmp_path, "s.json", {"n_bits": 30, "theta_turns": "1/4", "phi_turns": "1/8"})
@@ -447,6 +453,16 @@ class TestMalformedInput:
              "error: config key 'a_digits': 2**14285 exceeds the digit limit 4300"),
             ("padic", {"p": 2, "probe": {"a_digits": [1] * 14284, "b_off": "5/4"}},
              "error: config keys 'a_digits' and 'b_off': the Euclidean gap exceeds the digit limit 4300"),
+            # r*u - 1 = 2**21000: the distance's denominator has 6,322 digits
+            ("padic", {"p": 2, "pairs": [["1", "2"], [str(2**14000 - 2**7000 + 1), f"1/{2**7000 + 1}"]]},
+             "error: config key 'pairs': the 2-adic distance of pair 1 exceeds the digit limit 4300"),
+            ("mz", {"n_bits": 10**30, "phi_turns": "1/4"},
+             f"error: config key 'n_bits': {10**30} exceeds the bound {MZ_N_BITS_BOUND}"),
+            ("mz", {"n_bits": MZ_N_BITS_BOUND + 1, "phi_turns": "1/4"},
+             f"error: config key 'n_bits': {MZ_N_BITS_BOUND + 1} exceeds the bound {MZ_N_BITS_BOUND}"),
+            ("sample", {"n_bits": 10**30}, f"error: 2**{10**30} labels exceed the explicit limit"),
+            ("sample", {"n_bits": 10**30, "theta_turns": "1/4", "phi_turns": "1/8"},
+             f"error: 2**{10**30} labels exceed the explicit limit"),
         ],
     )
     def test_huge_sizes_exit_one_at_once(self, tmp_path, capsys, command, payload, message):

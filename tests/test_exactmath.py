@@ -89,6 +89,7 @@ class TestDescribability:
             (Fraction(3, 8), 3, True), (Fraction(3, 8), 2, False), (Fraction(-5, 4), 2, True),
             (0.375, 3, True), (0.375, 2, False), (0.1, 54, False), (0.1, 55, True),
             ("3/8", 3, True), ("3/8", 2, False), ("-0.75", 2, True), ("1/3", 64, False),
+            (Fraction(1, 1 << 64), 10**30, True),  # 2**N is never built
         ],
     )
     def test_input_types(self, x, n_bits, answer):

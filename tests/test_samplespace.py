@@ -20,6 +20,7 @@ from invset.samplespace import (
     pair_shift,
     phase_string,
     quarter_turn,
+    require_explicit,
     rotation_table,
     sample,
     sample_from_counts,
@@ -269,6 +270,14 @@ class TestDualRepresentation:
             s.bits
         with pytest.raises(ResourceBound, match=r"^2\*\*26 labels exceed the explicit limit$"):
             to_text(turned)
+
+    @pytest.mark.parametrize("n_bits", [24, 25, 10**30])
+    def test_the_limit_is_checked_without_building_2_to_the_n(self, n_bits):
+        if n_bits <= 24:
+            require_explicit(n_bits)
+        else:
+            with pytest.raises(ResourceBound, match=rf"^2\*\*{n_bits} labels exceed the explicit limit$"):
+                require_explicit(n_bits)
 
     def test_descriptor_only_flipped_strings_cannot_shift(self):
         s = sample_from_counts(26, 5)
