@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from . import dirac, exactmath, highprec, multiqubit, padic, samplespace
+from . import dirac, exactmath, multiqubit, padic, samplespace
 from .exactmath import ZERO_ANGLE, ExactAngle
 
 DEFAULT_SEED = 12345
@@ -24,9 +24,6 @@ DEFAULT_SEED = 12345
 #: Amplitude angles admissible for rational-turn inputs: the exceptional
 #: cosine set mapped into [0, pi].
 NIVEN_THETAS = [ExactAngle(Fraction(t)) for t in ("0", "1/6", "1/4", "1/3", "1/2")]
-
-#: The only rational values of a cosine at a rational multiple of pi.
-NIVEN_COSINES = frozenset(Fraction(c) for c in ("0", "1/2", "-1/2", "1", "-1"))
 
 
 @dataclass(frozen=True)
@@ -212,34 +209,28 @@ def pythagorean_empty() -> list[CheckResult]:
 
 
 def rational_cosine_grid(n_max: int) -> list[CheckResult]:
-    """Niven's theorem on every angle m*pi/n with n <= ``n_max``, at 240 bits:
-    where ``cos_exact`` is rational it lies in ``NIVEN_COSINES``, agrees with
-    the numeric cosine and 2cos is an integer; elsewhere 2cos is more than
-    2^-100 from every integer and the cosine more than 2^-100 from every
-    64-bit describable rational."""
-    import mpmath
-
-    tiny, gap = mpmath.mpf(2) ** -150, mpmath.mpf(2) ** -100
+    """Niven's theorem on every angle m*pi/n with n <= ``n_max``, in integers.
+    At a/b turns in lowest terms, y = 2cos(2 pi a/b) has D_k(y) = 2cos(2 pi k a/b)
+    for the Dickson recurrence D_0 = 2, D_1 = y, D_(k+1) = y D_k - D_(k-1).  So b
+    is the least k >= 1 with D_k(y) = 2, and y is a root of the monic integer
+    polynomial D_b(y) - 2: by the rational root theorem a rational y is an
+    integer c in [-2, 2].  ``cos_exact`` must give c/2 for the c whose least k
+    is b, and None where there is none.  (D_b(c) = 2 alone passes c = 2 at b = 5.)"""
+    cosine_of_order = {}  # least k with D_k(c) = 2 -> c/2
+    for c in range(-2, 3):
+        prev, cur, k = 2, c, 1
+        while cur != 2:  # periodic for these five c, of period 1, 6, 4, 3 or 2
+            prev, cur, k = cur, c * cur - prev, k + 1
+        cosine_of_order[k] = Fraction(c, 2)
 
     def failures() -> Iterable[str]:
         for n in range(1, n_max + 1):
             for m in range(0, 2 * n):
                 angle = ExactAngle(Fraction(m, 2 * n))  # the angle m*pi/n
-                value = exactmath.cos_exact(angle)
-                approx = highprec.cos_turns(angle.turns)
-                doubled = 2 * approx
-                off_integer = abs(doubled - mpmath.nint(doubled))
-                if value is not None:
-                    ok = value in NIVEN_COSINES and abs(approx - highprec.to_mpf(value)) < tiny and off_integer < tiny
-                else:
-                    near = highprec.nearest_describable(approx, 64)
-                    ok = off_integer > gap and abs(approx - highprec.to_mpf(near)) > gap
-                if not ok:
+                if exactmath.cos_exact(angle) != cosine_of_order.get(angle.turns.denominator):
                     yield f"m={m} n={n}"
 
-    # set around the search, not in the generator, which a failure leaves suspended
-    with mpmath.workprec(highprec.DEFAULT_PREC):
-        return [_first_failure(f"rational-cosine-grid-n{n_max}", failures())]
+    return [_first_failure(f"rational-cosine-grid-n{n_max}", failures())]
 
 
 def suite_algebra(seed: int = DEFAULT_SEED) -> list[CheckResult]:

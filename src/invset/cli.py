@@ -125,14 +125,14 @@ def _turns(value) -> ExactAngle:
     return ExactAngle(_fraction(value))
 
 
-def _list_of(item, length: int | None = None):
-    """Parser for a JSON list of `item` values, of exactly `length` when given."""
+def _list_of(item=None, length: int | None = None):
+    """Parser for a JSON list of `item` values (None: left unparsed), of exactly `length` when given."""
     shape = "a list" if length is None else f"a list of {length} items"
 
     def parse(value) -> list:
         if not isinstance(value, list) or length not in (None, len(value)):
             raise TypeError(f"expected {shape}, got {value!r}")
-        return [item(v) for v in value]
+        return value if item is None else [item(v) for v in value]
     return parse
 
 
@@ -154,7 +154,8 @@ SCHEMAS: dict[str, dict] = {
         "p": (_prime, 2),
         "pairs": (_list_of(_list_of(_fraction, 2)), [["7", "3"], ["15", "7"]]),
         "cantor_level": (_int(0), None),
-        "probe": ({"a_digits": (_list_of(_int(0)), REQUIRED), "b_off": (_fraction, REQUIRED)}, None),
+        # the digits are parsed by cmd_padic, once their count is known to pass the digit limit at p
+        "probe": ({"a_digits": (_list_of(), REQUIRED), "b_off": (_fraction, REQUIRED)}, None),
     },
     "dirac": {
         "n_bits": (_n_bits(), 6),
@@ -185,11 +186,16 @@ def _parse(schema: dict, raw, where: str = "config") -> dict:
         if isinstance(parser, dict):
             cfg[key] = _parse(parser, value, f"config key {key!r}")
             continue
-        try:
-            cfg[key] = parser(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from None
+        cfg[key] = _keyed(key, parser, value)
     return cfg
+
+
+def _keyed(key: str, parser, value):
+    """parser(value), with a parse error naming the config key."""
+    try:
+        return parser(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
 
 
 def _config(args) -> dict:
@@ -296,9 +302,10 @@ def cmd_padic(args) -> int:
         require_cantor_size(p, cfg["cantor_level"])
         report["cantor_intervals"] = _CantorArray(p, cfg["cantor_level"])
     if "probe" in cfg:
-        a = PadicInt(p, tuple(cfg["probe"]["a_digits"]))
-        if not _printable_power(p, a.precision):  # a_value < p**K: checked before a.value() runs
-            raise ValueError(f"config key 'a_digits': {p}**{a.precision} exceeds the digit limit {limit}")
+        digits = cfg["probe"]["a_digits"]
+        if not _printable_power(p, len(digits)):  # a_value < p**K: checked before a digit is parsed
+            raise ValueError(f"config key 'a_digits': {p}**{len(digits)} exceeds the digit limit {limit}")
+        a = PadicInt(p, tuple(_keyed("a_digits", _list_of(_int(0)), digits)))
         probe = euclid_padic_probe(a, cfg["probe"]["b_off"])
         if not _printable(probe.euclid_gap):
             raise ValueError(f"config keys 'a_digits' and 'b_off': the Euclidean gap exceeds the digit limit {limit}")

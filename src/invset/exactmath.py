@@ -95,10 +95,9 @@ def cos_exact(angle: ExactAngle) -> Fraction | None:
 
     By the rational-cosine theorem, cos of a rational multiple of pi is
     rational exactly when it lies in {0, +-1/2, +-1}; the decision is made by
-    the exceptional-set table, not by numerics.  (Proof sketch, usable as an
-    algorithm: 2cos(2phi) = (2cos phi)^2 - 2, so a non-unit denominator of
-    2cos(phi) grows without bound along the doubling sequence, while a
-    rational turn fraction admits only finitely many doubled residues.)
+    the exceptional-set table, not by numerics.  ``checks.rational_cosine_grid``
+    certifies the table with integers, from the Dickson recurrence that 2cos
+    obeys.
     """
     return _EXCEPTIONAL_COS.get(angle.turns)
 

@@ -1,10 +1,11 @@
 """High-precision numeric helpers for oracles, the PBR fallback and the
 working precision of the nearest-angle substitution.
 
-mpmath is used only on the numeric side of dual-route checks and for display;
-no admissibility predicate depends on it.  Like every invset function that
-computes with mpmath, each helper here imports it in its own body, so a
-command that never substitutes an angle or runs an oracle never loads it.
+mpmath is used only for chsh's angle substitution, pbr's inexact values and
+the tests' numeric oracles; no admissibility predicate and no ``invset
+check`` row depends on it.  Like every invset function that computes with
+mpmath, each helper here imports it in its own body, so a command that never
+substitutes an angle or runs an oracle never loads it.
 """
 
 from __future__ import annotations

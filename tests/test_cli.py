@@ -463,6 +463,9 @@ class TestMalformedInput:
             ("sample", {"n_bits": 10**30}, f"error: 2**{10**30} labels exceed the explicit limit"),
             ("sample", {"n_bits": 10**30, "theta_turns": "1/4", "phi_turns": "1/8"},
              f"error: 2**{10**30} labels exceed the explicit limit"),
+            # the digit count is checked before any digit is parsed, so a bad digit is not reached
+            ("padic", {"p": 2, "probe": {"a_digits": ["x"] * 20_000, "b_off": "5/4"}},
+             "error: config key 'a_digits': 2**20000 exceeds the digit limit 4300"),
         ],
     )
     def test_huge_sizes_exit_one_at_once(self, tmp_path, capsys, command, payload, message):

@@ -1,7 +1,8 @@
 """What a fresh interpreter loads: ``import invset, invset.cli`` and the exact
 commands load neither mpmath nor the check suites; chsh loads mpmath for its
-angle substitution and ``check`` loads the suites.  No command loads the csv
-module: every report.csv is a plain join."""
+angle substitution and ``check`` loads the suites but, deciding every row with
+integers and rationals, no mpmath.  No command loads the csv module: every
+report.csv is a plain join."""
 
 import json
 import os
@@ -20,9 +21,9 @@ def loaded():
 import invset, invset.cli
 seen = {"import": loaded()}
 tmp = sys.argv[1]
-for command in ("padic", "sample", "mz", "dirac", "chsh", "check"):
+for command in sys.argv[2:]:  # in turn, in this one interpreter
     if command == "check":
-        argv = ["check", "--suite", "algebra"]
+        argv = ["check", "--suite", "all"]
     else:
         argv = [command, "--out", f"{tmp}/{command}"]
         if command in ("mz", "chsh"):
@@ -39,15 +40,20 @@ def test_only_the_commands_that_need_them_load_mpmath_and_the_suites(tmp_path):
     (tmp_path / "chsh.json").write_text(
         json.dumps({"n_bits": 12, "angles": {"A1": "0", "A2": "1/4", "B1": "1/8", "B2": "3/8"}}))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], capture_output=True, text=True,
-                         env=env, check=True, timeout=120)
-    seen = json.loads(out.stdout.splitlines()[-1])
+
+    def seen_after(*commands):
+        out = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path), *commands], capture_output=True,
+                             text=True, env=env, check=True, timeout=120)
+        return json.loads(out.stdout.splitlines()[-1])
+
+    seen = seen_after("padic", "sample", "mz", "dirac", "chsh")
     neither = {"mpmath": False, "invset.checks": False, "csv": False}
     assert seen.pop("import") == neither
     for command in ("padic", "sample", "mz", "dirac"):
         assert seen[command] == {**neither, "exit": 0}, command
     assert seen["chsh"] == {**neither, "mpmath": True, "exit": 0}
-    assert seen["check"]["invset.checks"] and not seen["check"]["csv"] and seen["check"]["exit"] == 0
+    # every suite, in an interpreter that chsh has not given mpmath
+    assert seen_after("check")["check"] == {**neither, "invset.checks": True, "exit": 0}
 
 
 def test_chsh_at_rational_cosines_loads_no_mpmath(tmp_path):

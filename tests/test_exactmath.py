@@ -6,6 +6,7 @@ from math import isqrt
 
 import pytest
 
+from invset import checks, exactmath
 from invset.exactmath import (
     ExactAngle,
     NotOnInvariantSet,
@@ -135,6 +136,21 @@ class TestRationalCosine:
                 approx = sin_turns(angle.turns)
                 if value is not None:
                     assert abs(approx - to_mpf(value)) < TINY_150
+
+    # each edit of the exceptional-cosine table must fail the integer certificate: a sign swap of every
+    # nonzero entry, a dropped entry, and 1/5 -> 1, which the value test D_5(2) = 2 alone would pass
+    @pytest.mark.parametrize("turns, value", [
+        ("0", "-1"), ("1/6", "-1/2"), ("1/3", "1/2"), ("1/2", "1"), ("2/3", "1/2"), ("5/6", "-1/2"),
+        ("1/6", None), ("1/5", "1"),
+    ])
+    def test_grid_row_fails_on_an_edited_table(self, monkeypatch, turns, value):
+        table = dict(exactmath._EXCEPTIONAL_COS)
+        if value is None:
+            del table[Fraction(turns)]
+        else:
+            table[Fraction(turns)] = Fraction(value)
+        monkeypatch.setattr(exactmath, "_EXCEPTIONAL_COS", table)
+        assert not checks.rational_cosine_grid(40)[0].passed
 
     def test_rational_sqrt(self):
         assert rational_sqrt(Fraction(9, 16)) == Fraction(3, 4)
