@@ -85,6 +85,16 @@ class TestOperatorMatrices:
         with pytest.raises(ValueError):
             FormalOperatorMatrix(6, (0, 1, 2, 3), (e, e, e))
 
+    def test_products_stay_generalized_permutations(self):
+        rng = random.Random(3)
+        mats = [evolution_matrix(axis, rng.randrange(32), 6) for axis in range(4)]
+        prod, grid = mats[0], dense(mats[0])
+        for m in mats[1:]:
+            prod, grid = prod @ m, dense_product(grid, dense(m), 6)
+        assert sorted(prod.cols) == [0, 1, 2, 3] and len(prod.entries) == 4
+        assert dense(prod) == grid
+        assert sum(e is not None for row in grid for e in row) == 4
+
     def test_product_entry_composition(self):
         e0 = evolution_matrix(0, 3, 6)
         e0b = evolution_matrix(0, 5, 6)
