@@ -14,6 +14,7 @@ import mpmath
 
 from invset import ExactAngle, MzConfig, PbrConfig, ChshConfig, chsh_run, mz_run, pbr_run
 from invset.exactmath import NotOnInvariantSet
+from invset.experiments import PAIR_NAMES
 
 
 def angle(num, den=1):
@@ -22,10 +23,11 @@ def angle(num, den=1):
 
 print("CHSH at the optimal settings, N = 20 bits of precision:")
 report = chsh_run(ChshConfig(20, angle(0), angle(1, 4), angle(1, 8), angle(3, 8)))
-for pair, se in report.sub_ensembles.items():
-    print(f"  {pair}: requested {se.substitution.requested_turns} turns,",
-          f"substituted cosine {se.substitution.cos_value} ->",
-          f"correlation {se.correlation} ({float(se.correlation):+.6f})")
+for pair in PAIR_NAMES:
+    sub = report.substitutions[pair]  # a pair's correlation is its substituted cosine
+    print(f"  {pair}: requested {sub.requested_turns} turns,",
+          f"substituted cosine {sub.cos_value} ->",
+          f"correlation {sub.cos_value} ({float(sub.cos_value):+.6f})")
 print(f"  S = {report.s_value} = {float(report.s_value):.6f}",
       f"(2*sqrt(2) = {float(2 * mpmath.sqrt(2)):.6f}) - the inequality bound 2 is violated")
 
@@ -39,7 +41,7 @@ print("\nwhich-way vs interference: one phase cannot pass both gates")
 phi = angle(5, 512)
 ww = mz_run(MzConfig("which_way", phi, 10))
 print(f"  which-way at phi = {phi}: P(D_b) = {ww.probabilities['D_b']}",
-      f"- interference admissible for the same phi? {ww.counterfactual_admissible}")
+      f"- interference admissible for the same phi? {ww.amplitude_gate}")
 try:
     mz_run(MzConfig("interference", phi, 10))
 except NotOnInvariantSet as exc:
@@ -49,7 +51,8 @@ print(f"  interference at phi = 1/6 turns (exceptional cosine): P(D_c) = {good.p
 
 print("\npreparation obstruction: matched vs mismatched choices")
 rep = pbr_run(PbrConfig(angle(1, 2), angle(1, 6), angle(1, 4), 8))
-print(f"  X = {rep.x_value} (exact: {rep.x_exact}), Z = {rep.z_value} (exact: {rep.z_exact})")
+print(f"  X = {rep.x_value} (exact: {isinstance(rep.x_value, Fraction)}),",
+      f"Z = {rep.z_value} (exact: {isinstance(rep.z_value, Fraction)})")
 print(f"  simultaneity verdict: {rep.simultaneity}")
 print("  cos(a-2b) and cos(b) are describable, so cos(a-b) cannot be:")
 print("  the mismatched-preparation world is off the invariant set, and the")

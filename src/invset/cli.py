@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -43,6 +44,7 @@ EXIT_EXCLUDED = 2
 TRACE_LENGTH_BOUND = 1 << 12  # max evolution steps a dirac trace will take
 CHSH_N_BITS_BOUND = 1 << 13  # largest chsh N: a run there takes about 70 ms on 2 CPUs
 MZ_N_BITS_BOUND = 1 << 26  # largest mz N: its counts have 2**N bits; a process there peaks near 72 MB
+LINE_BOUND = 300  # most characters of the one stderr line a failed run prints
 
 
 REQUIRED = object()  # schema default of a key that every config must give
@@ -121,6 +123,14 @@ def _fraction(value) -> Fraction:
     return fr
 
 
+def _positive(value) -> Fraction:
+    """Parser for a positive rational."""
+    fr = _fraction(value)
+    if fr <= 0:
+        raise ValueError(f"{value} is not positive")
+    return fr
+
+
 def _turns(value) -> ExactAngle:
     return ExactAngle(_fraction(value))
 
@@ -143,7 +153,7 @@ SCHEMAS: dict[str, dict] = {
     "chsh": {
         "n_bits": (_n_bits(CHSH_N_BITS_BOUND), REQUIRED),
         "angles": ({key: (_turns, REQUIRED) for key in ("A1", "A2", "B1", "B2")}, REQUIRED),  # ChshConfig order
-        "window_turns": (_fraction, None),  # absent: ChshConfig's 2**-(N-2)
+        "window_turns": (_positive, None),  # absent: ChshConfig's 2**-(N-2)
     },
     "mz": {"n_bits": (_int(3, MZ_N_BITS_BOUND), REQUIRED), "mode": (str, WHICH_WAY), "phi_turns": (_turns, REQUIRED)},
     "pbr": {"n_bits": (_int(1), REQUIRED),
@@ -216,11 +226,10 @@ def _config(args) -> dict:
 def cmd_chsh(args) -> int:
     cfg = _config(args)
     config = ChshConfig(cfg["n_bits"], *cfg["angles"].values(), cfg.get("window_turns"))
-    report = chsh_run(config)
-    rec = report.record()
-    rows = [[pair, fraction_str(se.substitution.requested_turns), se.substitution.first_count,
-             fraction_str(se.substitution.cos_value), fraction_str(se.correlation), float(se.correlation)]
-            for pair, se in report.sub_ensembles.items()]
+    rec = chsh_run(config).record()
+    rows = [[pair, se["substitution"]["requested_turns"], se["substitution"]["first_count"],
+             se["substitution"]["cos"], se["correlation"], se["correlation_float_derived"]]
+            for pair, se in rec["sub_ensembles"].items()]
     header = ["pair", "requested_turns", "first_count", "cos_substitute", "correlation", "correlation_float"]
     _emit(args, {**cfg, "window_turns": config.window}, rec, _csv(header, rows))
     print(f"S = {rec['s_value']} ({rec['s_value_float_derived']:.6f})")
@@ -237,8 +246,7 @@ def cmd_mz(args) -> int:
 
 def cmd_pbr(args) -> int:
     cfg = _config(args)
-    report = pbr_run(PbrConfig(cfg["alpha_turns"], cfg["beta_turns"], cfg["theta_turns"], cfg["n_bits"]))
-    rec = report.record()
+    rec = pbr_run(PbrConfig(cfg["alpha_turns"], cfg["beta_turns"], cfg["theta_turns"], cfg["n_bits"])).record()
     rows = [[name, rec[name]["exact"] or "", rec[name]["float_derived"]] for name in ("X", "Z")]  # inexact: ""
     _emit(args, cfg, rec, _csv(["quantity", "exact", "float"], rows))
     return EXIT_OK
@@ -311,7 +319,8 @@ def cmd_padic(args) -> int:
             raise ValueError(f"config keys 'a_digits' and 'b_off': the Euclidean gap exceeds the digit limit {limit}")
         report["probe"] = probe.record()
     rows = [[d["a"], d["b"], d["distance"]] for d in distances]
-    _emit(args, cfg, report, _csv(["a", "b", "distance"], rows))
+    pairs = [row[:2] for row in rows]  # echoed as these texts, so the pair Fractions are formatted once
+    _emit(args, {**cfg, "pairs": pairs}, report, _csv(["a", "b", "distance"], rows))
     return EXIT_OK
 
 
@@ -356,13 +365,22 @@ def cmd_check(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_USAGE
 
 
+def _line(message: str) -> str:
+    """message as one stderr line: a line break as its escape, each run of
+    more than 40 digits as its first 20 and its digit count, and the whole
+    cut to LINE_BOUND characters."""
+    line = re.sub(r"[0-9]{41,}", lambda run: f"{run[0][:20]}...({len(run[0])} digits)",
+                  message.replace("\r", "\\r").replace("\n", "\\n"))
+    return line if len(line) <= LINE_BOUND else line[:LINE_BOUND - 3] + "..."
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error like every other usage error: one line on stderr
     and exit 1, since exit 2 means an invariant-set exclusion.  Subparsers
     are made of this class too."""
 
     def error(self, message: str):
-        print(f"error: {message}", file=sys.stderr)
+        print(_line(f"error: {message}"), file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -403,10 +421,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (NotOnInvariantSet, NoAdmissibleAngle) as exc:
-        print(f"off the invariant set: {exc}", file=sys.stderr)
+        print(_line(f"off the invariant set: {exc}"), file=sys.stderr)
         return EXIT_EXCLUDED
     except (OSError, ValueError, ZeroDivisionError, ResourceBound) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_line(f"error: {exc}"), file=sys.stderr)
         return EXIT_USAGE
 
 

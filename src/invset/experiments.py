@@ -14,7 +14,8 @@ a counterfactual run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import (
@@ -54,15 +55,14 @@ class AngleSubstitution:
     checked against the window before this record is built.
     """
 
-    name: str
     requested_turns: Fraction
     first_count: int
     cos_value: Fraction
     delta_turns_float: float
 
-    def record(self) -> dict:
+    def record(self, name: str) -> dict:
         return {
-            "name": self.name,
+            "name": name,
             "requested_turns": fraction_str(self.requested_turns),
             "first_count": self.first_count,
             "cos": fraction_str(self.cos_value),
@@ -120,9 +120,7 @@ def _decide(turns: Fraction, n_bits: int, window: Fraction, prec: int) -> tuple[
     return (count, near, False) if mpf_lt(hi, w_lo) else None
 
 
-def substitute_describable(
-    requested_turns: Fraction, n_bits: int, window_turns: Fraction, name: str = ""
-) -> AngleSubstitution:
+def substitute_describable(requested_turns: Fraction, n_bits: int, window_turns: Fraction) -> AngleSubstitution:
     """Nearest angle whose cos^2(theta/2) is describable by N bits.
 
     ``requested_turns`` is a relative orientation folded into [0, 1/2].
@@ -145,7 +143,7 @@ def substitute_describable(
         raise NoAdmissibleAngle(
             f"no describable angle within {window_turns} turns of {requested_turns} at N={n_bits}"
         )
-    return AngleSubstitution(name, requested_turns, count, Fraction(2 * count, 1 << n_bits) - 1, delta)
+    return AngleSubstitution(requested_turns, count, Fraction(2 * count, 1 << n_bits) - 1, delta)
 
 
 @dataclass(frozen=True)
@@ -163,111 +161,75 @@ class ChshConfig:
 
 
 @dataclass(frozen=True)
-class SubEnsemble:
-    """One of the four separately-prepared measurement runs."""
-
-    pair: str
-    substitution: AngleSubstitution
-    agreement: Fraction
-    correlation: Fraction
-
-    def record(self) -> dict:
-        return {
-            "pair": self.pair,
-            "substitution": self.substitution.record(),
-            "agreement": fraction_str(self.agreement),
-            "correlation": fraction_str(self.correlation),
-            "correlation_float_derived": float(self.correlation),
-        }
-
-
-@dataclass(frozen=True)
 class ChshReport:
+    """``substitutions`` maps each of the four pairs and the two bridges to
+    its substitution.  Each pair is measured on its own sub-ensemble: its
+    agreement a is its count over 2**N and its correlation 2a - 1, the
+    substituted cosine."""
+
     n_bits: int
     window_turns: Fraction
-    sub_ensembles: dict[str, SubEnsemble]
+    substitutions: dict[str, AngleSubstitution]
     s_value: Fraction
     admissibility: dict[str, dict[str, dict]]
-    bridges: dict[str, AngleSubstitution]
 
     def record(self) -> dict:
+        def sub_ensemble(pair: str) -> dict:
+            sub = self.substitutions[pair]
+            return {
+                "pair": pair,
+                "substitution": sub.record(pair),
+                "agreement": fraction_str(Fraction(sub.first_count, 1 << self.n_bits)),
+                "correlation": fraction_str(sub.cos_value),
+                "correlation_float_derived": float(sub.cos_value),
+            }
+
         return {
             "n_bits": self.n_bits,
             "window_turns": fraction_str(self.window_turns),
-            "sub_ensembles": {k: v.record() for k, v in self.sub_ensembles.items()},
+            "sub_ensembles": {pair: sub_ensemble(pair) for pair in PAIR_NAMES},
             "s_value": fraction_str(self.s_value),
             "s_value_float_derived": float(self.s_value),
-            "bridges": {k: v.record() for k, v in self.bridges.items()},
+            "bridges": {name: self.substitutions[name].record(name) for name in BRIDGE_NAMES},
             "admissibility": self.admissibility,
         }
 
 
-def _admissibility_matrix(
-    subs: dict[str, AngleSubstitution], bridges: dict[str, AngleSubstitution], n_bits: int
-) -> dict[str, dict[str, dict]]:
+def _admissibility_matrix(subs: dict[str, AngleSubstitution], n_bits: int) -> dict[str, dict[str, dict]]:
     """Verdict per (actual, counterfactual) pair: each bridge on the way asks
     whether the summed setting's cosine can still be describable.  Each
     distinct (bridge cosine, current cosine) pair is decided once."""
-    verdicts: dict[tuple[Fraction, Fraction], ObstructionVerdict] = {}
-    matrix: dict[str, dict[str, dict]] = {}
-    for actual in PAIR_NAMES:
-        row: dict[str, dict] = {}
-        for counterfactual in PAIR_NAMES:
-            if counterfactual == actual:
-                row[counterfactual] = {"verdict": "actual", "reason": REASON_DESCRIBABLE, "via": []}
-                continue
-            chain = []
-            if actual[:2] != counterfactual[:2]:
-                chain.append("A1A2")
-            if actual[2:] != counterfactual[2:]:
-                chain.append("B1B2")
-            current = subs[actual].cos_value
-            outcome: dict | None = None
-            for bridge in chain:
-                key = (bridges[bridge].cos_value, current)
-                verdict = verdicts.get(key)
-                if verdict is None:
-                    verdict = verdicts[key] = simultaneous_describability(*key, n_bits)
-                if verdict.excluded:
-                    outcome = {"verdict": "excluded", "reason": verdict.reason, "via": chain}
-                    break
-                current = combine_degenerate_cosine(current, bridges[bridge].cos_value)
-            if outcome is None:
-                outcome = {"verdict": "admissible", "reason": REASON_DESCRIBABLE, "via": chain}
-            row[counterfactual] = outcome
-        matrix[actual] = row
-    return matrix
+    decide = functools.cache(lambda bridge_cos, cos: simultaneous_describability(bridge_cos, cos, n_bits))
+
+    def cell(actual: str, counterfactual: str) -> dict:
+        if counterfactual == actual:
+            return {"verdict": "actual", "reason": REASON_DESCRIBABLE, "via": []}
+        chain = ["A1A2"] * (actual[:2] != counterfactual[:2]) + ["B1B2"] * (actual[2:] != counterfactual[2:])
+        current = subs[actual].cos_value
+        for bridge in chain:
+            verdict = decide(subs[bridge].cos_value, current)
+            if verdict.excluded:
+                return {"verdict": "excluded", "reason": verdict.reason, "via": chain}
+            current = combine_degenerate_cosine(current, subs[bridge].cos_value)
+        return {"verdict": "admissible", "reason": REASON_DESCRIBABLE, "via": chain}
+
+    return {actual: {counterfactual: cell(actual, counterfactual) for counterfactual in PAIR_NAMES}
+            for actual in PAIR_NAMES}
 
 
 def chsh_run(cfg: ChshConfig) -> ChshReport:
     """Run the four sub-experiments on separate sub-ensembles and assemble
     S = |C(A1,B1) - C(A1,B2)| + |C(A2,B1) + C(A2,B2)| exactly.  Pairs and
     bridges at the same folded angle share one substitution.  A
-    sub-ensemble's agreement is its substituted count over 2**N and its
-    correlation 2a - 1: the Bell strings' closed form, so no labels are built."""
+    correlation is its pair's substituted cosine: the Bell strings' closed
+    form, so no labels are built."""
     settings = {"A1": cfg.a1, "A2": cfg.a2, "B1": cfg.b1, "B2": cfg.b2}
-    found: dict[Fraction, AngleSubstitution] = {}
-
-    def substitution(name: str) -> AngleSubstitution:
-        t = relative_turns(settings[name[:2]], settings[name[2:]])
-        if t not in found:
-            found[t] = substitute_describable(t, cfg.n_bits, cfg.window, name)
-        return replace(found[t], name=name)
-
-    subs = {pair: substitution(pair) for pair in PAIR_NAMES}
-    bridges = {name: substitution(name) for name in BRIDGE_NAMES}
-    agreements = {pair: Fraction(sub.first_count, 1 << cfg.n_bits) for pair, sub in subs.items()}
-    ensembles = {pair: SubEnsemble(pair, subs[pair], a, 2 * a - 1) for pair, a in agreements.items()}
-    c = {pair: ensembles[pair].correlation for pair in PAIR_NAMES}
+    substitute = functools.cache(lambda t: substitute_describable(t, cfg.n_bits, cfg.window))
+    subs = {name: substitute(relative_turns(settings[name[:2]], settings[name[2:]]))
+            for name in (*PAIR_NAMES, *BRIDGE_NAMES)}
+    c = {pair: subs[pair].cos_value for pair in PAIR_NAMES}
     s_value = abs(c["A1B1"] - c["A1B2"]) + abs(c["A2B1"] + c["A2B2"])
-    return ChshReport(
-        cfg.n_bits,
-        cfg.window,
-        ensembles,
-        s_value,
-        _admissibility_matrix(subs, bridges, cfg.n_bits),
-        bridges,
-    )
+    return ChshReport(cfg.n_bits, cfg.window, subs, s_value, _admissibility_matrix(subs, cfg.n_bits))
 
 
 WHICH_WAY = "which_way"
@@ -288,11 +250,12 @@ class MzReport:
     probabilities: dict[str, Fraction]
     phase_gate: bool  # phi/2pi describable by N-1 bits
     amplitude_gate: bool  # cos^2(phi/2) describable by N bits
-    counterfactual_mode: str
-    counterfactual_admissible: bool
-    exceptional: bool  # both gates pass: cos(phi) in {0, +-1/2, +-1} on the grid
 
     def record(self) -> dict:
+        """The other mode is the counterfactual, admissible where its gate
+        passes; a phase passing both gates is exceptional: cos(phi) in
+        {0, +-1/2, +-1} on the grid."""
+        which_way = self.mode == WHICH_WAY
         return {
             "mode": self.mode,
             "phi_turns": fraction_str(self.phi_turns),
@@ -300,9 +263,9 @@ class MzReport:
             "probabilities_float_derived": {k: float(v) for k, v in self.probabilities.items()},
             "phase_gate": self.phase_gate,
             "amplitude_gate": self.amplitude_gate,
-            "counterfactual_mode": self.counterfactual_mode,
-            "counterfactual_admissible": self.counterfactual_admissible,
-            "exceptional": self.exceptional,
+            "counterfactual_mode": INTERFERENCE if which_way else WHICH_WAY,
+            "counterfactual_admissible": self.amplitude_gate if which_way else self.phase_gate,
+            "exceptional": self.phase_gate and self.amplitude_gate,
         }
 
 
@@ -321,28 +284,17 @@ def mz_run(cfg: MzConfig) -> MzReport:
     cos^2(phi/2)).  The mode whose gate fails is off the invariant set and
     raises that gate's exception; each gate runs once."""
     shift, count = _gate(gate_phase, cfg.phi, cfg.n_bits), _gate(gate_amplitude, cfg.phi, cfg.n_bits)
-    phase_ok, amplitude_ok = type(shift) is int, type(count) is int
     if cfg.mode == WHICH_WAY:
         decided, first_count, rotation, tag = shift, 1 << (cfg.n_bits - 1), shift, "b"
-        counterfactual, cf_ok = INTERFERENCE, amplitude_ok
     elif cfg.mode == INTERFERENCE:
         decided, first_count, rotation, tag = count, count, 0, "c"
-        counterfactual, cf_ok = WHICH_WAY, phase_ok
     else:
         raise ValueError(f"unknown mode {cfg.mode!r}")
     if isinstance(decided, NotOnInvariantSet):
         raise decided
     p = fraction(sample_from_counts(cfg.n_bits, first_count, rotation, tag))
-    return MzReport(
-        cfg.mode,
-        cfg.phi.turns,
-        {f"D_{tag}": p, f"D_not_{tag}": 1 - p},
-        phase_ok,
-        amplitude_ok,
-        counterfactual,
-        cf_ok,
-        phase_ok and amplitude_ok,
-    )
+    return MzReport(cfg.mode, cfg.phi.turns, {f"D_{tag}": p, f"D_not_{tag}": 1 - p},
+                   type(shift) is int, type(count) is int)
 
 
 def pbr_values(alpha: ExactAngle, beta: ExactAngle, theta: ExactAngle, prec: int = DEFAULT_PREC):
@@ -411,21 +363,19 @@ class PbrConfig:
 class PbrReport:
     x_value: object  # Fraction when exact, mpf otherwise
     z_value: object
-    x_exact: bool
-    z_exact: bool
-    simultaneity: dict = field(default_factory=dict)
+    simultaneity: dict
 
     def record(self) -> dict:
-        def num(v, exact):
-            if exact:
+        def num(v):
+            if isinstance(v, Fraction):
                 return {"exact": fraction_str(v), "float_derived": float(v)}
             import mpmath  # an inexact value is an mpf, so mpmath is loaded already
 
             return {"exact": None, "float_derived": float(v), "highprec_derived": mpmath.nstr(v, 50)}
 
         return {
-            "X": num(self.x_value, self.x_exact),
-            "Z": num(self.z_value, self.z_exact),
+            "X": num(self.x_value),
+            "Z": num(self.z_value),
             "simultaneity": self.simultaneity,
         }
 
@@ -440,4 +390,4 @@ def pbr_run(cfg: PbrConfig) -> PbrReport:
         sim = {"applicable": False, "reason": "cos(alpha-2beta) or cos(beta) not describable"}
     else:
         sim = {"applicable": True, "verdict": v.verdict, "reason": v.reason}
-    return PbrReport(x, z, isinstance(x, Fraction), isinstance(z, Fraction), sim)
+    return PbrReport(x, z, sim)

@@ -410,6 +410,12 @@ class TestMalformedInput:
             ("padic", {"p": 2**89 - 1},
              f"error: primality of {2**89 - 1} is decided exactly only below 3317044064679887385961981"),
             ("padic", {"p": 4, "pairs": [], "cantor_level": 2}, "error: config key 'p': 4 is not prime"),
+            ("chsh", dict(OPTIMAL_CHSH, n_bits=8, window_turns="-1"),
+             "error: config key 'window_turns': -1 is not positive"),
+            ("chsh", dict(OPTIMAL_CHSH, n_bits=8, window_turns="0"),
+             "error: config key 'window_turns': 0 is not positive"),
+            ("chsh", dict(OPTIMAL_CHSH, window_turns="1e4300\n"),
+             "error: config key 'window_turns': 1e4300\\n exceeds the digit limit 4300"),
         ],
     )
     def test_exits_one_with_one_line(self, tmp_path, capsys, command, payload, message):
@@ -475,6 +481,36 @@ class TestMalformedInput:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err.splitlines() == [message]
 
+    @pytest.mark.parametrize(
+        "command, payload, code, line",
+        [
+            ("padic", {"p": 2, "probe": {"a_digits": [1, 0, 1], "b_off": "5/" + "3" * 4300}}, 1,
+             "error: ord_2(5/33333333333333333333...(4300 digits)) >= 0: probe point must lie outside the p-adic"
+             " integers"),
+            ("padic", {"p": 2, "pairs": [["x" * 5000, "1"]]}, 1,
+             "error: config key 'pairs': Invalid literal for Fraction: '" + "x" * 239 + "..."),
+            ("chsh", {"n_bits": 20, "angles": {"A1": "0", "A2": "0", "B1": "1/7", "B2": "1/7"},
+                      "window_turns": "1/" + "9" * 4000}, 2,
+             "off the invariant set: no describable angle within 1/99999999999999999999...(4000 digits) turns of 1/7"
+             " at N=20"),
+        ],
+        ids=["padic-b_off", "padic-pairs", "chsh-window"],
+    )
+    def test_long_messages_print_one_bounded_line(self, tmp_path, capsys, command, payload, code, line):
+        # a digit run past 40 digits keeps its first 20 and its count, and the line is cut at LINE_BOUND characters
+        cfg = write_config(tmp_path, "long.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert len(line) <= cli.LINE_BOUND
+
+    def test_short_digit_runs_are_printed_whole(self):
+        for message in ("error: 2**30 labels exceed", f"error: {10**30} exceeds the bound",
+                        "1" * 40 + " and " + "2" * 40):
+            assert cli._line(message) == message
+        assert cli._line("1" * 41) == "11111111111111111111...(41 digits)"
+        assert cli._line("x" * 301) == "x" * 297 + "..."
+        assert cli._line("x" * 300) == "x" * 300
+
     def test_a_probe_below_the_digit_limit_runs(self, tmp_path):
         # 10**4 binary digits: a_value = 2**10000 - 1 has 3,011 decimal digits
         cfg = write_config(tmp_path, "c.json", {"p": 2, "probe": {"a_digits": [1] * 10**4, "b_off": "5/4"}})
@@ -513,6 +549,8 @@ class TestParser:
             (["sample", "--bogus"], "error: unrecognized arguments: --bogus"),
             (["sample", "--n-bits", "abc"], "error: argument --n-bits: invalid int value: 'abc'"),
             ([], "error: the following arguments are required: command"),
+            (["sample", "--n-bits", "9" * 5000],
+             "error: argument --n-bits: invalid int value: '99999999999999999999...(5000 digits)'"),
         ],
     )
     def test_usage_error_exits_one_with_one_line(self, capsys, argv, message):
@@ -1046,6 +1084,7 @@ class TestConfigProperty:
                 code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
             assert code in (0, 1, 2)
             assert len(err.getvalue().splitlines()) == (code != 0)
+            assert len(err.getvalue()) <= cli.LINE_BOUND + 1
             assert "Traceback" not in err.getvalue()
 
         run()

@@ -17,6 +17,8 @@ from invset.exactmath import (
     simultaneous_describability,
 )
 from invset.experiments import (
+    BRIDGE_NAMES,
+    PAIR_NAMES,
     ChshConfig,
     MzConfig,
     PbrConfig,
@@ -52,19 +54,19 @@ OPTIMAL = dict(a1=angle(0), a2=angle(1, 4), b1=angle(1, 8), b2=angle(3, 8))
 class TestSubstitution:
     def test_frozen_small_case(self):
         # requested 1/8 turn at N=4: count 14 of 16, cosine substitute 3/4
-        sub = substitute_describable(Fraction(1, 8), 4, Fraction(1, 4), "x")
+        sub = substitute_describable(Fraction(1, 8), 4, Fraction(1, 4))
         assert sub.first_count == 14
         assert sub.cos_value == Fraction(3, 4)
         assert 0 < sub.delta_turns_float < 0.011
 
     def test_exact_angles_need_no_adjustment(self):
-        sub = substitute_describable(Fraction(1, 3), 4, Fraction(1, 1 << 30), "x")
+        sub = substitute_describable(Fraction(1, 3), 4, Fraction(1, 1 << 30))
         assert sub.cos_value == Fraction(-1, 2)
         assert sub.delta_turns_float == 0.0
 
     def test_tiny_window_raises(self):
         with pytest.raises(NoAdmissibleAngle):
-            substitute_describable(Fraction(1, 10), 4, Fraction(1, 1 << 40), "x")
+            substitute_describable(Fraction(1, 10), 4, Fraction(1, 1 << 40))
 
     def test_default_window_bound_holds(self):
         # away from the poles (where the cosine grid is angularly coarse and
@@ -75,14 +77,14 @@ class TestSubstitution:
             window = Fraction(1, 1 << (n_bits - 2))
             for _ in range(40):
                 t = Fraction(rng.randrange(50, 451), 1000)
-                sub = substitute_describable(t, n_bits, window, "x")
+                sub = substitute_describable(t, n_bits, window)
                 assert sub.delta_turns_float < float(window)
 
     def test_pole_adjacent_requests_never_silently_exceed_window(self):
         window = Fraction(1, 1 << 12)
         for t in (Fraction(1, 1000), Fraction(499, 1000)):
             try:
-                sub = substitute_describable(t, 14, window, "x")
+                sub = substitute_describable(t, 14, window)
             except NoAdmissibleAngle:
                 continue
             assert sub.delta_turns_float < float(window)
@@ -91,7 +93,7 @@ class TestSubstitution:
     def test_large_n_agrees_with_a_double_precision_oracle(self, n_bits):
         # at a fixed 240 bits these were wrongly excluded: 2**-N is below the precision
         window = Fraction(1, 1 << (n_bits - 2))
-        sub = substitute_describable(Fraction(1, 8), n_bits, window, "x")
+        sub = substitute_describable(Fraction(1, 8), n_bits, window)
         count, delta = oracle_substitution(Fraction(1, 8), n_bits, 2 * n_bits)
         assert sub.first_count == count
         assert sub.cos_value == Fraction(2 * count, 1 << n_bits) - 1
@@ -103,8 +105,8 @@ class TestSubstitution:
         # the substitute cosine is 1, its angle 0 exactly, so delta equals the window
         window = Fraction(1, 1 << (n_bits - 2))
         with pytest.raises(NoAdmissibleAngle):
-            substitute_describable(window, n_bits, window, "x")
-        assert substitute_describable(window, n_bits, window * Fraction(1001, 1000), "x").cos_value == 1
+            substitute_describable(window, n_bits, window)
+        assert substitute_describable(window, n_bits, window * Fraction(1001, 1000)).cos_value == 1
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.integers(3, 2000), st.integers(1, 10**6), st.data())
@@ -114,7 +116,7 @@ class TestSubstitution:
         prec = max(4 * n_bits, 480)
         count, delta = oracle_substitution(turns, n_bits, prec)
         try:
-            sub = substitute_describable(turns, n_bits, window, "x")
+            sub = substitute_describable(turns, n_bits, window)
         except NoAdmissibleAngle:
             # an exact tie (delta == window) is excluded too
             assert delta >= to_mpf(window, prec) - mpmath.mpf(2) ** -(3 * n_bits)
@@ -127,7 +129,7 @@ class TestSubstitution:
     @pytest.mark.parametrize("turns,cos", [(Fraction(1, 6), Fraction(1, 2)), (Fraction(1, 3), Fraction(-1, 2))])
     def test_rational_angles_report_an_exact_zero_delta(self, n_bits, turns, cos):
         # from N=165 the working precision used to leave rounding noise (4.4e-75 for 1/6 at N=165)
-        sub = substitute_describable(turns, n_bits, Fraction(1, 1 << (n_bits - 2)), "x")
+        sub = substitute_describable(turns, n_bits, Fraction(1, 1 << (n_bits - 2)))
         assert sub.cos_value == cos
         assert sub.first_count == (1 + cos) * (1 << (n_bits - 1))
         assert sub.delta_turns_float == 0.0
@@ -142,10 +144,10 @@ class TestSubstitution:
             monkeypatch.setattr(libmpi, kernel, refuse)
         for n_bits in (3, 16, 8192):
             for turns in (Fraction(0), Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
-                assert substitute_describable(turns, n_bits, Fraction(1, 1 << 40), "x").delta_turns_float == 0.0
+                assert substitute_describable(turns, n_bits, Fraction(1, 1 << 40)).delta_turns_float == 0.0
         # an irrational cosine does use them
         with pytest.raises(AssertionError, match="interval kernel"):
-            substitute_describable(Fraction(1, 8), 16, Fraction(1, 1 << 14), "x")
+            substitute_describable(Fraction(1, 8), 16, Fraction(1, 1 << 14))
 
     def test_relative_turns_folds_to_half(self):
         assert relative_turns(angle(0), angle(7, 8)) == Fraction(1, 8)
@@ -157,7 +159,7 @@ class TestChsh:
         cfg = ChshConfig(8, angle(0), angle(0), angle(0), angle(0))
         report = chsh_run(cfg)
         assert report.s_value == 2
-        assert all(se.correlation == 1 for se in report.sub_ensembles.values())
+        assert all(report.substitutions[pair].cos_value == 1 for pair in PAIR_NAMES)
         # every counterfactual is degenerate-admissible: nothing was switched far
         for actual in report.admissibility.values():
             for cell in actual.values():
@@ -171,16 +173,17 @@ class TestChsh:
             assert abs(s - target) < mpmath.mpf(2) ** -10
 
     def test_correlation_equals_substituted_cosine(self):
-        report = chsh_run(ChshConfig(12, **OPTIMAL))
-        for se in report.sub_ensembles.values():
-            assert se.correlation == se.substitution.cos_value
-            assert se.agreement == (1 + se.substitution.cos_value) / 2
+        for n_bits in (3, 12, 20):
+            rec = chsh_run(ChshConfig(n_bits, **OPTIMAL)).record()
+            for se in rec["sub_ensembles"].values():
+                cos = Fraction(se["substitution"]["cos"])
+                assert Fraction(se["correlation"]) == cos
+                assert Fraction(se["agreement"]) == (1 + cos) / 2
+                assert se["correlation_float_derived"] == float(cos)
 
     def test_sub_ensembles_are_distinct_records(self):
-        report = chsh_run(ChshConfig(12, **OPTIMAL))
-        assert set(report.sub_ensembles) == {"A1B1", "A1B2", "A2B1", "A2B2"}
-        assert len({id(se) for se in report.sub_ensembles.values()}) == 4
-        assert len({se.pair for se in report.sub_ensembles.values()}) == 4
+        rec = chsh_run(ChshConfig(12, **OPTIMAL)).record()
+        assert set(rec["sub_ensembles"]) == {"A1B1", "A1B2", "A2B1", "A2B2"}
 
     def test_counterfactuals_all_excluded_at_optimal_settings(self):
         report = chsh_run(ChshConfig(20, **OPTIMAL))
@@ -200,7 +203,7 @@ class TestChsh:
 
     def test_s_is_the_exact_rational_combination(self):
         report = chsh_run(ChshConfig(10, **OPTIMAL))
-        c = {pair: se.correlation for pair, se in report.sub_ensembles.items()}
+        c = {pair: report.substitutions[pair].cos_value for pair in PAIR_NAMES}
         assert report.s_value == abs(c["A1B1"] - c["A1B2"]) + abs(c["A2B1"] + c["A2B2"])
 
     def test_sub_ensembles_are_closed_form_without_composition(self, monkeypatch):
@@ -208,11 +211,12 @@ class TestChsh:
         for name in ("compose_pair", "joint_counts"):
             original = getattr(multiqubit, name)
             monkeypatch.setattr(multiqubit, name, lambda *a, original=original: composed.append(a) or original(*a))
-        report = chsh_run(ChshConfig(10, **OPTIMAL))
+        rec = chsh_run(ChshConfig(10, **OPTIMAL)).record()
         assert composed == []
-        for se in report.sub_ensembles.values():
-            assert se.agreement == Fraction(se.substitution.first_count, 1 << 10)
-            assert se.correlation == 2 * se.agreement - 1
+        for se in rec["sub_ensembles"].values():
+            agreement = Fraction(se["substitution"]["first_count"], 1 << 10)
+            assert Fraction(se["agreement"]) == agreement
+            assert Fraction(se["correlation"]) == 2 * agreement - 1
 
     @pytest.mark.parametrize("n_bits", [25, 40, 1000])
     def test_runs_beyond_the_explicit_label_limit(self, n_bits):
@@ -233,10 +237,14 @@ class TestChsh:
                             lambda t, *args: requested.append(t) or substitute(t, *args))
         report = chsh_run(ChshConfig(10, **angles))
         assert sorted(requested) == distinct
-        for name, sub in [*((p, se.substitution) for p, se in report.sub_ensembles.items()),
-                          *report.bridges.items()]:
-            assert sub.name == name
-            assert sub == substitute(sub.requested_turns, 10, report.window_turns, name)
+        settings = {"A1": angles["a1"], "A2": angles["a2"], "B1": angles["b1"], "B2": angles["b2"]}
+        assert list(report.substitutions) == [*PAIR_NAMES, *BRIDGE_NAMES]
+        for name, sub in report.substitutions.items():
+            assert sub.requested_turns == relative_turns(settings[name[:2]], settings[name[2:]])
+            assert sub == substitute(sub.requested_turns, 10, report.window_turns)
+        rec = report.record()
+        assert all(se["substitution"]["name"] == pair for pair, se in rec["sub_ensembles"].items())
+        assert all(bridge["name"] == name for name, bridge in rec["bridges"].items())
 
     @pytest.mark.parametrize("angles", [OPTIMAL, dict(a1=angle(0), a2=angle(1, 3), b1=angle(1, 6), b2=angle(1, 2))])
     def test_each_distinct_bridge_pair_is_decided_once(self, monkeypatch, angles):
@@ -281,7 +289,7 @@ class TestMachZehnder:
     def test_interference_sixty_degrees(self):
         report = mz_run(MzConfig("interference", angle(1, 6), 10))
         assert report.probabilities["D_c"] == Fraction(3, 4)
-        assert not report.counterfactual_admissible  # 1/6 turn is not dyadic
+        assert not report.record()["counterfactual_admissible"]  # 1/6 turn is not dyadic
 
     def test_gate_failures_raise(self):
         with pytest.raises(NotOnInvariantSet):
@@ -323,12 +331,15 @@ class TestMachZehnder:
         assert calls == {"gate_phase": 1, "gate_amplitude": 1}
 
     def test_counterfactual_verdict_recorded(self):
-        report = mz_run(MzConfig("which_way", angle(3, 128), 10))
-        assert report.counterfactual_mode == "interference"
-        assert not report.counterfactual_admissible
-        assert not report.exceptional
-        report2 = mz_run(MzConfig("which_way", angle(1, 4), 10))
-        assert report2.exceptional and report2.counterfactual_admissible
+        rec = mz_run(MzConfig("which_way", angle(3, 128), 10)).record()
+        assert rec["counterfactual_mode"] == "interference"
+        assert not rec["counterfactual_admissible"]
+        assert not rec["exceptional"]
+        rec2 = mz_run(MzConfig("which_way", angle(1, 4), 10)).record()
+        assert rec2["exceptional"] and rec2["counterfactual_admissible"]
+        rec3 = mz_run(MzConfig("interference", angle(1, 6), 10)).record()
+        assert rec3["counterfactual_mode"] == "which_way"
+        assert not rec3["counterfactual_admissible"] and not rec3["exceptional"]
 
 
 def pbr_oracle(alpha_t, beta_t, theta_t, prec=240):
@@ -436,13 +447,13 @@ class TestPbrSimultaneity:
 
     def test_run_report(self):
         rep = pbr_run(PbrConfig(angle(1, 2), angle(1, 6), angle(1, 4), 8))
-        assert rep.x_exact and rep.z_exact
+        assert isinstance(rep.x_value, Fraction) and isinstance(rep.z_value, Fraction)
         assert rep.simultaneity == {
             "applicable": True,
             "verdict": "sum_excluded",
             "reason": REASON_IRRATIONAL_SINE,
         }
         rep2 = pbr_run(PbrConfig(angle(1, 10), angle(1, 7), angle(1, 9), 8))
-        assert not rep2.x_exact and not rep2.simultaneity["applicable"]
+        assert not isinstance(rep2.x_value, Fraction) and not rep2.simultaneity["applicable"]
         rec = rep2.record()
         assert rec["X"]["exact"] is None and "highprec_derived" in rec["X"]
