@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import mpmath
 
-from invset import ExactAngle, MzConfig, PbrConfig, ChshConfig, chsh_run, mz_run, pbr_run
+from invset import ExactAngle, ChshConfig, chsh_run, mz_run, pbr_run
 from invset.exactmath import NotOnInvariantSet
 from invset.experiments import PAIR_NAMES
 
@@ -39,18 +39,18 @@ for cf, cell in row.items():
 
 print("\nwhich-way vs interference: one phase cannot pass both gates")
 phi = angle(5, 512)
-ww = mz_run(MzConfig("which_way", phi, 10))
+ww = mz_run("which_way", phi, 10)
 print(f"  which-way at phi = {phi}: P(D_b) = {ww.probabilities['D_b']}",
       f"- interference admissible for the same phi? {ww.amplitude_gate}")
 try:
-    mz_run(MzConfig("interference", phi, 10))
+    mz_run("interference", phi, 10)
 except NotOnInvariantSet as exc:
     print(f"  interference at the same phi: {exc}")
-good = mz_run(MzConfig("interference", angle(1, 6), 10))
+good = mz_run("interference", angle(1, 6), 10)
 print(f"  interference at phi = 1/6 turns (exceptional cosine): P(D_c) = {good.probabilities['D_c']}")
 
 print("\npreparation obstruction: matched vs mismatched choices")
-rep = pbr_run(PbrConfig(angle(1, 2), angle(1, 6), angle(1, 4), 8))
+rep = pbr_run(angle(1, 2), angle(1, 6), angle(1, 4), 8)
 print(f"  X = {rep.x_value} (exact: {isinstance(rep.x_value, Fraction)}),",
       f"Z = {rep.z_value} (exact: {isinstance(rep.z_value, Fraction)})")
 print(f"  simultaneity verdict: {rep.simultaneity}")

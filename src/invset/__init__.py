@@ -78,8 +78,6 @@ from .dirac import (
 )
 from .experiments import (
     ChshConfig,
-    MzConfig,
-    PbrConfig,
     chsh_run,
     mz_run,
     pbr_run,

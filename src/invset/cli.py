@@ -24,7 +24,7 @@ from .exactmath import (
     ResourceBound,
     fraction_str,
 )
-from .experiments import WHICH_WAY, ChshConfig, MzConfig, PbrConfig, chsh_run, mz_run, pbr_run
+from .experiments import INTERFERENCE, WHICH_WAY, ChshConfig, chsh_run, mz_run, pbr_run
 from .padic import (
     PadicInt,
     euclid_padic_probe,
@@ -44,7 +44,7 @@ EXIT_EXCLUDED = 2
 TRACE_LENGTH_BOUND = 1 << 12  # max evolution steps a dirac trace will take
 CHSH_N_BITS_BOUND = 1 << 13  # largest chsh N: a run there takes about 70 ms on 2 CPUs
 MZ_N_BITS_BOUND = 1 << 26  # largest mz N: its counts have 2**N bits; a process there peaks near 72 MB
-LINE_BOUND = 300  # most characters of the one stderr line a failed run prints
+LINE_BOUND = 300  # most bytes of the one stderr line a failed run prints
 
 
 REQUIRED = object()  # schema default of a key that every config must give
@@ -135,6 +135,13 @@ def _turns(value) -> ExactAngle:
     return ExactAngle(_fraction(value))
 
 
+def _mode(value) -> str:
+    """Parser for mz's mode: one of its two names."""
+    if value not in (WHICH_WAY, INTERFERENCE):
+        raise ValueError(f"unknown mode {value!r}; expected {WHICH_WAY} or {INTERFERENCE}")
+    return value
+
+
 def _list_of(item=None, length: int | None = None):
     """Parser for a JSON list of `item` values (None: left unparsed), of exactly `length` when given."""
     shape = "a list" if length is None else f"a list of {length} items"
@@ -155,7 +162,7 @@ SCHEMAS: dict[str, dict] = {
         "angles": ({key: (_turns, REQUIRED) for key in ("A1", "A2", "B1", "B2")}, REQUIRED),  # ChshConfig order
         "window_turns": (_positive, None),  # absent: ChshConfig's 2**-(N-2)
     },
-    "mz": {"n_bits": (_int(3, MZ_N_BITS_BOUND), REQUIRED), "mode": (str, WHICH_WAY), "phi_turns": (_turns, REQUIRED)},
+    "mz": {"n_bits": (_int(3, MZ_N_BITS_BOUND), REQUIRED), "mode": (_mode, WHICH_WAY), "phi_turns": (_turns, REQUIRED)},
     "pbr": {"n_bits": (_int(1), REQUIRED),
             **{key: (_turns, REQUIRED) for key in ("alpha_turns", "beta_turns", "theta_turns")}},
     # both angles: one string; neither: the rotation table
@@ -204,7 +211,7 @@ def _keyed(key: str, parser, value):
     """parser(value), with a parse error naming the config key."""
     try:
         return parser(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"config key {key!r}: {exc}") from None
 
 
@@ -238,7 +245,7 @@ def cmd_chsh(args) -> int:
 
 def cmd_mz(args) -> int:
     cfg = _config(args)
-    report = mz_run(MzConfig(cfg["mode"], cfg["phi_turns"], cfg["n_bits"]))
+    report = mz_run(cfg["mode"], cfg["phi_turns"], cfg["n_bits"])
     rows = [[detector, fraction_str(p), float(p)] for detector, p in sorted(report.probabilities.items())]
     _emit(args, cfg, report.record(), _csv(["detector", "probability", "probability_float"], rows))
     return EXIT_OK
@@ -246,7 +253,7 @@ def cmd_mz(args) -> int:
 
 def cmd_pbr(args) -> int:
     cfg = _config(args)
-    rec = pbr_run(PbrConfig(cfg["alpha_turns"], cfg["beta_turns"], cfg["theta_turns"], cfg["n_bits"])).record()
+    rec = pbr_run(cfg["alpha_turns"], cfg["beta_turns"], cfg["theta_turns"], cfg["n_bits"]).record()
     rows = [[name, rec[name]["exact"] or "", rec[name]["float_derived"]] for name in ("X", "Z")]  # inexact: ""
     _emit(args, cfg, rec, _csv(["quantity", "exact", "float"], rows))
     return EXIT_OK
@@ -256,13 +263,6 @@ def cmd_sample(args) -> int:
     cfg = _config(args)
     n_bits, theta, phi = cfg["n_bits"], cfg.get("theta_turns"), cfg.get("phi_turns")
     require_explicit(n_bits)  # the report prints every label
-    if args.golden:
-        from .checks import golden_table
-
-        if not golden_table()[0].passed:
-            print("golden mismatch: generated table differs from the stored table", file=sys.stderr)
-            return EXIT_USAGE
-        print("golden table check: PASS (4 strings, byte-identical)")
     if theta is not None or phi is not None:
         if theta is None or phi is None:
             raise ValueError(f"config is missing {'theta_turns' if theta is None else 'phi_turns'!r}")
@@ -298,13 +298,6 @@ def cmd_padic(args) -> int:
             raise ValueError(f"config key 'pairs': the {p}-adic distance of pair {index} exceeds the digit limit "
                              f"{limit}")
         distances.append({"a": str(a), "b": str(b), "distance": fraction_str(distance)})
-    if args.golden:  # the stored 2-adic examples, whatever the config's pairs and p
-        from .checks import golden_d2
-
-        if not golden_d2()[0].passed:
-            print("golden mismatch: p-adic distances differ from the stored values", file=sys.stderr)
-            return EXIT_USAGE
-        print("golden distance check: PASS")
     report: dict = {"p": p, "distances": distances, "similarity_dimension_float": similarity_dimension(p)}
     if "cantor_level" in cfg:
         require_cantor_size(p, cfg["cantor_level"])
@@ -351,8 +344,7 @@ def cmd_check(args) -> int:
     from .checks import DEFAULT_SEED, SUITES, run_suite  # the suites load for this command only
 
     if args.suite not in (*SUITES, "all"):
-        print(f"unknown suite {args.suite!r}; choose from {', '.join([*SUITES, 'all'])}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"unknown suite {args.suite!r}; choose from {', '.join([*SUITES, 'all'])}")
     seed = DEFAULT_SEED if args.seed is None else args.seed
     rows = run_suite(args.suite, seed)
     width = max(len(r.name) for r in rows)
@@ -366,11 +358,12 @@ def cmd_check(args) -> int:
 
 
 def _line(message: str) -> str:
-    """message as one stderr line: a line break as its escape, each run of
-    more than 40 digits as its first 20 and its digit count, and the whole
-    cut to LINE_BOUND characters."""
+    """message as one ASCII stderr line: a line break or non-ASCII character
+    as its escape, each run of more than 40 digits as its first 20 and its
+    digit count, and the whole cut to LINE_BOUND characters, which are bytes."""
+    ascii_text = message.encode("ascii", "backslashreplace").decode("ascii")
     line = re.sub(r"[0-9]{41,}", lambda run: f"{run[0][:20]}...({len(run[0])} digits)",
-                  message.replace("\r", "\\r").replace("\n", "\\n"))
+                  ascii_text.replace("\r", "\\r").replace("\n", "\\n"))
     return line if len(line) <= LINE_BOUND else line[:LINE_BOUND - 3] + "..."
 
 
@@ -393,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("chsh", cmd_chsh, "four sub-ensemble correlations, S value, counterfactual matrix"),
         ("mz", cmd_mz, "which-way / interference run with gate verdicts"),
         ("pbr", cmd_pbr, "closed-form outcome values and the preparation obstruction"),
-        ("sample", cmd_sample, "construct strings; golden-table comparison with --golden"),
+        ("sample", cmd_sample, "construct a string or the rotation table"),
         ("padic", cmd_padic, "p-adic distances, Cantor intervals, probes"),
         ("dirac", cmd_dirac, "granular evolution trace"),
     ):
@@ -403,8 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv", "both"], default="both")
         if "n_bits" in SCHEMAS[name]:
             p.add_argument("--n-bits", type=int, default=None, help="override config n_bits")
-        if name in ("sample", "padic"):
-            p.add_argument("--golden", action="store_true")
         p.set_defaults(func=func)
 
     p_check = sub.add_parser("check", help="run an invariant suite")

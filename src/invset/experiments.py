@@ -237,13 +237,6 @@ INTERFERENCE = "interference"
 
 
 @dataclass(frozen=True)
-class MzConfig:
-    mode: str
-    phi: ExactAngle
-    n_bits: int
-
-
-@dataclass(frozen=True)
 class MzReport:
     mode: str
     phi_turns: Fraction
@@ -277,23 +270,23 @@ def _gate(gate, angle: ExactAngle, n_bits: int) -> int | NotOnInvariantSet:
         return exc
 
 
-def mz_run(cfg: MzConfig) -> MzReport:
+def mz_run(mode: str, phi: ExactAngle, n_bits: int) -> MzReport:
     """Which-way mode sends the input to the balanced string at phase phi
     (detector probabilities exactly 1/2); interference mode sends it to the
     amplitude-phi string at phase zero (bright-port probability exactly
     cos^2(phi/2)).  The mode whose gate fails is off the invariant set and
     raises that gate's exception; each gate runs once."""
-    shift, count = _gate(gate_phase, cfg.phi, cfg.n_bits), _gate(gate_amplitude, cfg.phi, cfg.n_bits)
-    if cfg.mode == WHICH_WAY:
-        decided, first_count, rotation, tag = shift, 1 << (cfg.n_bits - 1), shift, "b"
-    elif cfg.mode == INTERFERENCE:
+    shift, count = _gate(gate_phase, phi, n_bits), _gate(gate_amplitude, phi, n_bits)
+    if mode == WHICH_WAY:
+        decided, first_count, rotation, tag = shift, 1 << (n_bits - 1), shift, "b"
+    elif mode == INTERFERENCE:
         decided, first_count, rotation, tag = count, count, 0, "c"
     else:
-        raise ValueError(f"unknown mode {cfg.mode!r}")
+        raise ValueError(f"unknown mode {mode!r}")
     if isinstance(decided, NotOnInvariantSet):
         raise decided
-    p = fraction(sample_from_counts(cfg.n_bits, first_count, rotation, tag))
-    return MzReport(cfg.mode, cfg.phi.turns, {f"D_{tag}": p, f"D_not_{tag}": 1 - p},
+    p = fraction(sample_from_counts(n_bits, first_count, rotation, tag))
+    return MzReport(mode, phi.turns, {f"D_{tag}": p, f"D_not_{tag}": 1 - p},
                    type(shift) is int, type(count) is int)
 
 
@@ -352,14 +345,6 @@ def pbr_simultaneity(alpha: ExactAngle, beta: ExactAngle, n_bits: int) -> Obstru
 
 
 @dataclass(frozen=True)
-class PbrConfig:
-    alpha: ExactAngle
-    beta: ExactAngle
-    theta: ExactAngle
-    n_bits: int
-
-
-@dataclass(frozen=True)
 class PbrReport:
     x_value: object  # Fraction when exact, mpf otherwise
     z_value: object
@@ -380,12 +365,12 @@ class PbrReport:
         }
 
 
-def pbr_run(cfg: PbrConfig) -> PbrReport:
+def pbr_run(alpha: ExactAngle, beta: ExactAngle, theta: ExactAngle, n_bits: int) -> PbrReport:
     """X, Z and the obstruction as ``pbr_simultaneity`` decides it; where its
     precondition fails, the obstruction is not applicable."""
-    x, z = pbr_values(cfg.alpha, cfg.beta, cfg.theta)
+    x, z = pbr_values(alpha, beta, theta)
     try:
-        v = pbr_simultaneity(cfg.alpha, cfg.beta, cfg.n_bits)
+        v = pbr_simultaneity(alpha, beta, n_bits)
     except ValueError:
         sim = {"applicable": False, "reason": "cos(alpha-2beta) or cos(beta) not describable"}
     else:

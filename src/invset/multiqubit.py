@@ -52,10 +52,6 @@ class MultiSample:
         object.__setattr__(self, "rows", tuple(self.rows))
 
     @property
-    def m(self) -> int:
-        return len(self.rows)
-
-    @property
     def size(self) -> int:
         return 1 << self.n_bits
 

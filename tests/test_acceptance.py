@@ -18,7 +18,6 @@ from invset.experiments import (
     ChshConfig,
     chsh_run,
     mz_run,
-    MzConfig,
     pbr_simultaneity,
     pbr_values,
 )
@@ -127,14 +126,14 @@ def test_08_mach_zehnder():
         half = 1 << (n_bits - 1)
         both = set()
         for k in range(half):
-            report = mz_run(MzConfig("which_way", ExactAngle(Fraction(k, half)), n_bits))
+            report = mz_run("which_way", ExactAngle(Fraction(k, half)), n_bits)
             assert report.probabilities["D_b"] == Fraction(1, 2)
             if report.amplitude_gate:
                 both.add(Fraction(k, half))
         for turns, expected in ((Fraction(0), Fraction(1)), (Fraction(1, 6), Fraction(3, 4)),
                                 (Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 4)),
                                 (Fraction(1, 2), Fraction(0))):
-            report = mz_run(MzConfig("interference", ExactAngle(turns), n_bits))
+            report = mz_run("interference", ExactAngle(turns), n_bits)
             assert report.probabilities["D_c"] == expected
         assert both == {Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)}
 

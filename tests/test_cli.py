@@ -147,9 +147,6 @@ class TestPbrCommand:
 
 
 class TestSampleCommand:
-    def test_golden_table(self, tmp_path):
-        assert main(["sample", "--golden", "--out", str(tmp_path / "o")]) == 0
-
     def test_table_report(self, tmp_path):
         out = tmp_path / "out"
         assert main(["sample", "--n-bits", "4", "--out", str(out)]) == 0
@@ -176,14 +173,6 @@ class TestSampleCommand:
 
 
 class TestPadicCommand:
-    def test_golden_distances(self, tmp_path):
-        assert main(["padic", "--golden", "--out", str(tmp_path / "o")]) == 0
-
-    def test_golden_checks_the_stored_examples_whatever_the_pairs(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "p.json", {"p": 3, "pairs": [["1", "2"]]})
-        assert main(["padic", "--config", cfg, "--golden", "--out", str(tmp_path / "o")]) == 0
-        assert capsys.readouterr().out.startswith("golden distance check: PASS\n")
-
     def test_full_report(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -386,7 +375,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "command, payload, message",
         [
-            ("mz", {"n_bits": 10, "mode": "which_way", "phi_turns": "1/0"}, "error: Fraction(1, 0)"),
+            ("mz", {"n_bits": 10, "mode": "which_way", "phi_turns": "1/0"},
+             "error: config key 'phi_turns': Fraction(1, 0)"),
             ("sample", {"n_bits": 30, "theta_turns": "1/4", "phi_turns": "1/8"},
              "error: 2**30 labels exceed the explicit limit"),
             ("padic", {"p": 2, "cantor_level": 30}, "error: 2**30 intervals exceed the bound 1048576"),
@@ -416,6 +406,19 @@ class TestMalformedInput:
              "error: config key 'window_turns': 0 is not positive"),
             ("chsh", dict(OPTIMAL_CHSH, window_turns="1e4300\n"),
              "error: config key 'window_turns': 1e4300\\n exceeds the digit limit 4300"),
+            ("mz", {"n_bits": 10, "mode": 5, "phi_turns": "0"},
+             "error: config key 'mode': unknown mode 5; expected which_way or interference"),
+            ("mz", {"n_bits": 10, "mode": None, "phi_turns": "0"},
+             "error: config key 'mode': unknown mode None; expected which_way or interference"),
+            ("mz", {"n_bits": 10, "mode": "bogus", "phi_turns": "0"},
+             "error: config key 'mode': unknown mode 'bogus'; expected which_way or interference"),
+            ("padic", {"p": 2, "pairs": [["1/0", "1"]]}, "error: config key 'pairs': Fraction(1, 0)"),
+            ("padic", {"p": 2, "probe": {"a_digits": [1], "b_off": "1/0"}},
+             "error: config key 'b_off': Fraction(1, 0)"),
+            ("chsh", {"n_bits": 8, "angles": {**OPTIMAL_CHSH["angles"], "B1": "1/0"}},
+             "error: config key 'B1': Fraction(1, 0)"),
+            ("pbr", {"n_bits": 8, "alpha_turns": "0", "beta_turns": "0", "theta_turns": "3/0"},
+             "error: config key 'theta_turns': Fraction(3, 0)"),
         ],
     )
     def test_exits_one_with_one_line(self, tmp_path, capsys, command, payload, message):
@@ -493,15 +496,17 @@ class TestMalformedInput:
                       "window_turns": "1/" + "9" * 4000}, 2,
              "off the invariant set: no describable angle within 1/99999999999999999999...(4000 digits) turns of 1/7"
              " at N=20"),
+            ("padic", {"p": 2, "\u00e9" * 400: 1}, 1, "error: unknown config key '" + "\\xe9" * 67 + "\\x..."),
         ],
-        ids=["padic-b_off", "padic-pairs", "chsh-window"],
+        ids=["padic-b_off", "padic-pairs", "chsh-window", "padic-non-ascii-key"],
     )
     def test_long_messages_print_one_bounded_line(self, tmp_path, capsys, command, payload, code, line):
-        # a digit run past 40 digits keeps its first 20 and its count, and the line is cut at LINE_BOUND characters
+        # a digit run past 40 digits keeps its first 20 and its count, a non-ASCII character is escaped,
+        # and the line is cut at LINE_BOUND characters, which are bytes
         cfg = write_config(tmp_path, "long.json", payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
         assert capsys.readouterr().err.splitlines() == [line]
-        assert len(line) <= cli.LINE_BOUND
+        assert len(line.encode()) <= cli.LINE_BOUND
 
     def test_short_digit_runs_are_printed_whole(self):
         for message in ("error: 2**30 labels exceed", f"error: {10**30} exceeds the bound",
@@ -551,6 +556,8 @@ class TestParser:
             ([], "error: the following arguments are required: command"),
             (["sample", "--n-bits", "9" * 5000],
              "error: argument --n-bits: invalid int value: '99999999999999999999...(5000 digits)'"),
+            (["sample", "--golden"], "error: unrecognized arguments: --golden"),
+            (["padic", "--golden"], "error: unrecognized arguments: --golden"),
         ],
     )
     def test_usage_error_exits_one_with_one_line(self, capsys, argv, message):
@@ -1084,7 +1091,7 @@ class TestConfigProperty:
                 code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
             assert code in (0, 1, 2)
             assert len(err.getvalue().splitlines()) == (code != 0)
-            assert len(err.getvalue()) <= cli.LINE_BOUND + 1
+            assert len(err.getvalue().encode()) <= cli.LINE_BOUND + 1
             assert "Traceback" not in err.getvalue()
 
         run()
@@ -1116,7 +1123,9 @@ class TestCheckCommand:
     def test_unknown_suite_exits_one(self, capsys):
         assert main(["check", "--suite", "foo"]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "unknown suite 'foo'; choose from algebra, padic, multiqubit, dirac, numbertheory, all"]
+            "error: unknown suite 'foo'; choose from algebra, padic, multiqubit, dirac, numbertheory, all"]
+        assert main(["check", "--suite", "x" * 5000]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: unknown suite '" + "x" * 275 + "..."]
 
     def test_key_error_inside_a_suite_propagates(self, monkeypatch):
         def broken(seed):

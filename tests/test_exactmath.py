@@ -25,7 +25,7 @@ from invset.exactmath import (
 )
 import mpmath
 
-from invset.experiments import MzConfig, mz_run
+from invset.experiments import mz_run
 from invset.highprec import best_rational_approx, cos_turns, nearest_describable, sin_turns, to_mpf
 from invset.multiqubit import TwoQubitParams, amplitude_table, multi_sample, two_qubit_predict
 from invset.samplespace import phase_string, sample
@@ -219,8 +219,8 @@ class TestGates:
                 "cos(theta) for theta=1/5 turns is irrational",
                 id="amplitude_table-gates-every-amplitude-before-any-phase",
             ),
-            (lambda: mz_run(MzConfig("interference", turns("1/8"), 10)), "cos(theta) for theta=1/8 turns is irrational"),
-            (lambda: mz_run(MzConfig("which_way", turns("1/5"), 10)), "phase 1/5 turns is not a multiple of 1/2**9 of a turn"),
+            (lambda: mz_run("interference", turns("1/8"), 10), "cos(theta) for theta=1/8 turns is irrational"),
+            (lambda: mz_run("which_way", turns("1/5"), 10), "phase 1/5 turns is not a multiple of 1/2**9 of a turn"),
         ],
     )
     def test_exclusion_messages(self, call, message):

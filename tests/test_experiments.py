@@ -20,8 +20,6 @@ from invset.experiments import (
     BRIDGE_NAMES,
     PAIR_NAMES,
     ChshConfig,
-    MzConfig,
-    PbrConfig,
     chsh_run,
     mz_run,
     pbr_run,
@@ -148,6 +146,38 @@ class TestSubstitution:
         # an irrational cosine does use them
         with pytest.raises(AssertionError, match="interval kernel"):
             substitute_describable(Fraction(1, 8), 16, Fraction(1, 1 << 14))
+
+    def test_doubling_from_a_low_precision_gives_the_same_substitutions(self, monkeypatch):
+        # from 8 bits some enclosures are left open, so the precision loop doubles until each is decided
+        def outcome(turns, n_bits, window):
+            try:
+                sub = substitute_describable(turns, n_bits, window)
+            except NoAdmissibleAngle as exc:
+                return str(exc)
+            return sub.first_count, sub.delta_turns_float
+
+        # at N=3, 23/100 is 0.0013 above a half-integer count, whose lower neighbour has a rational angle
+        cases = [(Fraction(t), n_bits, window)
+                 for t in ("1/8", "3/8", "1/16", "1/7", "2/9", "5/13", "1/3", "1/6", "23/100")
+                 for n_bits in (3, 8, 16, 64, 200)
+                 for window in (Fraction(1, 1 << (n_bits - 2)), Fraction(1, 1 << (n_bits + 4)))]
+        expected = [outcome(*case) for case in cases]
+        # a window equal to a delta's double takes more bits than a double has to decide
+        at_delta = [(turns, n_bits, Fraction(e[1])) for (turns, n_bits, _), e in zip(cases, expected)
+                    if isinstance(e, tuple) and e[1]]
+        cases += at_delta
+        expected += [outcome(*case) for case in at_delta]
+        assert any(isinstance(e, str) for e in expected) and any(isinstance(e, tuple) for e in expected)
+        decide, decisions = experiments._decide, []
+
+        def spy(*args):
+            decisions.append(decide(*args))
+            return decisions[-1]
+
+        monkeypatch.setattr(experiments, "working_prec", lambda n_bits: 8)
+        monkeypatch.setattr(experiments, "_decide", spy)
+        assert [outcome(*case) for case in cases] == expected
+        assert None in decisions  # an open enclosure
 
     def test_relative_turns_folds_to_half(self):
         assert relative_turns(angle(0), angle(7, 8)) == Fraction(1, 8)
@@ -278,26 +308,26 @@ class TestMachZehnder:
     def test_which_way_is_balanced_for_every_admissible_phase(self):
         n_bits = 8
         for k in range(0, 1 << (n_bits - 1), 7):
-            report = mz_run(MzConfig("which_way", angle(k, 1 << (n_bits - 1)), n_bits))
+            report = mz_run("which_way", angle(k, 1 << (n_bits - 1)), n_bits)
             assert report.probabilities["D_b"] == Fraction(1, 2)
             assert report.probabilities["D_not_b"] == Fraction(1, 2)
 
     def test_interference_zero_phase_fully_constructive(self):
-        report = mz_run(MzConfig("interference", angle(0), 10))
+        report = mz_run("interference", angle(0), 10)
         assert report.probabilities["D_c"] == 1
 
     def test_interference_sixty_degrees(self):
-        report = mz_run(MzConfig("interference", angle(1, 6), 10))
+        report = mz_run("interference", angle(1, 6), 10)
         assert report.probabilities["D_c"] == Fraction(3, 4)
         assert not report.record()["counterfactual_admissible"]  # 1/6 turn is not dyadic
 
     def test_gate_failures_raise(self):
         with pytest.raises(NotOnInvariantSet):
-            mz_run(MzConfig("which_way", angle(1, 3), 8))
+            mz_run("which_way", angle(1, 3), 8)
         with pytest.raises(NotOnInvariantSet):
-            mz_run(MzConfig("interference", angle(1, 8), 8))  # cos(pi/4) irrational
+            mz_run("interference", angle(1, 8), 8)  # cos(pi/4) irrational
         with pytest.raises(ValueError):
-            mz_run(MzConfig("both_ways", angle(0), 8))
+            mz_run("both_ways", angle(0), 8)
 
     def test_exclusivity_on_dyadic_grid(self):
         # at N=10, on the full phase grid, the amplitude gate passes exactly on
@@ -307,7 +337,7 @@ class TestMachZehnder:
         both = set()
         for k in range(1 << (n_bits - 1)):
             phi = angle(k, 1 << (n_bits - 1))
-            report = mz_run(MzConfig("which_way", phi, n_bits))
+            report = mz_run("which_way", phi, n_bits)
             assert report.phase_gate
             if report.amplitude_gate:
                 both.add(phi.turns)
@@ -325,19 +355,19 @@ class TestMachZehnder:
                     return _gate(*args)
                 monkeypatch.setattr(module, name, counted)
         try:
-            mz_run(MzConfig(mode, ExactAngle(phi_turns), 10))
+            mz_run(mode, ExactAngle(phi_turns), 10)
         except NotOnInvariantSet:
             pass
         assert calls == {"gate_phase": 1, "gate_amplitude": 1}
 
     def test_counterfactual_verdict_recorded(self):
-        rec = mz_run(MzConfig("which_way", angle(3, 128), 10)).record()
+        rec = mz_run("which_way", angle(3, 128), 10).record()
         assert rec["counterfactual_mode"] == "interference"
         assert not rec["counterfactual_admissible"]
         assert not rec["exceptional"]
-        rec2 = mz_run(MzConfig("which_way", angle(1, 4), 10)).record()
+        rec2 = mz_run("which_way", angle(1, 4), 10).record()
         assert rec2["exceptional"] and rec2["counterfactual_admissible"]
-        rec3 = mz_run(MzConfig("interference", angle(1, 6), 10)).record()
+        rec3 = mz_run("interference", angle(1, 6), 10).record()
         assert rec3["counterfactual_mode"] == "which_way"
         assert not rec3["counterfactual_admissible"] and not rec3["exceptional"]
 
@@ -437,7 +467,7 @@ class TestPbrSimultaneity:
         for n_bits in (4, 8):
             for alpha in grid:
                 for beta in grid:
-                    sim = pbr_run(PbrConfig(alpha, beta, angle(0), n_bits)).simultaneity
+                    sim = pbr_run(alpha, beta, angle(0), n_bits).simultaneity
                     try:
                         v = pbr_simultaneity(alpha, beta, n_bits)
                     except ValueError:
@@ -446,14 +476,14 @@ class TestPbrSimultaneity:
                         assert sim == {"applicable": True, "verdict": v.verdict, "reason": v.reason}
 
     def test_run_report(self):
-        rep = pbr_run(PbrConfig(angle(1, 2), angle(1, 6), angle(1, 4), 8))
+        rep = pbr_run(angle(1, 2), angle(1, 6), angle(1, 4), 8)
         assert isinstance(rep.x_value, Fraction) and isinstance(rep.z_value, Fraction)
         assert rep.simultaneity == {
             "applicable": True,
             "verdict": "sum_excluded",
             "reason": REASON_IRRATIONAL_SINE,
         }
-        rep2 = pbr_run(PbrConfig(angle(1, 10), angle(1, 7), angle(1, 9), 8))
+        rep2 = pbr_run(angle(1, 10), angle(1, 7), angle(1, 9), 8)
         assert not isinstance(rep2.x_value, Fraction) and not rep2.simultaneity["applicable"]
         rec = rep2.record()
         assert rec["X"]["exact"] is None and "highprec_derived" in rec["X"]
