@@ -208,7 +208,7 @@ def _parse(schema: dict, raw, where: str = "config") -> dict:
 
 
 def _keyed(key: str, parser, value):
-    """parser(value), with a parse error naming the config key."""
+    """parser(value), with its error naming the config key."""
     try:
         return parser(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -262,7 +262,10 @@ def cmd_pbr(args) -> int:
 def cmd_sample(args) -> int:
     cfg = _config(args)
     n_bits, theta, phi = cfg["n_bits"], cfg.get("theta_turns"), cfg.get("phi_turns")
-    require_explicit(n_bits)  # the report prints every label
+    try:
+        require_explicit(n_bits)  # the report prints every label
+    except ResourceBound as exc:
+        raise ResourceBound(f"config key 'n_bits': {exc}") from None
     if theta is not None or phi is not None:
         if theta is None or phi is None:
             raise ValueError(f"config is missing {'theta_turns' if theta is None else 'phi_turns'!r}")
@@ -300,14 +303,17 @@ def cmd_padic(args) -> int:
         distances.append({"a": str(a), "b": str(b), "distance": fraction_str(distance)})
     report: dict = {"p": p, "distances": distances, "similarity_dimension_float": similarity_dimension(p)}
     if "cantor_level" in cfg:
-        require_cantor_size(p, cfg["cantor_level"])
+        try:
+            require_cantor_size(p, cfg["cantor_level"])
+        except ResourceBound as exc:
+            raise ResourceBound(f"config key 'cantor_level': {exc}") from None
         report["cantor_intervals"] = _CantorArray(p, cfg["cantor_level"])
     if "probe" in cfg:
         digits = cfg["probe"]["a_digits"]
         if not _printable_power(p, len(digits)):  # a_value < p**K: checked before a digit is parsed
             raise ValueError(f"config key 'a_digits': {p}**{len(digits)} exceeds the digit limit {limit}")
-        a = PadicInt(p, tuple(_keyed("a_digits", _list_of(_int(0)), digits)))
-        probe = euclid_padic_probe(a, cfg["probe"]["b_off"])
+        a = _keyed("a_digits", lambda d: PadicInt(p, _list_of(_int(0))(d)), digits)
+        probe = _keyed("b_off", lambda b: euclid_padic_probe(a, b), cfg["probe"]["b_off"])
         if not _printable(probe.euclid_gap):
             raise ValueError(f"config keys 'a_digits' and 'b_off': the Euclidean gap exceeds the digit limit {limit}")
         report["probe"] = probe.record()

@@ -4,11 +4,12 @@ frequency tables, and the parameter correspondence with 2-qubit states.
 The conditional rule is literal: row b takes its label from one source string
 where the head label is the first regime and from the other where it is
 negated.  The statistical assumptions behind the correspondence (head string
-independent of the sources) are realized constructively: harness constructors
-fill labels proportionally inside nested index blocks, so every joint
-frequency equals its amplitude-squared prediction as an exact rational.
-Whenever a conditional count fails to be an integer the joint amplitude is
-not describable by N bits and NotOnInvariantSet is raised.
+independent of the sources) are realized constructively: each node of the
+tree fills the label interval its branch occupies proportionally, so every
+joint frequency equals its amplitude-squared prediction as an exact rational.
+A tree is refused with NotOnInvariantSet exactly when some joint probability
+is not a multiple of 2**-N: some node's conditional count, 2**N times the
+probability of an outcome prefix, is then not an integer.
 """
 
 from __future__ import annotations
@@ -112,42 +113,21 @@ def row_descriptor_status(ms: MultiSample) -> list[bool]:
     return [r.descriptor is not None for r in ms.rows]
 
 
-def _fill(blocks: list[tuple[int, int]], count: int, n_bits: int):
-    """Per-block proportional fill at amplitude count/2**n_bits: the first
-    count/2**n_bits share of every block gets the first-regime label.
-    Returns (negated-label bits, first-label blocks, negated-label blocks)."""
-    bits = 0
-    firsts: list[tuple[int, int]] = []
-    seconds: list[tuple[int, int]] = []
-    low = (1 << n_bits) - 1
-    for lo, hi in blocks:
-        w = hi - lo
-        if w == 0:
-            continue
-        share = count * w
-        if share & low:
-            raise NotOnInvariantSet(
-                f"conditional count {Fraction(share, 1 << n_bits)} is not an integer: "
-                "joint amplitude not describable"
-            )
-        c = share >> n_bits
-        firsts.append((lo, lo + c))
-        seconds.append((lo + c, hi))
-        bits |= ((1 << (w - c)) - 1) << (lo + c)
-    return bits, firsts, seconds
-
-
-def _realize(counts: Sequence[int], blocks: list[tuple[int, int]], full: int, n_bits: int) -> list[int]:
-    head_bits, firsts, seconds = _fill(blocks, counts[0], n_bits)
-    if len(counts) == 1:
-        return [head_bits]
-    h = (len(counts) - 1) // 2
-    cover = firsts + seconds
-    left = _realize(counts[1 : 1 + h], cover, full, n_bits)
-    right = _realize(counts[1 + h :], cover, full, n_bits)
-    rows = [head_bits]
-    for lb, rb in zip(left, right):
-        rows.append(_select(head_bits, lb, rb, full))
+def _realize(counts: Sequence[int], lo: int, hi: int, n_bits: int) -> list[int]:
+    """Negated-label bits of every row of the subtree `counts` over labels
+    [lo, hi): the head's first counts[0]/2**n_bits share is the first regime,
+    its left subtree fills that share and its right subtree the rest."""
+    share = counts[0] * (hi - lo)
+    if share & ((1 << n_bits) - 1):
+        raise NotOnInvariantSet(
+            f"conditional count {Fraction(share, 1 << n_bits)} is not an integer: joint amplitude not describable"
+        )
+    mid = lo + (share >> n_bits)
+    rows = [((1 << (hi - mid)) - 1) << mid]
+    if len(counts) > 1:
+        h = (len(counts) - 1) // 2
+        left, right = _realize(counts[1 : 1 + h], lo, mid, n_bits), _realize(counts[1 + h :], mid, hi, n_bits)
+        rows += [lb | rb for lb, rb in zip(left, right)]
     return rows
 
 
@@ -167,8 +147,7 @@ def multi_sample(n_bits: int, thetas: Sequence[ExactAngle]) -> MultiSample:
     _arity(thetas)
     counts = [gate_amplitude(t, n_bits) for t in thetas]
     require_explicit(n_bits)
-    length = 1 << n_bits
-    rows_bits = _realize(counts, [(0, length)], full_mask(length), n_bits)
+    rows_bits = _realize(counts, 0, 1 << n_bits, n_bits)
     tags = [_DEFAULT_TAGS[i] if i < len(_DEFAULT_TAGS) else f"q{i}" for i in range(len(rows_bits))]
     return MultiSample(n_bits, tuple(BitString(n_bits, rb, tag) for rb, tag in zip(rows_bits, tags)))
 

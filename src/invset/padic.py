@@ -90,11 +90,8 @@ def ord_p(x: RationalLike, p: int):
 
 
 def padic_norm(x: RationalLike, p: int) -> Fraction:
-    """|x|_p = p**(-ord_p(x)); 0 for x = 0."""
-    o = ord_p(x, p)
-    if o is Infinity:
-        return Fraction(0)
-    return Fraction(1, p**o) if o >= 0 else Fraction(p ** (-o))
+    """|x|_p = p**(-ord_p(x)) = d_p(x, 0); 0 for x = 0."""
+    return padic_dist(Fraction(x), 0, p)
 
 
 def padic_dist(a: RationalLike, b: RationalLike, p: int) -> Fraction:

@@ -269,7 +269,7 @@ class TestLargeN:
         # its report prints every label, so it keeps the explicit-label limit
         cfg = write_config(tmp_path, "s.json", {"n_bits": 30, "theta_turns": "1/4", "phi_turns": "1/8"})
         assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == "error: 2**30 labels exceed the explicit limit\n"
+        assert capsys.readouterr().err == "error: config key 'n_bits': 2**30 labels exceed the explicit limit\n"
         assert not (tmp_path / "o").exists()
 
 
@@ -378,8 +378,15 @@ class TestMalformedInput:
             ("mz", {"n_bits": 10, "mode": "which_way", "phi_turns": "1/0"},
              "error: config key 'phi_turns': Fraction(1, 0)"),
             ("sample", {"n_bits": 30, "theta_turns": "1/4", "phi_turns": "1/8"},
-             "error: 2**30 labels exceed the explicit limit"),
-            ("padic", {"p": 2, "cantor_level": 30}, "error: 2**30 intervals exceed the bound 1048576"),
+             "error: config key 'n_bits': 2**30 labels exceed the explicit limit"),
+            ("padic", {"p": 2, "cantor_level": 30},
+             "error: config key 'cantor_level': 2**30 intervals exceed the bound 1048576"),
+            ("padic", {"p": 2, "probe": {"a_digits": [], "b_off": "1/2"}},
+             "error: config key 'a_digits': at least one digit required"),
+            ("padic", {"p": 3, "probe": {"a_digits": [5], "b_off": "1/3"}},
+             "error: config key 'a_digits': digits must lie in 0..2"),
+            ("padic", {"p": 3, "probe": {"a_digits": [1], "b_off": "3"}},
+             "error: config key 'b_off': ord_3(3) >= 0: probe point must lie outside the p-adic integers"),
             ("chsh", {"n_bits": 16, "angles": {"A1": "0", "A2": "1/4", "B1": "1/8"}},
              "error: config is missing 'B2'"),
             ("chsh", {"n_bits": 16, "angles": "x"}, "error: config key 'angles' must be a JSON object"),
@@ -432,9 +439,9 @@ class TestMalformedInput:
         "command, payload, message",
         [
             ("padic", {"p": 3, "pairs": [], "cantor_level": 100_000_000},
-             "error: 3**100000000 intervals exceed the bound 1048576"),
+             "error: config key 'cantor_level': 3**100000000 intervals exceed the bound 1048576"),
             ("padic", {"p": 2, "pairs": [], "cantor_level": 1_000_000_000},
-             "error: 2**1000000000 intervals exceed the bound 1048576"),
+             "error: config key 'cantor_level': 2**1000000000 intervals exceed the bound 1048576"),
             ("dirac", {"trace_length": 100_000_000},
              "error: config key 'trace_length': 100000000 exceeds the bound 4096"),
             ("dirac", {"trace_length": 4097}, "error: config key 'trace_length': 4097 exceeds the bound 4096"),
@@ -469,9 +476,9 @@ class TestMalformedInput:
              f"error: config key 'n_bits': {10**30} exceeds the bound {MZ_N_BITS_BOUND}"),
             ("mz", {"n_bits": MZ_N_BITS_BOUND + 1, "phi_turns": "1/4"},
              f"error: config key 'n_bits': {MZ_N_BITS_BOUND + 1} exceeds the bound {MZ_N_BITS_BOUND}"),
-            ("sample", {"n_bits": 10**30}, f"error: 2**{10**30} labels exceed the explicit limit"),
+            ("sample", {"n_bits": 10**30}, f"error: config key 'n_bits': 2**{10**30} labels exceed the explicit limit"),
             ("sample", {"n_bits": 10**30, "theta_turns": "1/4", "phi_turns": "1/8"},
-             f"error: 2**{10**30} labels exceed the explicit limit"),
+             f"error: config key 'n_bits': 2**{10**30} labels exceed the explicit limit"),
             # the digit count is checked before any digit is parsed, so a bad digit is not reached
             ("padic", {"p": 2, "probe": {"a_digits": ["x"] * 20_000, "b_off": "5/4"}},
              "error: config key 'a_digits': 2**20000 exceeds the digit limit 4300"),
@@ -488,8 +495,8 @@ class TestMalformedInput:
         "command, payload, code, line",
         [
             ("padic", {"p": 2, "probe": {"a_digits": [1, 0, 1], "b_off": "5/" + "3" * 4300}}, 1,
-             "error: ord_2(5/33333333333333333333...(4300 digits)) >= 0: probe point must lie outside the p-adic"
-             " integers"),
+             "error: config key 'b_off': ord_2(5/33333333333333333333...(4300 digits)) >= 0: probe point must lie"
+             " outside the p-adic integers"),
             ("padic", {"p": 2, "pairs": [["x" * 5000, "1"]]}, 1,
              "error: config key 'pairs': Invalid literal for Fraction: '" + "x" * 239 + "..."),
             ("chsh", {"n_bits": 20, "angles": {"A1": "0", "A2": "0", "B1": "1/7", "B2": "1/7"},

@@ -191,19 +191,16 @@ class TestBell:
 
 class TestComposeMany:
     def test_m2_matches_compose_pair(self):
-        params = params_for("3/4", "1/4", "1/2")
-        pair = two_qubit_sample(params, 6)
+        # N=6, head 3/4: labels [0, 48) are its first regime; b's left branch (1/4) has 12 first-regime
+        # labels there, its right branch (1/2) 8 of the other 16
+        pair = two_qubit_sample(params_for("3/4", "1/4", "1/2"), 6)
         head, _ = pair.rows
-        # rebuild the sources the harness used
-        from invset.multiqubit import _fill
-
-        _, firsts, seconds = _fill([(0, 64)], gate_amplitude(params.theta1, 6), 6)
-        sb1_bits, _, _ = _fill(firsts + seconds, gate_amplitude(params.theta2, 6), 6)
-        sb2_bits, _, _ = _fill(firsts + seconds, gate_amplitude(params.theta3, 6), 6)
-        sb1 = BitString(6, sb1_bits, "b", None)
-        sb2 = BitString(6, sb2_bits, "b", None)
-        composed = compose_pair(head, sb1, sb2)
-        assert [r.bits for r in composed.rows] == [r.bits for r in pair.rows]
+        assert head.bits == ((1 << 16) - 1) << 48
+        # each source holds its branch's labels where compose_pair reads it, arbitrary labels elsewhere
+        noise, first_48 = random.Random(5).getrandbits(64), (1 << 48) - 1
+        sb1 = BitString(6, (((1 << 36) - 1) << 12) | (noise & ~first_48), "b", None)
+        sb2 = BitString(6, (((1 << 8) - 1) << 56) | (noise & first_48), "b", None)
+        assert [r.bits for r in compose_pair(head, sb1, sb2).rows] == [r.bits for r in pair.rows]
 
     def test_equal_branches_make_head_independent(self):
         sub = [THETAS[Fraction(1, 4)], THETAS[Fraction(1, 2)], THETAS[Fraction(3, 4)]]
@@ -236,6 +233,26 @@ class TestComposeMany:
             freqs = joint_frequencies(ms)
             table = amplitude_table(thetas, [ZERO] * 15, 10)
             assert [freqs[o] for o in range(16)] == [p for p, _ in table]
+
+    def test_refused_exactly_when_a_joint_probability_is_not_a_multiple_of_2_to_the_minus_n(self):
+        rng = random.Random(24)
+        for _ in range(2000):
+            m, n_bits = rng.randint(2, 4), rng.randint(3, 8)
+            thetas = [rng.choice(TestPinnedTwoQubit.NIVEN_FULL_TURN) for _ in range((1 << m) - 1)]
+            probs = [p for p, _ in amplitude_table(thetas, [ZERO] * len(thetas), n_bits)]
+            if all((p * (1 << n_bits)).denominator == 1 for p in probs):
+                freqs = joint_frequencies(multi_sample(n_bits, thetas))
+                assert [freqs[o] for o in range(1 << m)] == probs
+            else:
+                with pytest.raises(NotOnInvariantSet, match="is not an integer"):
+                    multi_sample(n_bits, thetas)
+
+    def test_a_branch_without_labels_is_not_refused(self):
+        # N=3: the head's first regime holds every label, so the right subtree (1/6; 0, 1/6), whose
+        # counts would not be integers on 8 labels, fills none
+        thetas = [ExactAngle(Fraction(t)) for t in ("0", "0", "0", "0", "1/6", "0", "1/6")]
+        freqs = joint_frequencies(multi_sample(3, thetas))
+        assert [freqs[o] for o in range(8)] == [p for p, _ in amplitude_table(thetas, [ZERO] * 7, 3)] == [1] + [0] * 7
 
     def test_nonrealizable_raises(self):
         # N=3: head count 6, conditional 6 * 3/4 = 4.5 labels
@@ -302,7 +319,7 @@ class TestPinnedTwoQubit:
     PHASE_GRID = [tuple(ExactAngle(Fraction(t)) for t in triple) for triple in (
         ("0", "0", "0"), ("1/4", "0", "1/2"), ("1/8", "1/16", "3/8"), ("3/4", "7/8", "1/2"),
         ("1/3", "0", "0"), ("0", "0", "1/64"))]
-    DIGEST = "cc52430ccf7e22d0ae41abb96f82f91b1e30a2e0b368a4060ecf30580cc4cca5"
+    DIGEST = "8ea73edf9aa9468a6697cc9ab228bda9b7a4ecf2db43be5f7f1c25a04ea4dbf9"
 
     @staticmethod
     def outcome(call) -> str:
@@ -336,7 +353,7 @@ class TestPinnedTrees:
     PHASE_GRIDS = [[ExactAngle(Fraction(t)) for t in ("0", "1/4", "1/2", "3/4", *extra)]
                    for extra in ((), ("1/8", "5/16"), ("31/64", "1/128"), ("1/3",))]
     AMPLITUDE_DIGEST = "32c94b3c927c9c1c2c095c2a28a6bcb4cf6105ad7ae00ae1a0ccab9d9b7a8d53"
-    COUNTS_DIGEST = "fa8da49662049250c17000eb7703c9d6d8378c9b6ccef29848a504da773b1fcd"
+    COUNTS_DIGEST = "0d9522af89cab1e386318bbbc2de6fcf7b71918fcb011178f5529f8ace458793"
 
     def trees(self, count: int, seed: int):
         rng = random.Random(seed)
