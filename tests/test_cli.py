@@ -377,16 +377,13 @@ class TestMalformedInput:
         [
             ("mz", {"n_bits": 10, "mode": "which_way", "phi_turns": "1/0"},
              "error: config key 'phi_turns': Fraction(1, 0)"),
-            ("sample", {"n_bits": 30, "theta_turns": "1/4", "phi_turns": "1/8"},
-             "error: config key 'n_bits': 2**30 labels exceed the explicit limit"),
-            ("padic", {"p": 2, "cantor_level": 30},
-             "error: config key 'cantor_level': 2**30 intervals exceed the bound 1048576"),
-            ("padic", {"p": 2, "probe": {"a_digits": [], "b_off": "1/2"}},
-             "error: config key 'a_digits': at least one digit required"),
-            ("padic", {"p": 3, "probe": {"a_digits": [5], "b_off": "1/3"}},
-             "error: config key 'a_digits': digits must lie in 0..2"),
-            ("padic", {"p": 3, "probe": {"a_digits": [1], "b_off": "3"}},
-             "error: config key 'b_off': ord_3(3) >= 0: probe point must lie outside the p-adic integers"),
+            # these ids leave out the key prefix, so each case keeps the name it had before its message named the key
+            pytest.param("sample", {"n_bits": 30, "theta_turns": "1/4", "phi_turns": "1/8"},
+                         "error: config key 'n_bits': 2**30 labels exceed the explicit limit",
+                         id="sample-payload1-error: 2**30 labels exceed the explicit limit"),
+            pytest.param("padic", {"p": 2, "cantor_level": 30},
+                         "error: config key 'cantor_level': 2**30 intervals exceed the bound 1048576",
+                         id="padic-payload2-error: 2**30 intervals exceed the bound 1048576"),
             ("chsh", {"n_bits": 16, "angles": {"A1": "0", "A2": "1/4", "B1": "1/8"}},
              "error: config is missing 'B2'"),
             ("chsh", {"n_bits": 16, "angles": "x"}, "error: config key 'angles' must be a JSON object"),
@@ -426,6 +423,12 @@ class TestMalformedInput:
              "error: config key 'B1': Fraction(1, 0)"),
             ("pbr", {"n_bits": 8, "alpha_turns": "0", "beta_turns": "0", "theta_turns": "3/0"},
              "error: config key 'theta_turns': Fraction(3, 0)"),
+            ("padic", {"p": 2, "probe": {"a_digits": [], "b_off": "1/2"}},
+             "error: config key 'a_digits': at least one digit required"),
+            ("padic", {"p": 3, "probe": {"a_digits": [5], "b_off": "1/3"}},
+             "error: config key 'a_digits': digits must lie in 0..2"),
+            ("padic", {"p": 3, "probe": {"a_digits": [1], "b_off": "3"}},
+             "error: config key 'b_off': ord_3(3) >= 0: probe point must lie outside the p-adic integers"),
         ],
     )
     def test_exits_one_with_one_line(self, tmp_path, capsys, command, payload, message):
@@ -438,10 +441,13 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "command, payload, message",
         [
-            ("padic", {"p": 3, "pairs": [], "cantor_level": 100_000_000},
-             "error: config key 'cantor_level': 3**100000000 intervals exceed the bound 1048576"),
-            ("padic", {"p": 2, "pairs": [], "cantor_level": 1_000_000_000},
-             "error: config key 'cantor_level': 2**1000000000 intervals exceed the bound 1048576"),
+            # these ids leave out the key prefix, so each case keeps the name it had before its message named the key
+            pytest.param("padic", {"p": 3, "pairs": [], "cantor_level": 100_000_000},
+                         "error: config key 'cantor_level': 3**100000000 intervals exceed the bound 1048576",
+                         id="padic-payload0-error: 3**100000000 intervals exceed the bound 1048576"),
+            pytest.param("padic", {"p": 2, "pairs": [], "cantor_level": 1_000_000_000},
+                         "error: config key 'cantor_level': 2**1000000000 intervals exceed the bound 1048576",
+                         id="padic-payload1-error: 2**1000000000 intervals exceed the bound 1048576"),
             ("dirac", {"trace_length": 100_000_000},
              "error: config key 'trace_length': 100000000 exceeds the bound 4096"),
             ("dirac", {"trace_length": 4097}, "error: config key 'trace_length': 4097 exceeds the bound 4096"),
@@ -476,9 +482,12 @@ class TestMalformedInput:
              f"error: config key 'n_bits': {10**30} exceeds the bound {MZ_N_BITS_BOUND}"),
             ("mz", {"n_bits": MZ_N_BITS_BOUND + 1, "phi_turns": "1/4"},
              f"error: config key 'n_bits': {MZ_N_BITS_BOUND + 1} exceeds the bound {MZ_N_BITS_BOUND}"),
-            ("sample", {"n_bits": 10**30}, f"error: config key 'n_bits': 2**{10**30} labels exceed the explicit limit"),
-            ("sample", {"n_bits": 10**30, "theta_turns": "1/4", "phi_turns": "1/8"},
-             f"error: config key 'n_bits': 2**{10**30} labels exceed the explicit limit"),
+            pytest.param("sample", {"n_bits": 10**30},
+                         f"error: config key 'n_bits': 2**{10**30} labels exceed the explicit limit",
+                         id=f"sample-payload20-error: 2**{10**30} labels exceed the explicit limit"),
+            pytest.param("sample", {"n_bits": 10**30, "theta_turns": "1/4", "phi_turns": "1/8"},
+                         f"error: config key 'n_bits': 2**{10**30} labels exceed the explicit limit",
+                         id=f"sample-payload21-error: 2**{10**30} labels exceed the explicit limit"),
             # the digit count is checked before any digit is parsed, so a bad digit is not reached
             ("padic", {"p": 2, "probe": {"a_digits": ["x"] * 20_000, "b_off": "5/4"}},
              "error: config key 'a_digits': 2**20000 exceeds the digit limit 4300"),
