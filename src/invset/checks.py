@@ -157,10 +157,12 @@ def bell_agreement_correlation(n_bits: int, stride: int) -> list[CheckResult]:
 
 
 def three_qubit_vs_expander(n_bits: int, count: int | None = None, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """The joint frequencies of the three-qubit sample at N equal the
-    inductive amplitude expander's probabilities, for every one of the 5^7
-    trees of Niven amplitude angles when ``count`` is None, else for
-    ``count`` trees drawn from ``random.Random(seed)``."""
+    """The joint counts of the three-qubit sample at N, over 2**N, equal the
+    inductive amplitude expander's numerators, over 2**(3N), for every one of
+    the 5^7 trees of Niven amplitude angles when ``count`` is None, else for
+    ``count`` trees drawn from ``random.Random(seed)``.  The comparison is on
+    integers; the Fractions that joint_frequencies and amplitude_table wrap
+    around them are compared by two_qubit_gamma_table."""
     if count is None:
         trees = itertools.product(NIVEN_THETAS, repeat=7)
     else:
@@ -168,10 +170,12 @@ def three_qubit_vs_expander(n_bits: int, count: int | None = None, seed: int = D
         trees = ([rng.choice(NIVEN_THETAS) for _ in range(7)] for _ in range(count))
 
     def failures() -> Iterable[str]:
+        gated = {t: exactmath.gate_amplitude(t, n_bits) for t in NIVEN_THETAS}
+        no_shifts = [0] * 7
         for tree in trees:
-            freqs = multiqubit.joint_frequencies(multiqubit.multi_sample(n_bits, tree))
-            table = multiqubit.amplitude_table(tree, [ZERO_ANGLE] * 7, n_bits)
-            if [freqs[o] for o in range(8)] != [p for p, _ in table]:
+            counts = multiqubit.joint_counts(multiqubit.multi_sample(n_bits, tree))
+            table = multiqubit.expand_counts([gated[t] for t in tree], no_shifts, n_bits)
+            if [counts[o] << (2 * n_bits) for o in range(8)] != [k for k, _ in table]:
                 yield f"N={n_bits} thetas " + ", ".join(str(t.turns) for t in tree)
 
     return [_first_failure("three-qubit-vs-expander", failures())]

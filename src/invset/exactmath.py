@@ -42,7 +42,9 @@ class ExactAngle:
     turns: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "turns", Fraction(self.turns) % 1)
+        turns = self.turns
+        if type(turns) is not Fraction or not 0 <= turns.numerator < turns.denominator:
+            object.__setattr__(self, "turns", Fraction(turns) % 1)
 
     def __add__(self, other: "ExactAngle") -> "ExactAngle":
         return ExactAngle(self.turns + other.turns)
@@ -86,6 +88,9 @@ _EXCEPTIONAL_COS = {
 # (numerator, denominator): a tuple of ints hashes in C, a Fraction does not.
 _HALF_ANGLE_COS_SQ = {(t.numerator, t.denominator): (1 + c) / 2 for t, c in _EXCEPTIONAL_COS.items()}
 
+# The same values as integers: numerator n and exponent e of n/2**e, all of them dyadic.
+_HALF_ANGLE_COUNTS = {key: (amp.numerator, amp.denominator.bit_length() - 1) for key, amp in _HALF_ANGLE_COS_SQ.items()}
+
 # Principal arccos (turns in [0, 1/2]) of each rational cosine: smaller keys come last and win.
 _ACOS_TURNS = {c: t for t, c in sorted(_EXCEPTIONAL_COS.items(), reverse=True)}
 
@@ -122,12 +127,16 @@ def gate_amplitude(theta: ExactAngle, n_bits: int) -> int:
     folding into [0, pi] is needed.
     """
     turns = theta.turns
-    amp = _HALF_ANGLE_COS_SQ.get((turns.numerator, turns.denominator))
-    if amp is None:
+    key = (turns.numerator, turns.denominator)
+    entry = _HALF_ANGLE_COUNTS.get(key)
+    if entry is None:
         raise NotOnInvariantSet(f"cos(theta) for theta={theta} is irrational")
-    if not is_describable(amp, n_bits):
-        raise NotOnInvariantSet(f"cos^2(theta/2)={amp} is not describable by {n_bits} bits")
-    return amp.numerator * ((1 << n_bits) // amp.denominator)
+    if n_bits < 1:
+        raise ValueError("n_bits must be >= 1")
+    numerator, exponent = entry
+    if exponent > n_bits:
+        raise NotOnInvariantSet(f"cos^2(theta/2)={_HALF_ANGLE_COS_SQ[key]} is not describable by {n_bits} bits")
+    return numerator << (n_bits - exponent)
 
 
 def gate_phase(phi: ExactAngle, n_bits: int) -> int:

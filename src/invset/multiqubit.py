@@ -98,7 +98,11 @@ def joint_counts(ms: MultiSample) -> dict[int, int]:
 
 
 def joint_frequencies(ms: MultiSample) -> dict[int, Fraction]:
-    return {o: Fraction(c, ms.size) for o, c in joint_counts(ms).items()}
+    """joint_counts over 2**N, one Fraction per distinct count."""
+    counts = joint_counts(ms)
+    size = ms.size
+    freqs = {c: Fraction(c, size) for c in set(counts.values())}
+    return {o: freqs[c] for o, c in counts.items()}
 
 
 def marginal(ms: MultiSample, row: int) -> Fraction:
@@ -113,21 +117,27 @@ def row_descriptor_status(ms: MultiSample) -> list[bool]:
     return [r.descriptor is not None for r in ms.rows]
 
 
-def _realize(counts: Sequence[int], lo: int, hi: int, n_bits: int) -> list[int]:
-    """Negated-label bits of every row of the subtree `counts` over labels
-    [lo, hi): the head's first counts[0]/2**n_bits share is the first regime,
-    its left subtree fills that share and its right subtree the rest."""
-    share = counts[0] * (hi - lo)
-    if share & ((1 << n_bits) - 1):
-        raise NotOnInvariantSet(
-            f"conditional count {Fraction(share, 1 << n_bits)} is not an integer: joint amplitude not describable"
-        )
-    mid = lo + (share >> n_bits)
-    rows = [((1 << (hi - mid)) - 1) << mid]
-    if len(counts) > 1:
-        h = (len(counts) - 1) // 2
-        left, right = _realize(counts[1 : 1 + h], lo, mid, n_bits), _realize(counts[1 + h :], mid, hi, n_bits)
-        rows += [lb | rb for lb, rb in zip(left, right)]
+def _realize(counts: Sequence[int], m: int, n_bits: int) -> list[int]:
+    """Negated-label bits of the m rows of the tree `counts` (preorder) over
+    2**n_bits labels.  Each node fills the label interval [lo, hi) of its
+    branch: its first counts[i]*(hi - lo)/2**n_bits labels are the first
+    regime, its left subtree fills that share and its right subtree the rest.
+    Nodes are visited in preorder, so the first node refused is the first in
+    preorder whose share is not an integer."""
+    rows = [0] * m
+    low_bits = (1 << n_bits) - 1
+    pending = [(0, 1 << n_bits, 0)]  # (lo, hi, depth) of the next nodes, the next one last
+    for count in counts:
+        lo, hi, depth = pending.pop()
+        share = count * (hi - lo)
+        if share & low_bits:
+            raise NotOnInvariantSet(
+                f"conditional count {Fraction(share, 1 << n_bits)} is not an integer: joint amplitude not describable"
+            )
+        mid = lo + (share >> n_bits)
+        rows[depth] |= ((1 << (hi - mid)) - 1) << mid
+        if depth + 1 < m:
+            pending += ((mid, hi, depth + 1), (lo, mid, depth + 1))
     return rows
 
 
@@ -144,10 +154,10 @@ def multi_sample(n_bits: int, thetas: Sequence[ExactAngle]) -> MultiSample:
     amplitude angles (phases do not affect label statistics; they live in the
     amplitude table).  Past the explicit-label limit, once the amplitudes
     are gated, it raises ResourceBound before building any row."""
-    _arity(thetas)
+    m = _arity(thetas)
     counts = [gate_amplitude(t, n_bits) for t in thetas]
     require_explicit(n_bits)
-    rows_bits = _realize(counts, 0, 1 << n_bits, n_bits)
+    rows_bits = _realize(counts, m, n_bits)
     tags = [_DEFAULT_TAGS[i] if i < len(_DEFAULT_TAGS) else f"q{i}" for i in range(len(rows_bits))]
     return MultiSample(n_bits, tuple(BitString(n_bits, rb, tag) for rb, tag in zip(rows_bits, tags)))
 
@@ -188,10 +198,10 @@ def amplitude_table(
     thetas: Sequence[ExactAngle], phis: Sequence[ExactAngle], n_bits: int
 ) -> list[tuple[Fraction, ExactAngle]]:
     """Symbolically expand the inductive m-qubit state: per outcome, the exact
-    probability (product of cos^2/sin^2 half-angles, an integer numerator over
-    2**(m*N)) and accumulated phase.  Gates every amplitude, then every phase.
-    Phases are summed as pair-shift counts modulo 2**(N-1), one ExactAngle
-    per distinct sum.
+    probability (product of cos^2/sin^2 half-angles) and accumulated phase.
+    Gates every amplitude, then every phase, and wraps expand_counts: one
+    Fraction per distinct numerator over 2**(m*N), one ExactAngle per
+    distinct pair-shift sum over 2**(N-1).
 
     Outcome order matches joint_counts (row 0 most significant).  This is the
     brute-force oracle the string composition is tested against.
@@ -201,21 +211,31 @@ def amplitude_table(
     m = _arity(thetas)
     counts = [gate_amplitude(t, n_bits) for t in thetas]
     shifts = [gate_phase(phi, n_bits) for phi in phis]
-    length, half = 1 << n_bits, 1 << (n_bits - 1)
-
-    def rec(lo: int, hi: int) -> list[tuple[int, int]]:
-        count, shift = counts[lo], shifts[lo]
-        if hi - lo == 1:
-            return [(count, 0), (length - count, shift)]
-        mid = lo + 1 + (hi - lo - 1) // 2
-        out = [(count * k, s) for k, s in rec(lo + 1, mid)]
-        out += [((length - count) * k, (shift + s) % half) for k, s in rec(mid, hi)]
-        return out
-
-    table = rec(0, len(thetas))
-    denominator = 1 << (m * n_bits)
+    table = expand_counts(counts, shifts, n_bits)
+    denominator, half = 1 << (m * n_bits), 1 << (n_bits - 1)
+    probs = {k: Fraction(k, denominator) for k in {k for k, _ in table}}
     angles = {s: ExactAngle(Fraction(s, half)) for s in {s for _, s in table}}
-    return [(Fraction(k, denominator), angles[s]) for k, s in table]
+    return [(probs[k], angles[s]) for k, s in table]
+
+
+def expand_counts(counts: Sequence[int], shifts: Sequence[int], n_bits: int) -> list[tuple[int, int]]:
+    """The inductive expansion on integers: per outcome, the unreduced
+    probability numerator over 2**(m*N) (a product of first-label counts and
+    their complements) and the pair-shift sum modulo 2**(N-1), from a tree's
+    gated amplitude counts and phase shifts in preorder.  Each level splits
+    every path of the level above into its first-regime and negated branch,
+    so paths stay in outcome order."""
+    length, half = 1 << n_bits, 1 << (n_bits - 1)
+    paths = [(1, 0, 0)]  # (numerator, shift sum, preorder index of the path's next node)
+    subtree = len(counts)  # 2**m - 1 nodes
+    for _ in range(subtree.bit_length()):
+        subtree >>= 1  # nodes in each child subtree: a right child is subtree + 1 after its parent
+        nxt = []
+        for k, s, i in paths:
+            count = counts[i]
+            nxt += ((k * count, s, i + 1), (k * (length - count), (s + shifts[i]) % half, i + 1 + subtree))
+        paths = nxt
+    return [(k, s) for k, s, _ in paths]
 
 
 def amplitude_table_mp(
@@ -252,7 +272,8 @@ def bell_sample_from_amplitude(amp: Fraction, n_bits: int) -> MultiSample:
         raise ValueError("amplitude outside [0, 1]")
     if not is_describable(amp, n_bits):
         raise NotOnInvariantSet(f"agreement amplitude {amp} is not describable by {n_bits} bits")
-    count = int(amp * (1 << n_bits))
+    exact = amp if isinstance(amp, (int, Fraction)) else Fraction(amp)
+    count = exact.numerator << (n_bits + 1 - exact.denominator.bit_length())
     head = canonical_string(n_bits, "a")
     sb1 = sample_from_counts(n_bits, count, 0, "b")
     return compose_pair(head, sb1, negate(sb1))

@@ -58,6 +58,28 @@ class TestExactAngle:
             assert ((a + b) + c).turns == (a + (b + c)).turns
 
 
+class _Turns(Fraction):
+    """A Fraction subclass: ExactAngle stores it as a plain Fraction."""
+
+
+class TestExactAngleCanonical:
+    """An angle built from any rational equals and hashes like the one built
+    from its residue Fraction(t) % 1, and stores a plain Fraction."""
+
+    @pytest.mark.parametrize(
+        "t",
+        [Fraction(0), Fraction(1, 3), Fraction(5, 6), Fraction(1023, 1024),  # canonical
+         Fraction(1), Fraction(5, 4), Fraction(-1, 4), Fraction(-7, 3), Fraction(-1),  # outside [0, 1)
+         0, 1, 3, -2, True,  # ints
+         _Turns(1, 6), _Turns(9, 4), _Turns(-1, 8)],
+        ids=repr,
+    )
+    def test_equals_and_hashes_like_its_residue(self, t):
+        angle, residue = ExactAngle(t), ExactAngle(Fraction(t) % 1)
+        assert angle == residue and hash(angle) == hash(residue)
+        assert type(angle.turns) is Fraction and angle.turns == Fraction(t) % 1
+
+
 class TestDescribability:
     def test_examples(self):
         assert is_describable(Fraction(3, 8), 3)  # 3/8 = 3/2^3
@@ -179,6 +201,33 @@ class TestGates:
             else:
                 with pytest.raises(NotOnInvariantSet):
                     gate_amplitude(turns(t), n_bits)
+
+    @pytest.mark.parametrize("n_bits", range(0, 13))
+    def test_table_gate_matches_the_rational_gate(self, n_bits):
+        """On every Niven residue and some irrational-cosine turns, the table
+        gate gives (1 + cos)/2 * 2**N gated by is_describable, or raises the
+        same exception type and message: irrational first, then N < 1, then
+        not describable."""
+
+        def rational_gate(theta):
+            cos = cos_exact(theta)
+            if cos is None:
+                raise NotOnInvariantSet(f"cos(theta) for theta={theta} is irrational")
+            amp = (1 + cos) / 2
+            if not is_describable(amp, n_bits):
+                raise NotOnInvariantSet(f"cos^2(theta/2)={amp} is not describable by {n_bits} bits")
+            return int(amp * (1 << n_bits))
+
+        def outcome(gate, theta):
+            try:
+                return gate(theta)
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        residues = list(exactmath._EXCEPTIONAL_COS) + [Fraction(t) for t in ("1/5", "1/8", "3/7", "5/12", "1/1024")]
+        for t in residues:
+            theta = ExactAngle(t)
+            assert outcome(lambda a: gate_amplitude(a, n_bits), theta) == outcome(rational_gate, theta)
 
     def test_amplitude_symmetric_under_reflection(self):
         for t in NIVEN_COS:

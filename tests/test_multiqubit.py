@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invset import multiqubit
-from invset.exactmath import ExactAngle, NotOnInvariantSet, ResourceBound, gate_amplitude
+from invset import checks, multiqubit
+from invset.exactmath import ExactAngle, NotOnInvariantSet, ResourceBound, gate_amplitude, gate_phase
 from invset.multiqubit import (
     MultiSample,
     TwoQubitParams,
@@ -19,6 +19,7 @@ from invset.multiqubit import (
     bell_sample_from_amplitude,
     bell_statistics,
     compose_pair,
+    expand_counts,
     joint_counts,
     joint_frequencies,
     marginal,
@@ -284,6 +285,25 @@ class TestAmplitudeExpander:
         assert table[0b01][1] == phis[1]
         assert table[0b10][1] == phis[0]
         assert table[0b11][1] == phis[0] + phis[2]
+
+    def test_amplitude_table_wraps_the_integer_expander(self):
+        rng = random.Random(25)
+        for _ in range(300):
+            m, n_bits = rng.randint(1, 4), rng.randint(3, 10)
+            half = 1 << (n_bits - 1)
+            thetas = [rng.choice(TestPinnedTwoQubit.NIVEN_FULL_TURN) for _ in range((1 << m) - 1)]
+            phis = [ExactAngle(Fraction(rng.randrange(half), half)) for _ in thetas]
+            counts, shifts = [gate_amplitude(t, n_bits) for t in thetas], [gate_phase(p, n_bits) for p in phis]
+            expected = [(Fraction(k, 1 << (m * n_bits)), ExactAngle(Fraction(s, half)))
+                        for k, s in expand_counts(counts, shifts, n_bits)]
+            assert amplitude_table(thetas, phis, n_bits) == expected
+
+    def test_three_qubit_check_reports_a_wrong_count(self, monkeypatch):
+        assert checks.three_qubit_vs_expander(6, count=5, seed=3)[0].passed
+        realized = multiqubit.joint_counts
+        monkeypatch.setattr(multiqubit, "joint_counts", lambda ms: {**realized(ms), 7: realized(ms)[7] + 1})
+        result = checks.three_qubit_vs_expander(6, count=5, seed=3)[0]
+        assert not result.passed and result.detail.startswith("N=6 thetas ")
 
     def test_unequal_angle_lists_are_named(self):
         with pytest.raises(ValueError, match="^need equally many amplitude and phase angles$"):
