@@ -208,11 +208,13 @@ def _parse(schema: dict, raw, where: str = "config") -> dict:
 
 
 def _keyed(key: str, parser, value):
-    """parser(value), with its error naming the config key."""
+    """parser(value), with its error naming the config key; a ResourceBound stays one."""
     try:
         return parser(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"config key {key!r}: {exc}") from None
+    except ResourceBound as exc:
+        raise ResourceBound(f"config key {key!r}: {exc}") from None
 
 
 def _config(args) -> dict:
@@ -262,10 +264,7 @@ def cmd_pbr(args) -> int:
 def cmd_sample(args) -> int:
     cfg = _config(args)
     n_bits, theta, phi = cfg["n_bits"], cfg.get("theta_turns"), cfg.get("phi_turns")
-    try:
-        require_explicit(n_bits)  # the report prints every label
-    except ResourceBound as exc:
-        raise ResourceBound(f"config key 'n_bits': {exc}") from None
+    _keyed("n_bits", require_explicit, n_bits)  # the report prints every label
     if theta is not None or phi is not None:
         if theta is None or phi is None:
             raise ValueError(f"config is missing {'theta_turns' if theta is None else 'phi_turns'!r}")
@@ -303,10 +302,7 @@ def cmd_padic(args) -> int:
         distances.append({"a": str(a), "b": str(b), "distance": fraction_str(distance)})
     report: dict = {"p": p, "distances": distances, "similarity_dimension_float": similarity_dimension(p)}
     if "cantor_level" in cfg:
-        try:
-            require_cantor_size(p, cfg["cantor_level"])
-        except ResourceBound as exc:
-            raise ResourceBound(f"config key 'cantor_level': {exc}") from None
+        _keyed("cantor_level", lambda level: require_cantor_size(p, level), cfg["cantor_level"])
         report["cantor_intervals"] = _CantorArray(p, cfg["cantor_level"])
     if "probe" in cfg:
         digits = cfg["probe"]["a_digits"]
