@@ -158,8 +158,8 @@ def multi_sample(n_bits: int, thetas: Sequence[ExactAngle]) -> MultiSample:
     counts = [gate_amplitude(t, n_bits) for t in thetas]
     require_explicit(n_bits)
     rows_bits = _realize(counts, m, n_bits)
-    tags = [_DEFAULT_TAGS[i] if i < len(_DEFAULT_TAGS) else f"q{i}" for i in range(len(rows_bits))]
-    return MultiSample(n_bits, tuple(BitString(n_bits, rb, tag) for rb, tag in zip(rows_bits, tags)))
+    return MultiSample(n_bits, tuple(BitString(n_bits, rb, _DEFAULT_TAGS[i] if i < len(_DEFAULT_TAGS) else f"q{i}")
+                                     for i, rb in enumerate(rows_bits)))
 
 
 def two_qubit_sample(params: "TwoQubitParams", n_bits: int) -> MultiSample:
