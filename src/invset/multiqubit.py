@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .exactmath import ExactAngle, NotOnInvariantSet, gate_amplitude, gate_phase, is_describable
+from .exactmath import ZERO_ANGLE, ExactAngle, NotOnInvariantSet, gate_amplitude, gate_phase, is_describable
 from .highprec import DEFAULT_PREC, to_mpf
 from .samplespace import (
     BitString,
@@ -214,7 +214,8 @@ def amplitude_table(
     table = expand_counts(counts, shifts, n_bits)
     denominator, half = 1 << (m * n_bits), 1 << (n_bits - 1)
     probs = {k: Fraction(k, denominator) for k in {k for k, _ in table}}
-    angles = {s: ExactAngle(Fraction(s, half)) for s in {s for _, s in table}}
+    angles = {0: ZERO_ANGLE, **dict(zip(shifts, phis))}  # a phase sum of no node, or of one, is that angle
+    angles.update((s, ExactAngle(Fraction(s, half))) for s in {s for _, s in table} if s not in angles)
     return [(probs[k], angles[s]) for k, s in table]
 
 

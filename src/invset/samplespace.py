@@ -87,14 +87,15 @@ class BitString:
     descriptor: OrbitDescriptor | None = None
 
     def __post_init__(self) -> None:
-        if self.n_bits < 3:
+        n_bits, packed = self.n_bits, self.packed
+        if n_bits < 3:
             raise ValueError("n_bits must be >= 3 so quarter-turns are pair-shift powers")
-        if (self.packed is None) == (self.descriptor is None):
+        if (packed is None) == (self.descriptor is None):
             raise ValueError("a string carries either packed labels or a descriptor")
-        if self.packed is not None:
-            if self.packed < 0 or self.packed.bit_length() > self.size:
+        if packed is not None:
+            if packed < 0 or packed.bit_length() > 1 << n_bits:
                 raise ValueError("packed labels out of range")
-            object.__setattr__(self, "bits", self.packed)  # a raw string's labels are read as they are
+            object.__setattr__(self, "bits", packed)  # a raw string's labels are read as they are
 
     @property
     def size(self) -> int:
