@@ -163,18 +163,20 @@ def three_qubit_vs_expander(n_bits: int, count: int | None = None, seed: int = D
     ``count`` trees drawn from ``random.Random(seed)``.  The comparison is on
     integers; the Fractions that joint_frequencies and amplitude_table wrap
     around them are compared by two_qubit_gamma_table."""
+    angles = range(len(NIVEN_THETAS))  # a tree is drawn as indices into NIVEN_THETAS
     if count is None:
-        trees = itertools.product(NIVEN_THETAS, repeat=7)
+        picks = itertools.product(angles, repeat=7)
     else:
         rng = random.Random(seed)
-        trees = ([rng.choice(NIVEN_THETAS) for _ in range(7)] for _ in range(count))
+        picks = ([rng.choice(angles) for _ in range(7)] for _ in range(count))
 
     def failures() -> Iterable[str]:
-        gated = {t: exactmath.gate_amplitude(t, n_bits) for t in NIVEN_THETAS}
+        gated = [exactmath.gate_amplitude(t, n_bits) for t in NIVEN_THETAS]
         no_shifts = [0] * 7
-        for tree in trees:
+        for pick in picks:
+            tree = [NIVEN_THETAS[i] for i in pick]
             counts = multiqubit.joint_counts(multiqubit.multi_sample(n_bits, tree))
-            table = multiqubit.expand_counts([gated[t] for t in tree], no_shifts, n_bits)
+            table = multiqubit.expand_counts([gated[i] for i in pick], no_shifts, n_bits)
             if [counts[o] << (2 * n_bits) for o in range(8)] != [k for k, _ in table]:
                 yield f"N={n_bits} thetas " + ", ".join(str(t.turns) for t in tree)
 
