@@ -88,9 +88,6 @@ _EXCEPTIONAL_COS = {
 # (numerator, denominator): a tuple of ints hashes in C, a Fraction does not.
 _HALF_ANGLE_COS_SQ = {(t.numerator, t.denominator): (1 + c) / 2 for t, c in _EXCEPTIONAL_COS.items()}
 
-# The same values as integers: numerator n and exponent e of n/2**e, all of them dyadic.
-_HALF_ANGLE_COUNTS = {key: (amp.numerator, amp.denominator.bit_length() - 1) for key, amp in _HALF_ANGLE_COS_SQ.items()}
-
 # Principal arccos (turns in [0, 1/2]) of each rational cosine: smaller keys come last and win.
 _ACOS_TURNS = {c: t for t, c in sorted(_EXCEPTIONAL_COS.items(), reverse=True)}
 
@@ -127,16 +124,12 @@ def gate_amplitude(theta: ExactAngle, n_bits: int) -> int:
     folding into [0, pi] is needed.
     """
     turns = theta.turns
-    key = (turns.numerator, turns.denominator)
-    entry = _HALF_ANGLE_COUNTS.get(key)
-    if entry is None:
+    amp = _HALF_ANGLE_COS_SQ.get((turns.numerator, turns.denominator))
+    if amp is None:
         raise NotOnInvariantSet(f"cos(theta) for theta={theta} is irrational")
-    if n_bits < 1:
-        raise ValueError("n_bits must be >= 1")
-    numerator, exponent = entry
-    if exponent > n_bits:
-        raise NotOnInvariantSet(f"cos^2(theta/2)={_HALF_ANGLE_COS_SQ[key]} is not describable by {n_bits} bits")
-    return numerator << (n_bits - exponent)
+    if not is_describable(amp, n_bits):
+        raise NotOnInvariantSet(f"cos^2(theta/2)={amp} is not describable by {n_bits} bits")
+    return amp.numerator << (n_bits + 1 - amp.denominator.bit_length())
 
 
 def gate_phase(phi: ExactAngle, n_bits: int) -> int:
