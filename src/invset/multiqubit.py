@@ -117,22 +117,23 @@ def row_descriptor_status(ms: MultiSample) -> list[bool]:
     return [r.descriptor is not None for r in ms.rows]
 
 
-def _realize(counts: Sequence[int], m: int, n_bits: int) -> list[int]:
-    """Negated-label bits of the m rows of the tree `counts` (preorder) over
-    2**n_bits labels.  Each node fills the label interval [lo, hi) of its
-    branch: its first counts[i]*(hi - lo)/2**n_bits labels are the first
-    regime, its left subtree fills that share and its right subtree the rest.
-    Nodes are visited in preorder, so the first node refused is the first in
-    preorder whose share is not an integer."""
+def _realize(thetas: Sequence[ExactAngle], counts: Sequence[int], m: int, n_bits: int) -> list[int]:
+    """Negated-label bits of the m rows of the tree `counts` (preorder, gated
+    from `thetas`) over 2**n_bits labels.  Each node fills the label interval
+    [lo, hi) of its branch: its first counts[i]*(hi - lo)/2**n_bits labels are
+    the first regime, its left subtree fills that share and its right subtree
+    the rest.  Nodes are visited in preorder, so the node refused is the
+    first in preorder whose share is not an integer."""
     rows = [0] * m
     low_bits = (1 << n_bits) - 1
     pending = [(0, 1 << n_bits, 0)]  # (lo, hi, depth) of the next nodes, the next one last
-    for count in counts:
+    for node, count in enumerate(counts):
         lo, hi, depth = pending.pop()
         share = count * (hi - lo)
         if share & low_bits:
             raise NotOnInvariantSet(
-                f"conditional count {Fraction(share, 1 << n_bits)} is not an integer: joint amplitude not describable"
+                f"conditional count {Fraction(share, 1 << n_bits)} of preorder node {node} (theta={thetas[node]}) at "
+                f"N={n_bits} is not an integer: joint amplitude not describable"
             )
         mid = lo + (share >> n_bits)
         rows[depth] |= ((1 << (hi - mid)) - 1) << mid
@@ -157,7 +158,7 @@ def multi_sample(n_bits: int, thetas: Sequence[ExactAngle]) -> MultiSample:
     m = _arity(thetas)
     counts = [gate_amplitude(t, n_bits) for t in thetas]
     require_explicit(n_bits)
-    rows_bits = _realize(counts, m, n_bits)
+    rows_bits = _realize(thetas, counts, m, n_bits)
     return MultiSample(n_bits, tuple(BitString(n_bits, rb, _DEFAULT_TAGS[i] if i < len(_DEFAULT_TAGS) else f"q{i}")
                                      for i, rb in enumerate(rows_bits)))
 

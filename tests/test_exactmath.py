@@ -253,9 +253,11 @@ class TestGates:
             (lambda: sample(5, turns("1/6"), turns("1/3")), "phase 1/3 turns is not a multiple of 1/2**4 of a turn"),
             (lambda: phase_string(5, turns("1/32")), "phase 1/32 turns is not a multiple of 1/2**4 of a turn"),
             (lambda: multi_sample(1, [turns("1/6")]), "cos^2(theta/2)=3/4 is not describable by 1 bits"),
-            (
+            pytest.param(  # the id is the one the case had before its message named N, the node and its angle
                 lambda: multi_sample(3, [turns("1/6")] * 3),
-                "conditional count 9/2 is not an integer: joint amplitude not describable",
+                "conditional count 9/2 of preorder node 1 (theta=1/6 turns) at N=3 is not an integer: "
+                "joint amplitude not describable",
+                id="<lambda>-conditional count 9/2 is not an integer: joint amplitude not describable",
             ),
             (
                 lambda: two_qubit_predict(TwoQubitParams(*[turns("0")] * 5, turns("1/64")), 6),

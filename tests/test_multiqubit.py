@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invset import checks, multiqubit
-from invset.exactmath import ExactAngle, NotOnInvariantSet, ResourceBound, gate_amplitude, gate_phase
+from invset.exactmath import ExactAngle, NotOnInvariantSet, ResourceBound, cos_exact, gate_amplitude, gate_phase
 from invset.multiqubit import (
     MultiSample,
     TwoQubitParams,
@@ -248,6 +249,33 @@ class TestComposeMany:
                 with pytest.raises(NotOnInvariantSet, match="is not an integer"):
                     multi_sample(n_bits, thetas)
 
+    def test_a_refusal_names_n_and_the_first_node_in_preorder_whose_share_is_not_an_integer(self):
+        def first_refused(thetas, i, size, labels):
+            share = (1 + cos_exact(thetas[i])) / 2 * labels
+            if share.denominator != 1:
+                return i, share
+            if size == 1:
+                return None
+            h = size // 2
+            return first_refused(thetas, i + 1, h, share) or first_refused(thetas, i + 1 + h, h, labels - share)
+
+        rng = random.Random(26)
+        refused = 0
+        for _ in range(1000):
+            m, n_bits = rng.randint(2, 4), rng.randint(3, 6)
+            thetas = [rng.choice(TestPinnedTwoQubit.NIVEN_FULL_TURN) for _ in range((1 << m) - 1)]
+            first = first_refused(thetas, 0, len(thetas), Fraction(1 << n_bits))
+            if first is None:
+                multi_sample(n_bits, thetas)
+                continue
+            node, share = first
+            message = (f"conditional count {share} of preorder node {node} (theta={thetas[node]}) at N={n_bits} "
+                       "is not an integer: joint amplitude not describable")
+            with pytest.raises(NotOnInvariantSet, match=f"^{re.escape(message)}$"):
+                multi_sample(n_bits, thetas)
+            refused += 1
+        assert 100 < refused < 900
+
     def test_a_branch_without_labels_is_not_refused(self):
         # N=3: the head's first regime holds every label, so the right subtree (1/6; 0, 1/6), whose
         # counts would not be integers on 8 labels, fills none
@@ -339,7 +367,7 @@ class TestPinnedTwoQubit:
     PHASE_GRID = [tuple(ExactAngle(Fraction(t)) for t in triple) for triple in (
         ("0", "0", "0"), ("1/4", "0", "1/2"), ("1/8", "1/16", "3/8"), ("3/4", "7/8", "1/2"),
         ("1/3", "0", "0"), ("0", "0", "1/64"))]
-    DIGEST = "8ea73edf9aa9468a6697cc9ab228bda9b7a4ecf2db43be5f7f1c25a04ea4dbf9"
+    DIGEST = "90c57cb6355578a5f8942538c914e90f721fc3ea67f6029781988a775cf27b68"
 
     @staticmethod
     def outcome(call) -> str:
@@ -373,7 +401,7 @@ class TestPinnedTrees:
     PHASE_GRIDS = [[ExactAngle(Fraction(t)) for t in ("0", "1/4", "1/2", "3/4", *extra)]
                    for extra in ((), ("1/8", "5/16"), ("31/64", "1/128"), ("1/3",))]
     AMPLITUDE_DIGEST = "32c94b3c927c9c1c2c095c2a28a6bcb4cf6105ad7ae00ae1a0ccab9d9b7a8d53"
-    COUNTS_DIGEST = "0d9522af89cab1e386318bbbc2de6fcf7b71918fcb011178f5529f8ace458793"
+    COUNTS_DIGEST = "e461af2c634600fff0ba7e23dcb6c9f1703e9a7e05220db4ed96f0bef97b909f"
 
     def trees(self, count: int, seed: int):
         rng = random.Random(seed)
