@@ -10,6 +10,12 @@ and certify the nearest describable substitute for a requested setting and
 on the numeric fallback path of the closed-form circuit probabilities.  Each
 correlation comes from its own sub-ensemble - no value is ever computed from
 a counterfactual run.
+
+Each certified substitution decision (``_decide``) is kept for the life of
+the process, up to 1024 of them: the first chsh run in a process pays for
+the interval kernels, and a later run asking about the same folded angle at
+the same N, window and precision reuses the decision.  A one-shot
+``python -m invset.cli chsh`` process gains nothing from it.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ class AngleSubstitution:
         }
 
 
+@functools.lru_cache(maxsize=1024)
 def _decide(turns: Fraction, n_bits: int, window: Fraction, prec: int) -> tuple[int, float, bool] | None:
     """(count, delta, outside): the count nearest 2**N (1 + cos(2 pi turns)) / 2,
     the distance in turns of its angle from ``turns`` as the nearest double,
@@ -81,7 +88,8 @@ def _decide(turns: Fraction, n_bits: int, window: Fraction, prec: int) -> tuple[
     decision is read off one enclosure from mpmath's interval kernels at prec
     bits: the count is the one integer within 1/2 of the whole enclosure, and
     delta's double is the one both ends of its enclosure round to; None while
-    an enclosure leaves one open."""
+    an enclosure leaves one open.  A decision, None included, is a function
+    of the arguments' values alone, so it is memoized per process."""
     length = 1 << n_bits
     cos_t = cos_exact(ExactAngle(turns))
     if cos_t is not None:

@@ -25,7 +25,6 @@ from .samplespace import (
     canonical_string,
     first_label_count,
     full_mask,
-    negate,
     require_explicit,
     sample_from_counts,
 )
@@ -269,7 +268,10 @@ def amplitude_table_mp(
 
 def bell_sample_from_amplitude(amp: Fraction, n_bits: int) -> MultiSample:
     """Maximally entangled construction at exact agreement amplitude ``amp``:
-    balanced head, second source the negation of the first."""
+    balanced head, second source the negation of the first.  That is
+    compose_pair(head, sb1, negate(sb1)), whose row b takes sb1's label where
+    the head is first and its negation elsewhere: sb1 xor head, built from
+    sb1's labels once."""
     if not 0 <= amp <= 1:
         raise ValueError("amplitude outside [0, 1]")
     if not is_describable(amp, n_bits):
@@ -278,7 +280,7 @@ def bell_sample_from_amplitude(amp: Fraction, n_bits: int) -> MultiSample:
     count = exact.numerator << (n_bits + 1 - exact.denominator.bit_length())
     head = canonical_string(n_bits, "a")
     sb1 = sample_from_counts(n_bits, count, 0, "b")
-    return compose_pair(head, sb1, negate(sb1))
+    return MultiSample(n_bits, (head, BitString(n_bits, sb1.bits ^ head.bits, "b", None)))
 
 
 def bell_sample(theta2: ExactAngle, n_bits: int) -> MultiSample:

@@ -29,7 +29,7 @@ from invset.multiqubit import (
     two_qubit_predict,
     two_qubit_sample,
 )
-from invset.samplespace import BitString, first_label_count, pair_shift
+from invset.samplespace import BitString, canonical_string, first_label_count, negate, pair_shift, sample_from_counts
 
 ZERO = ExactAngle(Fraction(0))
 # amplitude angles admissible for rational turns: cos in {1, 1/2, 0, -1/2, -1}
@@ -181,6 +181,15 @@ class TestBell:
     def test_inadmissible_amplitude(self):
         with pytest.raises(NotOnInvariantSet):
             bell_sample_from_amplitude(Fraction(1, 3), 8)
+
+    @pytest.mark.parametrize("n_bits", range(6, 11))
+    def test_rows_equal_the_composed_negated_pair(self, n_bits):
+        # row b is built as sb1 xor head, the composition of head, sb1 and sb1's negation
+        head = canonical_string(n_bits, "a")
+        for count in range((1 << n_bits) + 1):
+            sb1 = sample_from_counts(n_bits, count, 0, "b")
+            ms = bell_sample_from_amplitude(Fraction(count, 1 << n_bits), n_bits)
+            assert ms == compose_pair(head, sb1, negate(sb1))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.integers(3, 20), st.data())
