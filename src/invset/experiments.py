@@ -10,12 +10,6 @@ and certify the nearest describable substitute for a requested setting and
 on the numeric fallback path of the closed-form circuit probabilities.  Each
 correlation comes from its own sub-ensemble - no value is ever computed from
 a counterfactual run.
-
-Each certified substitution decision (``_decide``) is kept for the life of
-the process, up to 1024 of them: the first chsh run in a process pays for
-the interval kernels, and a later run asking about the same folded angle at
-the same N, window and precision reuses the decision.  A one-shot
-``python -m invset.cli chsh`` process gains nothing from it.
 """
 
 from __future__ import annotations
@@ -76,7 +70,9 @@ class AngleSubstitution:
         }
 
 
-@functools.lru_cache(maxsize=1024)
+_KERNEL_SLACK = 1 << 14  # units of 2**-prec bounding an mpmath value's error in _decide
+
+
 def _decide(turns: Fraction, n_bits: int, window: Fraction, prec: int) -> tuple[int, float, bool] | None:
     """(count, delta, outside): the count nearest 2**N (1 + cos(2 pi turns)) / 2,
     the distance in turns of its angle from ``turns`` as the nearest double,
@@ -84,48 +80,57 @@ def _decide(turns: Fraction, n_bits: int, window: Fraction, prec: int) -> tuple[
     outside.  A cosine in {0, +-1/2, +-1} has a rational angle: a rational
     cos(2 pi turns) gives the count exactly (at N = 1, +-1/2 falls halfway
     and the lower count is taken), a rational substitute cosine the window
-    test, and neither touches mpmath.  Otherwise each
-    decision is read off one enclosure from mpmath's interval kernels at prec
-    bits: the count is the one integer within 1/2 of the whole enclosure, and
-    delta's double is the one both ends of its enclosure round to; None while
-    an enclosure leaves one open.  A decision, None included, is a function
-    of the arguments' values alone, so it is memoized per process."""
+    test, and neither touches mpmath.  Otherwise each decision is read off
+    one enclosure at prec bits: the count is the one integer within 1/2 of
+    the whole enclosure, and delta's double is the one both ends of its
+    enclosure round to; None while an enclosure leaves one open.
+
+    An enclosure is one mpmath value, cos(2 pi turns) or the substitute's
+    acos / 2 pi, as a fixed-point integer over 2**prec, widened by
+    _KERNEL_SLACK units.  That bounds its error if each mpmath kernel is
+    within 2**(10 - prec) of its value relatively, the bound mpmath's own
+    interval cosine (``libmpi.mpi_cos``) allows its kernels: the argument
+    2 pi turns is then within 2**(13 - prec) and cos is 1-Lipschitz, the
+    quotient acos / 2 pi within 2**(12 - prec), and the fixed point cuts
+    less than 2**-prec more.  Every step after that is exact integer
+    arithmetic."""
     length = 1 << n_bits
     cos_t = cos_exact(ExactAngle(turns))
     if cos_t is not None:
         count = int((1 + cos_t) * (length >> 1))
     else:
-        from mpmath.libmp import (
-            fhalf, from_int, from_man_exp, from_rational, mpf_add, mpf_lt, round_ceiling, round_floor, to_int,
-        )
-        from mpmath.libmp.libmpi import mpi_add, mpi_cos, mpi_mul, mpi_one, mpi_pi, mpi_shift
+        from mpmath.libmp import from_rational, mpf_cos, mpf_mul, mpf_pi, mpf_shift, to_fixed
 
-        def enclose(x: Fraction) -> tuple:
-            return tuple(from_rational(x.numerator, x.denominator, prec, rnd) for rnd in (round_floor, round_ceiling))
-
-        t, two_pi = enclose(turns), mpi_shift(mpi_pi(prec), 1)
-        lo, hi = mpi_shift(mpi_add(mpi_cos(mpi_mul(two_pi, t, prec), prec), mpi_one, prec), n_bits - 1)
-        count = to_int(mpf_add(lo, fhalf), round_floor)
-        if not (mpf_lt(from_man_exp(2 * count - 1, -1), lo) and mpf_lt(hi, from_man_exp(2 * count + 1, -1))):
+        two_pi = mpf_shift(mpf_pi(prec), 1)
+        cos_fixed = to_fixed(mpf_cos(mpf_mul(two_pi, from_rational(turns.numerator, turns.denominator, prec),
+                                             prec), prec), prec)
+        # 2**N (1 + cos) / 2 lies in [lo, hi] / 2**(prec + 1), and is never a half-integer;
+        # count is the integer nearest the lower end, so the enclosure decides it if hi is below count + 1/2
+        lo, hi = (((1 << prec) + cos_fixed + slack) << n_bits for slack in (-_KERNEL_SLACK, _KERNEL_SLACK))
+        count = (lo + (1 << prec)) >> (prec + 1)
+        if hi >= (2 * count + 1) << prec:
             return None
     sub_turns = acos_exact(Fraction(2 * count, length) - 1)
     if sub_turns is not None:
         delta = abs(sub_turns - turns)
         return count, float(delta), delta >= window
-    # the substitute cosine is irrational-angled, so cos_t was irrational and t, two_pi are set
-    from mpmath.libmp import mpf_ge, round_nearest, to_float
-    from mpmath.libmp.libmpi import mpi_abs, mpi_atan2, mpi_div, mpi_sqrt, mpi_sub
+    # the substitute cosine is irrational-angled, so cos_t was irrational and two_pi is set
+    from mpmath.libmp import from_man_exp, mpf_acos, mpf_div
 
-    x = from_int(2 * count - length)
-    angle = mpi_atan2(mpi_sqrt((from_int(4 * count * (length - count)),) * 2, prec), (x, x), prec)
-    lo, hi = mpi_abs(mpi_sub(mpi_div(angle, two_pi, prec), t, prec))
-    w_lo, w_hi = enclose(window)
-    near = to_float(lo, rnd=round_nearest)
-    if near != to_float(hi, rnd=round_nearest):
+    sub_fixed = to_fixed(mpf_div(mpf_acos(from_man_exp(2 * count - length, -n_bits), prec), two_pi, prec), prec)
+    # delta = |sub - turns| lies in [lo, hi] / (den 2**prec), and is never 0: the substitute angle is irrational
+    den = turns.denominator << prec
+    lo, hi = ((sub_fixed + slack) * turns.denominator - (turns.numerator << prec)
+              for slack in (-_KERNEL_SLACK, _KERNEL_SLACK))
+    if lo <= 0 <= hi:
         return None
-    if mpf_ge(lo, w_hi):
+    lo, hi = (lo, hi) if lo > 0 else (-hi, -lo)
+    near = lo / den  # int / int: the double nearest the quotient
+    if near != hi / den:
+        return None
+    if lo * window.denominator >= window.numerator * den:
         return count, near, True
-    return (count, near, False) if mpf_lt(hi, w_lo) else None
+    return (count, near, False) if hi * window.denominator < window.numerator * den else None
 
 
 def substitute_describable(requested_turns: Fraction, n_bits: int, window_turns: Fraction) -> AngleSubstitution:

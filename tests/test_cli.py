@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import invset
-from invset import checks, cli, experiments, padic
+from invset import checks, cli, padic
 from invset import report as report_mod
 from invset.cli import CHSH_N_BITS_BOUND, MZ_N_BITS_BOUND, SCHEMAS, TRACE_LENGTH_BOUND, build_parser, main
 from invset.report import _stable_json
@@ -66,33 +66,6 @@ class TestChshCommand:
         assert m1["output_sha256"] == m2["output_sha256"]
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
-
-    @pytest.mark.parametrize("payload", [
-        OPTIMAL_CHSH,
-        {"n_bits": 20, "angles": {"A1": "1/16", "A2": "5/16", "B1": "3/16", "B2": "7/16"}},
-        dict(OPTIMAL_CHSH, window_turns="1/1000"),
-        dict(OPTIMAL_CHSH, window_turns="1/1099511627776"),  # exit 2
-    ])
-    def test_a_memoized_run_writes_the_same_bytes(self, tmp_path, payload):
-        cfg = write_config(tmp_path, "chsh.json", payload)
-
-        def run(name):
-            err = io.StringIO()
-            with redirect_stderr(err), redirect_stdout(io.StringIO()):
-                code = main(["chsh", "--config", cfg, "--out", str(tmp_path / name)])
-            if code:
-                return code, err.getvalue()
-            out = tmp_path / name
-            return (code, read_json(out / "manifest.json")["output_sha256"], (out / "report.json").read_bytes(),
-                    (out / "report.csv").read_bytes())
-
-        experiments._decide.cache_clear()
-        first = run("miss")
-        hits = experiments._decide.cache_info().hits
-        assert run("hit") == first
-        assert experiments._decide.cache_info().hits > hits
-        experiments._decide.cache_clear()
-        assert run("cleared") == first
 
     def test_tiny_window_exits_two(self, tmp_path):
         payload = dict(OPTIMAL_CHSH, window_turns="1/1099511627776")

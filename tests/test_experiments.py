@@ -29,7 +29,7 @@ from invset.experiments import (
     substitute_describable,
 )
 from invset import exactmath, experiments, multiqubit, samplespace
-from invset.highprec import to_mpf, working_prec
+from invset.highprec import to_mpf
 from invset.multiqubit import amplitude_table_mp
 
 
@@ -133,20 +133,47 @@ class TestSubstitution:
         assert sub.delta_turns_float == 0.0
 
     def test_rational_cosines_never_touch_mpmath(self, monkeypatch):
-        from mpmath.libmp import libmpi
+        from mpmath import libmp
 
         def refuse(*args):
-            raise AssertionError("an interval kernel ran for a rational cosine")
+            raise AssertionError("an mpmath kernel ran for a rational cosine")
 
-        experiments._decide.cache_clear()  # a decision memoized by an earlier test would skip the kernels
-        for kernel in ("mpi_cos", "mpi_atan2"):
-            monkeypatch.setattr(libmpi, kernel, refuse)
+        for kernel in ("mpf_cos", "mpf_acos"):
+            monkeypatch.setattr(libmp, kernel, refuse)
         for n_bits in (3, 16, 8192):
             for turns in (Fraction(0), Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
                 assert substitute_describable(turns, n_bits, Fraction(1, 1 << 40)).delta_turns_float == 0.0
         # an irrational cosine does use them
-        with pytest.raises(AssertionError, match="interval kernel"):
+        with pytest.raises(AssertionError, match="mpmath kernel"):
             substitute_describable(Fraction(1, 8), 16, Fraction(1, 1 << 14))
+
+    def test_a_decision_at_any_precision_is_the_exact_one(self):
+        # each enclosure is one mpmath value widened by _KERNEL_SLACK; whatever precision closes it
+        # must give the count, delta's double and window verdict of a 4N-bit recomputation
+        rng = random.Random(26)
+        closed = opened = 0
+        for n_bits in (3, 4, 8, 16, 20, 64, 200):
+            turns = [Fraction(1, 8), Fraction(3, 8), Fraction(1, 7), Fraction(23, 100), Fraction(2, 9)]
+            turns += [Fraction(rng.randrange(den // 2 + 1), den) for den in rng.sample(range(2, 10**6), 10)]
+            for t in turns:
+                if exactmath.cos_exact(ExactAngle(t)) is not None:
+                    continue  # exact without mpmath, where the oracle leaves rounding noise
+                prec = max(4 * n_bits, 480)
+                count, delta = oracle_substitution(t, n_bits, prec)
+                windows = [Fraction(1, 1 << (n_bits - 2)), Fraction(1, 1 << (n_bits + 4)), Fraction(float(delta))]
+                # just below and just above delta: their tests stay open until an enclosure is finer than 2**-k
+                with mpmath.workprec(prec):
+                    windows += [Fraction(int(rnd(delta * (1 << k))), 1 << k)
+                                for k in (32, 64, 128) for rnd in (mpmath.floor, mpmath.ceil)]
+                for window in windows:
+                    exact = (count, float(delta), bool(delta >= to_mpf(window, prec)))
+                    for bits in (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 320):
+                        decided = experiments._decide(t, n_bits, window, bits)
+                        opened += decided is None
+                        if decided is not None:
+                            closed += 1
+                            assert decided == exact, (t, n_bits, window, bits)
+        assert closed > 500 and opened > 500  # precisions from 8 bits leave many open
 
     def test_doubling_from_a_low_precision_gives_the_same_substitutions(self, monkeypatch):
         # from 8 bits some enclosures are left open, so the precision loop doubles until each is decided
@@ -179,56 +206,6 @@ class TestSubstitution:
         monkeypatch.setattr(experiments, "_decide", spy)
         assert [outcome(*case) for case in cases] == expected
         assert None in decisions  # an open enclosure
-
-    def test_a_memoized_decision_equals_a_fresh_one(self):
-        def outcome(turns, n_bits, window):
-            try:
-                return substitute_describable(turns, n_bits, window)
-            except NoAdmissibleAngle as exc:
-                return str(exc)
-
-        rng = random.Random(26)
-        cases = []
-        for n_bits in (3, 4, 8, 16, 20, 64, 200, 1000, 2000, *rng.sample(range(3, 2001), 6)):
-            default = Fraction(1, 1 << (n_bits - 2))
-            turns = [Fraction(1, 8), Fraction(3, 8), Fraction(1, 6), default,
-                     *(Fraction(rng.randrange(den // 2 + 1), den) for den in rng.sample(range(2, 10**6), 3))]
-            # the default window, a tie for the request at the window itself, and one refusing every irrational cosine
-            cases += [(t, n_bits, w) for t in turns for w in (default, Fraction(1, 1 << (n_bits + 40)))]
-        experiments._decide.cache_clear()
-        first = [outcome(*case) for case in cases]
-        hits = experiments._decide.cache_info().hits
-        assert [outcome(*case) for case in cases] == first
-        assert experiments._decide.cache_info().hits - hits >= len(cases)
-        fresh = []
-        for case in cases:
-            experiments._decide.cache_clear()
-            fresh.append(outcome(*case))
-        assert fresh == first
-        assert any(isinstance(o, str) for o in first) and any(not isinstance(o, str) for o in first)
-        assert outcome(Fraction(1, 1 << 18), 20, Fraction(1, 1 << 18)) in first  # the exact tie is refused
-
-    def test_memoized_keys_differing_in_window_n_or_prec_never_share_an_entry(self):
-        t, window, prec = Fraction(1, 8), Fraction(1, 1 << 14), working_prec(16)
-        keys = [(t, 16, window, prec), (t, 16, Fraction(1, 1 << 40), prec), (t, 20, window, working_prec(20)),
-                (t, 16, window, 8)]
-        experiments._decide.cache_clear()
-        decisions = [experiments._decide(*key) for key in keys]
-        info = experiments._decide.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 4, 4)
-        # accepted, refused for the window, another count, left open at 8 bits
-        assert decisions[0][2] is False and decisions[1][2] is True
-        assert decisions[2][0] != decisions[0][0] and decisions[3] is None
-        assert [experiments._decide(*key) for key in keys] == decisions
-        assert experiments._decide.cache_info().hits == 4
-
-    def test_the_memo_is_bounded(self):
-        maxsize = experiments._decide.cache_info().maxsize
-        assert isinstance(maxsize, int)
-        experiments._decide.cache_clear()
-        for prec in range(1, maxsize + 11):  # exact keys: no interval kernel runs
-            experiments._decide(Fraction(0), 3, Fraction(1), prec)
-        assert experiments._decide.cache_info().currsize == maxsize
 
     def test_relative_turns_folds_to_half(self):
         assert relative_turns(angle(0), angle(7, 8)) == Fraction(1, 8)
