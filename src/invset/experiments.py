@@ -168,6 +168,12 @@ class ChshConfig:
     b2: ExactAngle
     window_turns: Fraction | None = None  # default 2**-(N-2)
 
+    def __post_init__(self) -> None:
+        """A window given as an int or float is taken at its exact value, so
+        every substitution route compares it as a Fraction."""
+        if self.window_turns is not None and type(self.window_turns) is not Fraction:
+            object.__setattr__(self, "window_turns", Fraction(self.window_turns))
+
     @property
     def window(self) -> Fraction:
         return self.window_turns if self.window_turns is not None else Fraction(1, 1 << (self.n_bits - 2))

@@ -259,6 +259,13 @@ class TestChsh:
         with pytest.raises(NoAdmissibleAngle):
             chsh_run(cfg)
 
+    @pytest.mark.parametrize("angles", [OPTIMAL, dict(a1=angle(0), a2=angle(1, 3), b1=angle(1, 6), b2=angle(1, 2))])
+    def test_a_float_window_is_its_exact_value(self, angles):
+        # irrational and rational cosines alike compare the window as a Fraction
+        cfg = ChshConfig(16, **angles, window_turns=2.0 ** -14)
+        assert cfg.window == Fraction(1, 1 << 14) and type(cfg.window) is Fraction
+        assert chsh_run(cfg).record() == chsh_run(ChshConfig(16, **angles)).record()
+
     def test_s_is_the_exact_rational_combination(self):
         report = chsh_run(ChshConfig(10, **OPTIMAL))
         c = {pair: report.substitutions[pair].cos_value for pair in PAIR_NAMES}
