@@ -12,12 +12,11 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
 from . import dirac, exactmath, multiqubit, padic, samplespace
-from .exactmath import ZERO_ANGLE, ExactAngle
+from .exactmath import ZERO_ANGLE, ExactAngle, _Record
 
 DEFAULT_SEED = 12345
 
@@ -26,11 +25,11 @@ DEFAULT_SEED = 12345
 NIVEN_THETAS = [ExactAngle(Fraction(t)) for t in ("0", "1/6", "1/4", "1/3", "1/2")]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(_Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        self._init(name, passed, detail)
 
 
 def _row(name: str, passed: bool, detail: str = "") -> CheckResult:

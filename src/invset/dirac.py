@@ -18,31 +18,29 @@ conversion to physical time or distance (step sizes 2*pi/(2**(N-1)*omega) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .exactmath import ZERO_ANGLE, RationalLike, rational_sqrt
+from .exactmath import ZERO_ANGLE, RationalLike, _Record, _set, rational_sqrt
 from .samplespace import BitString, pair_shift, phase_string, quarter_turn
 
 Entry = tuple[int, int]  # (quarter-turns mod 4, pair-shifts mod 2**(N-1))
 
 
-@dataclass(frozen=True)
-class FormalOperatorMatrix:
+class FormalOperatorMatrix(_Record):
     """4x4 generalized permutation matrix over the pair-shift/quarter-turn
     operator algebra: row i holds its one nonzero entry, entries[i], in
     column cols[i]."""
 
-    n_bits: int
-    cols: tuple[int, int, int, int]
-    entries: tuple[Entry, Entry, Entry, Entry]
+    __slots__ = ("n_bits", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if sorted(self.cols) != [0, 1, 2, 3] or len(self.entries) != 4:
+    def __init__(self, n_bits: int, cols: tuple[int, int, int, int],
+                 entries: tuple[Entry, Entry, Entry, Entry]) -> None:
+        if sorted(cols) != [0, 1, 2, 3] or len(entries) != 4:
             raise ValueError("a permutation of columns 0..3 and four entries required")
-        half = 1 << (self.n_bits - 1)
-        object.__setattr__(self, "cols", tuple(self.cols))
-        object.__setattr__(self, "entries", tuple((s % 4, r % half) for s, r in self.entries))
+        half = 1 << (n_bits - 1)
+        _set(self, "n_bits", n_bits)
+        _set(self, "cols", tuple(cols))
+        _set(self, "entries", tuple((s % 4, r % half) for s, r in entries))
 
     def __matmul__(self, other: "FormalOperatorMatrix") -> "FormalOperatorMatrix":
         """Row i's entry, in column k = cols[i], times row k of `other`."""
@@ -118,18 +116,16 @@ def gamma_pattern(axis: int) -> list[list[complex]]:
     return [list(row) for row in GAMMA[axis]]
 
 
-@dataclass(frozen=True)
-class SpinorSample:
+class SpinorSample(_Record):
     """Four bit strings plus the particle data that fixes the evolution
     grids.  ``omega`` is None exactly when omega^2 = |k|^2 + m^2 has no
     rational root."""
 
-    n_bits: int
-    components: tuple[BitString, BitString, BitString, BitString]
-    mass: Fraction
-    wavevector: tuple[Fraction, Fraction, Fraction]
-    omega: Fraction | None
-    omega_sq: Fraction
+    __slots__ = ("n_bits", "components", "mass", "wavevector", "omega", "omega_sq")
+
+    def __init__(self, n_bits: int, components: tuple[BitString, BitString, BitString, BitString], mass: Fraction,
+                 wavevector: tuple[Fraction, Fraction, Fraction], omega: Fraction | None, omega_sq: Fraction) -> None:
+        self._init(n_bits, components, mass, wavevector, omega, omega_sq)
 
 
 def spinor(
@@ -167,10 +163,8 @@ def rest_step(psi: SpinorSample, n: int) -> SpinorSample:
     """Rest-frame evolution: components 1-2 advance n pair-shifts, 3-4
     retreat - two helical pairs of opposite handedness."""
     c1, c2, c3, c4 = psi.components
-    return replace(
-        psi,
-        components=(pair_shift(c1, n), pair_shift(c2, n), pair_shift(c3, -n), pair_shift(c4, -n)),
-    )
+    components = (pair_shift(c1, n), pair_shift(c2, n), pair_shift(c3, -n), pair_shift(c4, -n))
+    return SpinorSample(psi.n_bits, components, psi.mass, psi.wavevector, psi.omega, psi.omega_sq)
 
 
 def evolution_operator(psi: SpinorSample, n_t: int, n_1: int, n_2: int, n_3: int) -> FormalOperatorMatrix:
@@ -220,13 +214,17 @@ def phase_trace(operator: FormalOperatorMatrix, components: tuple[BitString, ...
 
 def full_evolve(psi: SpinorSample, n_t: int, n_1: int, n_2: int, n_3: int) -> SpinorSample:
     """Apply evolution_operator(psi, n_t, n_1, n_2, n_3) to psi's components."""
-    return replace(psi, components=evolution_operator(psi, n_t, n_1, n_2, n_3).apply(psi.components))
+    components = evolution_operator(psi, n_t, n_1, n_2, n_3).apply(psi.components)
+    return SpinorSample(psi.n_bits, components, psi.mass, psi.wavevector, psi.omega, psi.omega_sq)
 
 
-@dataclass(frozen=True)
-class DispersionResult:
-    omega_sq: Fraction
-    omega: Fraction | None  # exact rational root when one exists
+class DispersionResult(_Record):
+    """omega^2 and omega, its exact rational root when one exists, else None."""
+
+    __slots__ = ("omega_sq", "omega")
+
+    def __init__(self, omega_sq: Fraction, omega: Fraction | None) -> None:
+        self._init(omega_sq, omega)
 
 
 def dispersion_check(mass: RationalLike, wavevector: tuple[RationalLike, RationalLike, RationalLike]) -> DispersionResult:

@@ -8,7 +8,6 @@ floating-point comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Union
@@ -30,8 +29,53 @@ class ResourceBound(RuntimeError):
     """A brute-force or enumeration bound was exceeded."""
 
 
-@dataclass(frozen=True)
-class ExactAngle:
+_set = object.__setattr__  # how a record's __init__ fills its slots
+
+
+class _Record:
+    """Base of invset's immutable records.  A subclass names its fields in
+    ``__slots__`` (a ``"__dict__"`` entry there is not a field) and fills them
+    in its ``__init__``; records of one class are equal when their field
+    tuples are, hash as that tuple and repr as ``Name(field=value, ...)``,
+    and a field can be neither assigned nor deleted."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def _init(self, *values) -> None:
+        """Fill the fields in order: the __init__ of a record built at most once per operation."""
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild a record through its __init__
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ExactAngle(_Record):
     """An angle stored exactly as its fraction of a full turn, in [0, 1).
 
     Angles with irrational turn fractions are unrepresentable by construction;
@@ -39,12 +83,12 @@ class ExactAngle:
     never through storing irrational values.
     """
 
-    turns: Fraction
+    __slots__ = ("turns",)
 
-    def __post_init__(self) -> None:
-        turns = self.turns
+    def __init__(self, turns: Fraction) -> None:
         if type(turns) is not Fraction or not 0 <= turns.numerator < turns.denominator:
-            object.__setattr__(self, "turns", Fraction(turns) % 1)
+            turns = Fraction(turns) % 1
+        _set(self, "turns", turns)
 
     def __add__(self, other: "ExactAngle") -> "ExactAngle":
         return ExactAngle(self.turns + other.turns)
@@ -185,12 +229,13 @@ REASON_IRRATIONAL_SINE = "irrational_sine"
 REASON_PYTHAGOREAN = "pythagorean_obstruction"
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
+class ObstructionVerdict(_Record):
     """Outcome of the angle-addition describability test."""
 
-    excluded: bool
-    reason: str
+    __slots__ = ("excluded", "reason")
+
+    def __init__(self, excluded: bool, reason: str) -> None:
+        self._init(excluded, reason)
 
     @property
     def verdict(self) -> str:

@@ -15,7 +15,6 @@ a counterfactual run.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import (
@@ -24,6 +23,7 @@ from .exactmath import (
     NotOnInvariantSet,
     ObstructionVerdict,
     REASON_DESCRIBABLE,
+    _Record,
     acos_exact,
     combine_degenerate_cosine,
     cos_exact,
@@ -42,12 +42,13 @@ BRIDGE_NAMES = ("A1A2", "B1B2")
 
 def relative_turns(x: ExactAngle, y: ExactAngle) -> Fraction:
     """Relative orientation of two settings as a turn fraction in [0, 1/2]."""
-    t = (x - y).turns
-    return t if t <= Fraction(1, 2) else 1 - t
+    (a, b), (c, d) = x.turns.as_integer_ratio(), y.turns.as_integer_ratio()
+    den = b * d
+    num = (a * d - c * b) % den
+    return Fraction(min(num, den - num), den)
 
 
-@dataclass(frozen=True)
-class AngleSubstitution:
+class AngleSubstitution(_Record):
     """A requested relative angle and its nearest describable stand-in.
 
     ``cos_value`` = 2*first_count/2^N - 1 is exact; ``delta_turns_float`` is
@@ -55,10 +56,11 @@ class AngleSubstitution:
     checked against the window before this record is built.
     """
 
-    requested_turns: Fraction
-    first_count: int
-    cos_value: Fraction
-    delta_turns_float: float
+    __slots__ = ("requested_turns", "first_count", "cos_value", "delta_turns_float")
+
+    def __init__(self, requested_turns: Fraction, first_count: int, cos_value: Fraction,
+                 delta_turns_float: float) -> None:
+        self._init(requested_turns, first_count, cos_value, delta_turns_float)
 
     def record(self, name: str) -> dict:
         return {
@@ -73,17 +75,18 @@ class AngleSubstitution:
 _KERNEL_SLACK = 1 << 14  # units of 2**-prec bounding an mpmath value's error in _decide
 
 
-def _decide(turns: Fraction, n_bits: int, window: Fraction, prec: int) -> tuple[int, float, bool] | None:
-    """(count, delta, outside): the count nearest 2**N (1 + cos(2 pi turns)) / 2,
-    the distance in turns of its angle from ``turns`` as the nearest double,
-    and whether that distance is at least ``window``, an exact tie being
-    outside.  A cosine in {0, +-1/2, +-1} has a rational angle: a rational
-    cos(2 pi turns) gives the count exactly (at N = 1, +-1/2 falls halfway
-    and the lower count is taken), a rational substitute cosine the window
-    test, and neither touches mpmath.  Otherwise each decision is read off
-    one enclosure at prec bits: the count is the one integer within 1/2 of
-    the whole enclosure, and delta's double is the one both ends of its
-    enclosure round to; None while an enclosure leaves one open.
+def _decide(turns: Fraction, n_bits: int, window: Fraction, prec: int) -> tuple[int, Fraction, float, bool] | None:
+    """(count, cos, delta, outside): the count nearest 2**N (1 + cos(2 pi
+    turns)) / 2, the substitute cosine 2 count / 2**N - 1, the distance in
+    turns of its angle from ``turns`` as the nearest double, and whether that
+    distance is at least ``window``, an exact tie being outside.  A cosine in
+    {0, +-1/2, +-1} has a rational angle: a rational cos(2 pi turns) gives
+    the count exactly (at N = 1, +-1/2 falls halfway and the lower count is
+    taken), a rational substitute cosine the window test, and neither touches
+    mpmath.  Otherwise each decision is read off one enclosure at prec bits:
+    the count is the one integer within 1/2 of the whole enclosure, and
+    delta's double is the one both ends of its enclosure round to; None while
+    an enclosure leaves one open.
 
     An enclosure is one mpmath value, cos(2 pi turns) or the substitute's
     acos / 2 pi, as a fixed-point integer over 2**prec, widened by
@@ -110,10 +113,11 @@ def _decide(turns: Fraction, n_bits: int, window: Fraction, prec: int) -> tuple[
         count = (lo + (1 << prec)) >> (prec + 1)
         if hi >= (2 * count + 1) << prec:
             return None
-    sub_turns = acos_exact(Fraction(2 * count, length) - 1)
+    sub_cos = Fraction(2 * count - length, length)
+    sub_turns = acos_exact(sub_cos)
     if sub_turns is not None:
         delta = abs(sub_turns - turns)
-        return count, float(delta), delta >= window
+        return count, sub_cos, float(delta), delta >= window
     # the substitute cosine is irrational-angled, so cos_t was irrational and two_pi is set
     from mpmath.libmp import from_man_exp, mpf_acos, mpf_div
 
@@ -129,8 +133,8 @@ def _decide(turns: Fraction, n_bits: int, window: Fraction, prec: int) -> tuple[
     if near != hi / den:
         return None
     if lo * window.denominator >= window.numerator * den:
-        return count, near, True
-    return (count, near, False) if hi * window.denominator < window.numerator * den else None
+        return count, sub_cos, near, True
+    return (count, sub_cos, near, False) if hi * window.denominator < window.numerator * den else None
 
 
 def substitute_describable(requested_turns: Fraction, n_bits: int, window_turns: Fraction) -> AngleSubstitution:
@@ -151,46 +155,43 @@ def substitute_describable(requested_turns: Fraction, n_bits: int, window_turns:
     prec = working_prec(n_bits)
     while (decided := _decide(requested_turns, n_bits, window_turns, prec)) is None:
         prec *= 2
-    count, delta, outside = decided
+    count, cos_value, delta, outside = decided
     if outside:
         raise NoAdmissibleAngle(
             f"no describable angle within {window_turns} turns of {requested_turns} at N={n_bits}"
         )
-    return AngleSubstitution(requested_turns, count, Fraction(2 * count, 1 << n_bits) - 1, delta)
+    return AngleSubstitution(requested_turns, count, cos_value, delta)
 
 
-@dataclass(frozen=True)
-class ChshConfig:
-    n_bits: int
-    a1: ExactAngle
-    a2: ExactAngle
-    b1: ExactAngle
-    b2: ExactAngle
-    window_turns: Fraction | None = None  # default 2**-(N-2)
+class ChshConfig(_Record):
+    """The four settings, N and the substitution window, 2**-(N-2) turns by
+    default.  A window given as an int or float is taken at its exact value,
+    so every substitution route compares it as a Fraction."""
 
-    def __post_init__(self) -> None:
-        """A window given as an int or float is taken at its exact value, so
-        every substitution route compares it as a Fraction."""
-        if self.window_turns is not None and type(self.window_turns) is not Fraction:
-            object.__setattr__(self, "window_turns", Fraction(self.window_turns))
+    __slots__ = ("n_bits", "a1", "a2", "b1", "b2", "window_turns")
+
+    def __init__(self, n_bits: int, a1: ExactAngle, a2: ExactAngle, b1: ExactAngle, b2: ExactAngle,
+                 window_turns: Fraction | None = None) -> None:
+        if window_turns is not None and type(window_turns) is not Fraction:
+            window_turns = Fraction(window_turns)
+        self._init(n_bits, a1, a2, b1, b2, window_turns)
 
     @property
     def window(self) -> Fraction:
         return self.window_turns if self.window_turns is not None else Fraction(1, 1 << (self.n_bits - 2))
 
 
-@dataclass(frozen=True)
-class ChshReport:
+class ChshReport(_Record):
     """``substitutions`` maps each of the four pairs and the two bridges to
     its substitution.  Each pair is measured on its own sub-ensemble: its
     agreement a is its count over 2**N and its correlation 2a - 1, the
     substituted cosine."""
 
-    n_bits: int
-    window_turns: Fraction
-    substitutions: dict[str, AngleSubstitution]
-    s_value: Fraction
-    admissibility: dict[str, dict[str, dict]]
+    __slots__ = ("n_bits", "window_turns", "substitutions", "s_value", "admissibility")
+
+    def __init__(self, n_bits: int, window_turns: Fraction, substitutions: dict[str, AngleSubstitution],
+                 s_value: Fraction, admissibility: dict[str, dict[str, dict]]) -> None:
+        self._init(n_bits, window_turns, substitutions, s_value, admissibility)
 
     def record(self) -> dict:
         def sub_ensemble(pair: str) -> dict:
@@ -217,8 +218,15 @@ class ChshReport:
 def _admissibility_matrix(subs: dict[str, AngleSubstitution], n_bits: int) -> dict[str, dict[str, dict]]:
     """Verdict per (actual, counterfactual) pair: each bridge on the way asks
     whether the summed setting's cosine can still be describable.  Each
-    distinct (bridge cosine, current cosine) pair is decided once."""
-    decide = functools.cache(lambda bridge_cos, cos: simultaneous_describability(bridge_cos, cos, n_bits))
+    distinct (bridge cosine, current cosine) pair is decided once, keyed by
+    integers: a tuple of ints hashes in C, a Fraction does not."""
+    verdicts: dict[tuple[int, int, int, int], ObstructionVerdict] = {}
+
+    def decide(bridge_cos: Fraction, cos: Fraction) -> ObstructionVerdict:
+        key = (*bridge_cos.as_integer_ratio(), *cos.as_integer_ratio())
+        if key not in verdicts:
+            verdicts[key] = simultaneous_describability(bridge_cos, cos, n_bits)
+        return verdicts[key]
 
     def cell(actual: str, counterfactual: str) -> dict:
         if counterfactual == actual:
@@ -255,13 +263,15 @@ WHICH_WAY = "which_way"
 INTERFERENCE = "interference"
 
 
-@dataclass(frozen=True)
-class MzReport:
-    mode: str
-    phi_turns: Fraction
-    probabilities: dict[str, Fraction]
-    phase_gate: bool  # phi/2pi describable by N-1 bits
-    amplitude_gate: bool  # cos^2(phi/2) describable by N bits
+class MzReport(_Record):
+    """``phase_gate``: phi/2pi is describable by N-1 bits; ``amplitude_gate``:
+    cos^2(phi/2) is describable by N bits."""
+
+    __slots__ = ("mode", "phi_turns", "probabilities", "phase_gate", "amplitude_gate")
+
+    def __init__(self, mode: str, phi_turns: Fraction, probabilities: dict[str, Fraction], phase_gate: bool,
+                 amplitude_gate: bool) -> None:
+        self._init(mode, phi_turns, probabilities, phase_gate, amplitude_gate)
 
     def record(self) -> dict:
         """The other mode is the counterfactual, admissible where its gate
@@ -363,11 +373,14 @@ def pbr_simultaneity(alpha: ExactAngle, beta: ExactAngle, n_bits: int) -> Obstru
     return simultaneous_describability(cd, cb, n_bits)
 
 
-@dataclass(frozen=True)
-class PbrReport:
-    x_value: object  # Fraction when exact, mpf otherwise
-    z_value: object
-    simultaneity: dict
+class PbrReport(_Record):
+    """X and Z, each a Fraction when exact and an mpf otherwise, and the
+    obstruction's verdict."""
+
+    __slots__ = ("x_value", "z_value", "simultaneity")
+
+    def __init__(self, x_value: object, z_value: object, simultaneity: dict) -> None:
+        self._init(x_value, z_value, simultaneity)
 
     def record(self) -> dict:
         def num(v):

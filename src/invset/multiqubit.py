@@ -14,11 +14,19 @@ probability of an outcome prefix, is then not an integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .exactmath import ZERO_ANGLE, ExactAngle, NotOnInvariantSet, gate_amplitude, gate_phase, is_describable
+from .exactmath import (
+    ZERO_ANGLE,
+    ExactAngle,
+    NotOnInvariantSet,
+    _Record,
+    _set,
+    gate_amplitude,
+    gate_phase,
+    is_describable,
+)
 from .highprec import DEFAULT_PREC, to_mpf
 from .samplespace import (
     BitString,
@@ -35,21 +43,20 @@ if TYPE_CHECKING:
 _DEFAULT_TAGS = "abcdefgh"
 
 
-@dataclass(frozen=True)
-class MultiSample:
+class MultiSample(_Record):
     """m aligned bit strings of common length 2**N realizing an m-qubit
     sample space; row 1 is the independent source."""
 
-    n_bits: int
-    rows: tuple[BitString, ...]
+    __slots__ = ("n_bits", "rows")
 
-    def __post_init__(self) -> None:
-        if not self.rows:
+    def __init__(self, n_bits: int, rows: tuple[BitString, ...]) -> None:
+        if not rows:
             raise ValueError("at least one row required")
-        for r in self.rows:
-            if r.n_bits != self.n_bits:
+        for r in rows:
+            if r.n_bits != n_bits:
                 raise ValueError("row length mismatch")
-        object.__setattr__(self, "rows", tuple(self.rows))
+        _set(self, "n_bits", n_bits)
+        _set(self, "rows", tuple(rows))
 
     @property
     def size(self) -> int:
@@ -167,24 +174,24 @@ def two_qubit_sample(params: "TwoQubitParams", n_bits: int) -> MultiSample:
     return multi_sample(n_bits, (params.theta1, params.theta2, params.theta3))
 
 
-@dataclass(frozen=True)
-class TwoQubitParams:
+class TwoQubitParams(_Record):
     """The six angular degrees of freedom of the 2-qubit construction."""
 
-    theta1: ExactAngle
-    theta2: ExactAngle
-    theta3: ExactAngle
-    phi1: ExactAngle
-    phi2: ExactAngle
-    phi3: ExactAngle
+    __slots__ = ("theta1", "theta2", "theta3", "phi1", "phi2", "phi3")
+
+    def __init__(self, theta1: ExactAngle, theta2: ExactAngle, theta3: ExactAngle,
+                 phi1: ExactAngle, phi2: ExactAngle, phi3: ExactAngle) -> None:
+        self._init(theta1, theta2, theta3, phi1, phi2, phi3)
 
 
-@dataclass(frozen=True)
-class PredictedTwoQubit:
+class PredictedTwoQubit(_Record):
     """Amplitude-squared table and phases of the composed 2-qubit state."""
 
-    probs: tuple[Fraction, Fraction, Fraction, Fraction]
-    phases: tuple[ExactAngle, ExactAngle, ExactAngle, ExactAngle]
+    __slots__ = ("probs", "phases")
+
+    def __init__(self, probs: tuple[Fraction, Fraction, Fraction, Fraction],
+                 phases: tuple[ExactAngle, ExactAngle, ExactAngle, ExactAngle]) -> None:
+        self._init(probs, phases)
 
 
 def two_qubit_predict(params: TwoQubitParams, n_bits: int) -> PredictedTwoQubit:

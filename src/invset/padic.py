@@ -10,13 +10,12 @@ digit a_k to the term 2*a_k/(2p-1)^(k+1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Iterable
 
-from .exactmath import RationalLike, ResourceBound, fraction_str
+from .exactmath import RationalLike, ResourceBound, _Record, _set, fraction_str
 
 CANTOR_ITERATE_BOUND = 1 << 20  # max number of intervals of an iterate that is listed or written
 
@@ -106,24 +105,22 @@ def padic_dist(a: RationalLike, b: RationalLike, p: int) -> Fraction:
     return Fraction(1, p**o) if o >= 0 else Fraction(p ** (-o))
 
 
-@dataclass(frozen=True)
-class PadicInt:
+class PadicInt(_Record):
     """A base-p digit sequence a_0..a_{K-1}, truncated at precision K.
 
     Results that depend on digits are K-truncations; equality is compared only
     up to the shared precision.
     """
 
-    p: int
-    digits: tuple[int, ...]
+    __slots__ = ("p", "digits")
 
-    def __post_init__(self) -> None:
-        _require_prime(self.p)
-        if len(self.digits) < 1:
+    def __init__(self, p: int, digits: tuple[int, ...]) -> None:
+        _require_prime(p)
+        if len(digits) < 1:
             raise ValueError("at least one digit required")
-        if any(not 0 <= d < self.p for d in self.digits):
-            raise ValueError(f"digits must lie in 0..{self.p - 1}")
-        object.__setattr__(self, "digits", tuple(self.digits))
+        if any(not 0 <= d < p for d in digits):
+            raise ValueError(f"digits must lie in 0..{p - 1}")
+        self._init(p, tuple(digits))
 
     @property
     def precision(self) -> int:
@@ -176,15 +173,17 @@ def cantor_map(z: PadicInt) -> Fraction:
     return Fraction(_left_numerator(q, z.digits), q**z.precision)
 
 
-@dataclass(frozen=True)
-class CantorInterval:
+class CantorInterval(_Record):
     """A level-k interval of C(p), addressed by its digit path: the interval
     [n/q**k, (n+1)/q**k] for q = 2p-1 and the left numerator n."""
 
-    p: int
-    level: int
-    path: tuple[int, ...]
-    numerator: int
+    __slots__ = ("p", "level", "path", "numerator")
+
+    def __init__(self, p: int, level: int, path: tuple[int, ...], numerator: int) -> None:
+        _set(self, "p", p)  # an iterate builds up to CANTOR_ITERATE_BOUND of these
+        _set(self, "level", level)
+        _set(self, "path", path)
+        _set(self, "numerator", numerator)
 
     @property
     def left(self) -> Fraction:
@@ -259,15 +258,13 @@ def similarity_dimension(p: int) -> float:
     return math.log(p) / math.log(2 * p - 1)
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(_Record):
     """Euclid-close versus p-adically-far demonstration record."""
 
-    p: int
-    a_value: int
-    b_off: Fraction
-    euclid_gap: Fraction
-    padic_gap: Fraction
+    __slots__ = ("p", "a_value", "b_off", "euclid_gap", "padic_gap")
+
+    def __init__(self, p: int, a_value: int, b_off: Fraction, euclid_gap: Fraction, padic_gap: Fraction) -> None:
+        self._init(p, a_value, b_off, euclid_gap, padic_gap)
 
     def record(self) -> dict:
         return {

@@ -11,23 +11,24 @@ Cantor intervals of ``padic`` (``_CantorArray``) and the phase trace of
 
 from __future__ import annotations
 
-import datetime
 import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+import time
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
 from . import __version__
-from .exactmath import ExactAngle
+from .exactmath import ExactAngle, _Record
 from .padic import cantor_numerators
 
 
-def _utc_now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0).isoformat()
+def _utc_now(seconds: float | None = None) -> str:
+    """The UTC time, now or at ``seconds`` after the epoch, to the second, as
+    ``datetime``'s ``isoformat()`` writes it."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime(seconds))
 
 
 def _stable_json(obj) -> bytes:
@@ -122,16 +123,17 @@ def _write_json(value, newline: str, out, flush=None) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-@dataclass(frozen=True)
-class _CantorArray:
+class _CantorArray(_Record):
     """The intervals of the level-th Cantor iterate as a report value: the
     writer gives it the JSON text of ``[iv.record() for iv in
     cantor_iterates(p, level)]`` without building an interval, a record or
     the list of all p**level numerators: _cantor_text renders it from the
     numerators of path heads and tails, by the gcd rule stated there."""
 
-    p: int
-    level: int
+    __slots__ = ("p", "level")
+
+    def __init__(self, p: int, level: int) -> None:
+        self._init(p, level)
 
     def pieces(self, newline: str):
         return _cantor_text(self, newline)

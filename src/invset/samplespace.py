@@ -37,18 +37,16 @@ embarrassingly parallel and merge deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .exactmath import ExactAngle, ResourceBound, gate_amplitude, gate_phase
+from .exactmath import ExactAngle, ResourceBound, _Record, _set, gate_amplitude, gate_phase
 
 EXPLICIT_LABEL_LIMIT = 1 << 24
 TABLE_SHIFTS = (0, 1, 2, 4)  # the pair-shifts rotation_table lists
 
 
-@dataclass(frozen=True)
-class OrbitDescriptor:
+class OrbitDescriptor(_Record):
     """Compact construction record: expanding it reproduces the string.
 
     ``rotation`` counts pair-shifts applied to the canonical string (mod
@@ -56,46 +54,47 @@ class OrbitDescriptor:
     amplitude flips.
     """
 
-    n_bits: int
-    rotation: int
-    first_count: int
+    __slots__ = ("n_bits", "rotation", "first_count")
 
-    def __post_init__(self) -> None:
-        half = 1 << (self.n_bits - 1)
-        object.__setattr__(self, "rotation", self.rotation % half)
-        if not 0 <= self.first_count <= (1 << self.n_bits):
+    def __init__(self, n_bits: int, rotation: int, first_count: int) -> None:
+        rotation %= 1 << (n_bits - 1)
+        if not 0 <= first_count <= (1 << n_bits):
             raise ValueError("first_count out of range")
+        _set(self, "n_bits", n_bits)
+        _set(self, "rotation", rotation)
+        _set(self, "first_count", first_count)
 
     def record(self) -> dict:
         return {"n_bits": self.n_bits, "rotation": self.rotation, "theta_count": self.first_count}
 
 
-@dataclass(frozen=True)
-class BitString:
+class BitString(_Record):
     """An ordered string of 2**n_bits two-valued labels.
 
     Exactly one of ``packed`` (the packed label int of a raw string) and
     ``descriptor`` (the construction record of a constructed string) is set,
     so strings with the same labels, tag and descriptor compare equal however
     they were built.  ``tag`` names the regime pair, e.g. "a" for regimes
-    a / not-a.
+    a / not-a.  The labels ``bits`` are kept outside the fields, in the
+    instance ``__dict__``.
     """
 
-    n_bits: int
-    packed: int | None
-    tag: str = "a"
-    descriptor: OrbitDescriptor | None = None
+    __slots__ = ("n_bits", "packed", "tag", "descriptor", "__dict__")
 
-    def __post_init__(self) -> None:
-        n_bits, packed = self.n_bits, self.packed
+    def __init__(self, n_bits: int, packed: int | None, tag: str = "a",
+                 descriptor: OrbitDescriptor | None = None) -> None:
         if n_bits < 3:
             raise ValueError("n_bits must be >= 3 so quarter-turns are pair-shift powers")
-        if (packed is None) == (self.descriptor is None):
+        if (packed is None) == (descriptor is None):
             raise ValueError("a string carries either packed labels or a descriptor")
         if packed is not None:
             if packed < 0 or packed.bit_length() > 1 << n_bits:
                 raise ValueError("packed labels out of range")
-            object.__setattr__(self, "bits", packed)  # a raw string's labels are read as they are
+            _set(self, "bits", packed)  # a raw string's labels are read as they are
+        _set(self, "n_bits", n_bits)
+        _set(self, "packed", packed)
+        _set(self, "tag", tag)
+        _set(self, "descriptor", descriptor)
 
     @property
     def size(self) -> int:
@@ -275,14 +274,15 @@ def sample(n_bits: int, theta: ExactAngle, phi: ExactAngle) -> BitString:
     return sample_from_counts(n_bits, gate_amplitude(theta, n_bits), gate_phase(phi, n_bits))
 
 
-@dataclass(frozen=True)
-class HilbertShadow:
+class HilbertShadow(_Record):
     """Exact parameters of the unit vector a constructed string corresponds
-    to: cos(theta/2)|first> + e^(i phi) sin(theta/2)|negated>."""
+    to: cos(theta/2)|first> + e^(i phi) sin(theta/2)|negated>.
+    ``phase_relevant`` is False for the pure states theta = 0, pi."""
 
-    amplitude_sq: Fraction  # cos^2(theta/2)
-    phase_turns: Fraction  # phi as a fraction of a full turn
-    phase_relevant: bool  # False for the pure states theta = 0, pi
+    __slots__ = ("amplitude_sq", "phase_turns", "phase_relevant")
+
+    def __init__(self, amplitude_sq: Fraction, phase_turns: Fraction, phase_relevant: bool) -> None:
+        self._init(amplitude_sq, phase_turns, phase_relevant)  # cos^2(theta/2), phi in turns
 
 
 def hilbert_shadow(s: BitString) -> HilbertShadow:

@@ -2,7 +2,10 @@
 commands load neither mpmath nor the check suites; chsh loads mpmath for its
 angle substitution and ``check`` loads the suites but, deciding every row with
 integers and rationals, no mpmath.  No command loads the csv module: every
-report.csv is a plain join."""
+report.csv is a plain join.  Neither the import nor an exact command loads
+``dataclasses`` (whose import pulls in ``inspect``), ``inspect`` or
+``datetime``: the records are plain slotted classes and the manifest's
+timestamp comes from ``time``."""
 
 import json
 import os
@@ -11,17 +14,18 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+WATCHED = ("mpmath", "invset.checks", "csv", "dataclasses", "inspect", "datetime")
 
 SCRIPT = r"""
 import contextlib, io, json, sys
 
 def loaded():
-    return {name: name in sys.modules for name in ("mpmath", "invset.checks", "csv")}
+    return {name: name in sys.modules for name in sys.argv[2].split(",")}
 
 import invset, invset.cli
 seen = {"import": loaded()}
 tmp = sys.argv[1]
-for command in sys.argv[2:]:  # in turn, in this one interpreter
+for command in sys.argv[3:]:  # in turn, in this one interpreter
     if command == "check":
         argv = ["check", "--suite", "all"]
     else:
@@ -42,18 +46,20 @@ def test_only_the_commands_that_need_them_load_mpmath_and_the_suites(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
 
     def seen_after(*commands):
-        out = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path), *commands], capture_output=True,
-                             text=True, env=env, check=True, timeout=120)
+        out = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path), ",".join(WATCHED), *commands],
+                             capture_output=True, text=True, env=env, check=True, timeout=120)
         return json.loads(out.stdout.splitlines()[-1])
 
     seen = seen_after("padic", "sample", "mz", "dirac", "chsh")
-    neither = {"mpmath": False, "invset.checks": False, "csv": False}
-    assert seen.pop("import") == neither
+    none = dict.fromkeys(WATCHED, False)
+    assert seen.pop("import") == none
     for command in ("padic", "sample", "mz", "dirac"):
-        assert seen[command] == {**neither, "exit": 0}, command
-    assert seen["chsh"] == {**neither, "mpmath": True, "exit": 0}
+        assert seen[command] == {**none, "exit": 0}, command
+    chsh = seen["chsh"]  # what mpmath itself imports is not pinned
+    assert {name: chsh[name] for name in ("mpmath", "invset.checks", "csv", "exit")} == {
+        "mpmath": True, "invset.checks": False, "csv": False, "exit": 0}
     # every suite, in an interpreter that chsh has not given mpmath
-    assert seen_after("check")["check"] == {**neither, "invset.checks": True, "exit": 0}
+    assert seen_after("check")["check"] == {**none, "invset.checks": True, "exit": 0}
 
 
 def test_chsh_at_rational_cosines_loads_no_mpmath(tmp_path):

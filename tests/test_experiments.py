@@ -166,7 +166,8 @@ class TestSubstitution:
                     windows += [Fraction(int(rnd(delta * (1 << k))), 1 << k)
                                 for k in (32, 64, 128) for rnd in (mpmath.floor, mpmath.ceil)]
                 for window in windows:
-                    exact = (count, float(delta), bool(delta >= to_mpf(window, prec)))
+                    cos = Fraction(2 * count, 1 << n_bits) - 1
+                    exact = (count, cos, float(delta), bool(delta >= to_mpf(window, prec)))
                     for bits in (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 320):
                         decided = experiments._decide(t, n_bits, window, bits)
                         opened += decided is None

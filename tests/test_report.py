@@ -1,7 +1,9 @@
 """The self-rendering report values: dirac's trace and label text give the
-bytes json.dumps gives for the plain values they stand for."""
+bytes json.dumps gives for the plain values they stand for; the manifest's
+timestamp is the text datetime writes."""
 
 import csv
+import datetime
 import io
 import json
 from fractions import Fraction
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from invset.cli import main
 from invset.exactmath import ExactAngle, fraction_str
-from invset.report import _DiracTrace, _Labels, _stable_json
+from invset.report import _DiracTrace, _Labels, _stable_json, _utc_now
 from invset.samplespace import BitString, rotation_table, sample, sample_from_counts, to_text
 
 
@@ -88,3 +90,18 @@ class TestLabels:
                 report = json.loads(data)
                 assert data == _json_oracle(report)
                 assert report.get("strings", [report.get("string")]) == strings
+
+
+class TestTimestamp:
+    SECONDS = (0, 1, 59.999, 951782400, 1e9 + 0.5, 2**31 - 1, 2**31, 4102444799.75, 253402300799)
+
+    def test_equals_the_datetime_text_to_the_second(self):
+        for seconds in self.SECONDS:
+            expected = datetime.datetime.fromtimestamp(seconds, datetime.timezone.utc).replace(microsecond=0)
+            assert _utc_now(seconds) == expected.isoformat(), seconds
+
+    def test_now(self):
+        before = datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0)
+        stamp = datetime.datetime.fromisoformat(_utc_now())
+        assert before <= stamp <= datetime.datetime.now(datetime.timezone.utc)
+        assert stamp.utcoffset() == datetime.timedelta(0)
