@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import attrgetter
 from typing import Union
 
 RationalLike = Union[int, Fraction]
@@ -43,15 +44,14 @@ class _Record:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._fields = fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        get = attrgetter(*fields)  # the field tuple, but the bare value of a lone field
+        cls._values = (lambda self: get(self)) if len(fields) > 1 else (lambda self: (get(self),))
 
     def _init(self, *values) -> None:
         """Fill the fields in order: the __init__ of a record built at most once per operation."""
         for name, value in zip(self._fields, values):
             _set(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -62,7 +62,7 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):  # copy and pickle rebuild a record through its __init__
