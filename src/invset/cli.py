@@ -27,13 +27,14 @@ from .exactmath import (
 from .experiments import INTERFERENCE, WHICH_WAY, ChshConfig, chsh_run, mz_run, pbr_run
 from .padic import (
     PadicInt,
+    _CantorArray,
     euclid_padic_probe,
     is_prime,
     padic_dist,
     require_cantor_size,
     similarity_dimension,
 )
-from .report import _CantorArray, _csv, _DiracTrace, _emit, _Labels
+from .report import _csv, _emit, _Labels
 from .samplespace import TABLE_SHIFTS, fraction, hilbert_shadow, require_explicit, rotation_table, sample, to_text
 from . import dirac as dirac_mod
 
@@ -43,7 +44,7 @@ EXIT_EXCLUDED = 2
 
 TRACE_LENGTH_BOUND = 1 << 12  # max evolution steps a dirac trace will take
 CHSH_N_BITS_BOUND = 1 << 13  # largest chsh N: a run there takes about 70 ms on 2 CPUs
-MZ_N_BITS_BOUND = 1 << 26  # largest mz N: its counts have 2**N bits; a process there peaks near 72 MB
+MZ_N_BITS_BOUND = 1 << 26  # largest mz N: its counts have 2**N bits; a process there peaks at 62-71 MB
 LINE_BOUND = 300  # most bytes of the one stderr line a failed run prints
 
 
@@ -327,7 +328,7 @@ def cmd_dirac(args) -> int:
         raise ValueError(f"config keys 'mass' and 'wavevector': omega^2 exceeds the digit limit "
                          f"{sys.get_int_max_str_digits()}")
     operator = dirac_mod.evolution_operator(psi, *steps)  # the same product at every step
-    trace = _DiracTrace(n_bits, dirac_mod.phase_trace(operator, psi.components, trace_length))
+    trace = dirac_mod._DiracTrace(n_bits, dirac_mod.phase_trace(operator, psi.components, trace_length))
     report = {
         "n_bits": n_bits,
         "mass": fraction_str(psi.mass),
@@ -338,7 +339,7 @@ def cmd_dirac(args) -> int:
         "steps_per_application": steps,
         "trace": trace,
     }
-    _emit(args, cfg, report, "step,component,phase_turns,first_count\n" + trace.csv_rows())
+    _emit(args, cfg, report, trace.csv_rows())
     return EXIT_OK
 
 

@@ -19,6 +19,7 @@ conversion to physical time or distance (step sizes 2*pi/(2**(N-1)*omega) and
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .exactmath import ZERO_ANGLE, RationalLike, _Record, _set, rational_sqrt
 from .samplespace import BitString, pair_shift, phase_string, quarter_turn
@@ -210,6 +211,43 @@ def phase_trace(operator: FormalOperatorMatrix, components: tuple[BitString, ...
         x = ((x[c1] + r1) % half, (x[c2] + r2) % half, (x[c3] + r3) % half, (x[c4] + r4) % half)
         trace.append(x)
     return trace
+
+
+class _DiracTrace:
+    """The trace as a report value, from the rotation vectors x of
+    ``phase_trace``: the JSON text of ``[{"step": k, "components":
+    [{"component": i, "phase_turns": fraction_str(Fraction(x[i - 1],
+    2**(N-1))), "first_count": 2**(N-1)} for i in 1..4]} for k, x in
+    enumerate(rotations)]`` and report.csv's text, each step's entry and
+    rows from one template.  A phase is x / 2**(N-1) in lowest terms:
+    x // d over 2**(N-1) // d, d the lowest set bit of x."""
+
+    def __init__(self, n_bits: int, rotations: list[tuple[int, int, int, int]]) -> None:
+        half = 1 << (n_bits - 1)
+        turns = {x: f"{x // (x & -x)}/{half // (x & -x)}" if x else "0/1" for x in set(chain(*rotations))}
+        self.first_count = half  # every component stays a phase string, half its labels first-regime
+        self.phases = [[turns[x] for x in rotation] for rotation in rotations]
+
+    def pieces(self, newline: str):
+        if not self.phases:
+            return ["[]"]
+        item, key = newline + "  ", newline + "    "
+        inner, field = key + "  ", key + "    "
+        opens = [f'{inner}{{{field}"component": {i},{field}"first_count": {self.first_count},{field}"phase_turns": "'
+                 for i in (1, 2, 3, 4)]
+        close = '"' + inner + "}"
+        c1 = "{" + key + '"components": [' + opens[0]
+        c2, c3, c4 = (close + "," + text for text in opens[1:])
+        step = close + key + "]," + key + '"step": '
+        entries = (f"{c1}{a}{c2}{b}{c3}{c}{c4}{d}{step}{k}{item}}}" for k, (a, b, c, d) in enumerate(self.phases))
+        return ["[" + item + ("," + item).join(entries) + newline + "]"]
+
+    def csv_rows(self) -> str:
+        """report.csv's text: the header and rows (step, component, phase_turns, first_count)."""
+        f = self.first_count
+        rows = (f"{k},1,{a},{f}\n{k},2,{b},{f}\n{k},3,{c},{f}\n{k},4,{d},{f}\n"
+                for k, (a, b, c, d) in enumerate(self.phases))
+        return "".join(chain(["step,component,phase_turns,first_count\n"], rows))
 
 
 def full_evolve(psi: SpinorSample, n_t: int, n_1: int, n_2: int, n_3: int) -> SpinorSample:

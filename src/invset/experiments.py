@@ -34,7 +34,6 @@ from .exactmath import (
     sin_exact,
 )
 from .highprec import DEFAULT_PREC, cos_turns, to_mpf, working_prec
-from .samplespace import fraction, sample_from_counts
 
 PAIR_NAMES = ("A1B1", "A1B2", "A2B1", "A2B2")
 BRIDGE_NAMES = ("A1A2", "B1B2")
@@ -307,14 +306,14 @@ def mz_run(mode: str, phi: ExactAngle, n_bits: int) -> MzReport:
     raises that gate's exception; each gate runs once."""
     shift, count = _gate(gate_phase, phi, n_bits), _gate(gate_amplitude, phi, n_bits)
     if mode == WHICH_WAY:
-        decided, first_count, rotation, tag = shift, 1 << (n_bits - 1), shift, "b"
+        decided, first_count, tag = shift, 1 << (n_bits - 1), "b"
     elif mode == INTERFERENCE:
-        decided, first_count, rotation, tag = count, count, 0, "c"
+        decided, first_count, tag = count, count, "c"
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if isinstance(decided, NotOnInvariantSet):
         raise decided
-    p = fraction(sample_from_counts(n_bits, first_count, rotation, tag))
+    p = Fraction(first_count, 1 << n_bits)  # the string's first-label fraction
     return MzReport(mode, phi.turns, {f"D_{tag}": p, f"D_not_{tag}": 1 - p},
                    type(shift) is int, type(count) is int)
 

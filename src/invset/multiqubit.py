@@ -275,25 +275,28 @@ def amplitude_table_mp(
 
 def bell_sample_from_amplitude(amp: Fraction, n_bits: int) -> MultiSample:
     """Maximally entangled construction at exact agreement amplitude ``amp``:
-    balanced head, second source the negation of the first.  That is
-    compose_pair(head, sb1, negate(sb1)), whose row b takes sb1's label where
-    the head is first and its negation elsewhere: sb1 xor head, built from
-    sb1's labels once."""
+    balanced head, second source the negation of the first (see _bell_sample)."""
     if not 0 <= amp <= 1:
         raise ValueError("amplitude outside [0, 1]")
     if not is_describable(amp, n_bits):
         raise NotOnInvariantSet(f"agreement amplitude {amp} is not describable by {n_bits} bits")
     exact = amp if isinstance(amp, (int, Fraction)) else Fraction(amp)
-    count = exact.numerator << (n_bits + 1 - exact.denominator.bit_length())
-    head = canonical_string(n_bits, "a")
-    sb1 = sample_from_counts(n_bits, count, 0, "b")
-    return MultiSample(n_bits, (head, BitString(n_bits, sb1.bits ^ head.bits, "b", None)))
+    return _bell_sample(exact.numerator << (n_bits + 1 - exact.denominator.bit_length()), n_bits)
 
 
 def bell_sample(theta2: ExactAngle, n_bits: int) -> MultiSample:
     """Bell construction at relative orientation theta2 (cos^2(theta2/2) must
     be describable by N bits; the head amplitude is fixed at 1/2)."""
-    return bell_sample_from_amplitude(Fraction(gate_amplitude(theta2, n_bits), 1 << n_bits), n_bits)
+    return _bell_sample(gate_amplitude(theta2, n_bits), n_bits)
+
+
+def _bell_sample(count: int, n_bits: int) -> MultiSample:
+    """compose_pair(head, sb1, negate(sb1)) for the balanced head and sb1 of
+    `count` first labels: row b takes sb1's label where the head is first and
+    its negation elsewhere, sb1 xor head, built from sb1's labels once."""
+    head = canonical_string(n_bits, "a")
+    sb1 = sample_from_counts(n_bits, count, 0, "b")
+    return MultiSample(n_bits, (head, BitString(n_bits, sb1.bits ^ head.bits, "b", None)))
 
 
 def bell_statistics(ms: MultiSample) -> tuple[Fraction, Fraction]:

@@ -253,6 +253,93 @@ def cantor_iterates(p: int, level: int) -> list[CantorInterval]:
     return [CantorInterval(p, level, path, n) for path, n in zip(product(range(p), repeat=level), numerators)]
 
 
+class _CantorArray(_Record):
+    """The intervals of the level-th Cantor iterate as a report value: the
+    writer gives it the JSON text of ``[iv.record() for iv in
+    cantor_iterates(p, level)]`` without building an interval, a record or
+    the list of all p**level numerators: _cantor_text renders it from the
+    numerators of path heads and tails, by the gcd rule stated there."""
+
+    __slots__ = ("p", "level")
+
+    def __init__(self, p: int, level: int) -> None:
+        self._init(p, level)
+
+    def pieces(self, newline: str):
+        return _cantor_text(self, newline)
+
+
+CANTOR_BATCH = 4096  # most intervals the writer renders into one text
+
+
+def _digit_paths(p: int, digits: range, newline: str) -> list[str]:
+    """JSON text of every path of the given digit positions, in
+    lexicographic order, without the closing bracket: position 0 opens the
+    list, each later one follows a comma."""
+    texts = [""]
+    for k in digits:
+        sep = ("[" if k == 0 else ",") + newline
+        texts = [text + sep + str(c) for text in texts for c in range(p)]
+    return texts
+
+
+def _tail_gcd(m: int, qt: int, q: int) -> int:
+    """gcd(m, qt) for qt = q**t when every prime of q divides qt // gcd(m, qt),
+    which makes it gcd(H * qt + m, q**level) for every head H (see
+    _cantor_text); else 0.  No prime's exponent in q reaches q.bit_length(),
+    so q divides that power of qt // gcd(m, qt) exactly when every prime does."""
+    g = math.gcd(m, qt)
+    return 0 if pow(qt // g, q.bit_length(), q) else g
+
+
+def _cantor_text(array: _CantorArray, newline: str):
+    """The JSON text of `array` on a line whose newline and indent are
+    `newline`, in pieces of at most CANTOR_BATCH intervals.
+
+    A path is a head of level - t digits and a tail of the last t = level // 2,
+    so with q = 2p - 1 its left numerator over q**level is n = H * q**t + m,
+    H and m the head's and the tail's numerators: only about 2 * p**(level / 2)
+    numerators and path texts are built.  The gcd rule: if 0 < m and every
+    prime r of q has v_r(m) < v_r(q**t), then gcd(n, q**level) = gcd(m, q**t)
+    for every head, as v_r(H * q**t) >= v_r(q**t) > v_r(m) gives v_r(n) = v_r(m).
+    _tail_gcd decides the condition; it holds for every 0 < m < q**t when q is
+    a prime power.  The right endpoint is the same with m + 1.  A tail that
+    passes for both carries its divisors and "/den" texts, so each of its
+    intervals formats two integers; the others (for a prime power q, m = 0
+    and m + 1 = q**t) take both gcds per interval."""
+    p, level = array.p, array.level
+    q, t = 2 * p - 1, level // 2
+    den, qt = q**level, q**t
+    item, key = newline + "  ", newline + "    "
+    left, right = "{" + key + '"left": "', "," + key + '"right": "'
+    fields, end = f'",{key}"level": {level},{key}"p": {p},{key}"path": ', '"' + item + "}"
+    close = key + "]" if level else "[]"
+    tails = []  # (m, left divisor, left text after n, path close, right divisor, right text after n + 1)
+    for m, path in zip(cantor_numerators(p, t), _digit_paths(p, range(level - t, level), key + "  ")):
+        g, h = _tail_gcd(m, qt, q), _tail_gcd(m + 1, qt, q)
+        if not (g and h):
+            g = h = 0  # depends on the head: both gcds per interval
+        tails.append((m, g, f"/{den // g}{fields}" if g else "", path + close + right,
+                      h, f"/{den // h}{end}" if h else ""))
+    heads = zip(cantor_numerators(p, level - t), _digit_paths(p, range(level - t), key + "  "))
+    gcd, opening, sep, parts = math.gcd, "[" + item, "," + item, []
+    for head_numerator, head in heads:
+        base = head_numerator * qt
+        for m, g, after_left, path, h, after_right in tails:
+            n = base + m
+            if g:
+                parts.append(f"{left}{n // g}{after_left}{head}{path}{(n + 1) // h}{after_right}")
+            else:
+                g, h = gcd(n, den), gcd(n + 1, den)
+                parts.append(f"{left}{n // g}/{den // g}{fields}{head}{path}{(n + 1) // h}/{den // h}{end}")
+        if len(parts) + len(tails) > CANTOR_BATCH:
+            yield opening + sep.join(parts)
+            opening, parts = sep, []
+    if parts:
+        yield opening + sep.join(parts)
+    yield newline + "]"
+
+
 def similarity_dimension(p: int) -> float:
     """log p / log(2p-1); tends to 1 from below as p grows."""
     return math.log(p) / math.log(2 * p - 1)

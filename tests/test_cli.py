@@ -17,6 +17,7 @@ import invset
 from invset import checks, cli, padic
 from invset import report as report_mod
 from invset.cli import CHSH_N_BITS_BOUND, MZ_N_BITS_BOUND, SCHEMAS, TRACE_LENGTH_BOUND, build_parser, main
+from invset.exactmath import ExactAngle
 from invset.report import _stable_json
 from invset.padic import cantor_iterates, cantor_numerators
 
@@ -258,6 +259,15 @@ class TestLargeN:
         assert main(["dirac", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert time.perf_counter() - start < 1.0
         assert len(read_json(tmp_path / "o" / "report.json")["trace"]) == TRACE_LENGTH_BOUND + 1
+
+    @pytest.mark.parametrize("mode,sha", [
+        ("which_way", "0479e3cf455f931d38f2d2f36bc2d06b8feb5a7906ad3a7565e2ec600d2ff7c1"),
+        ("interference", "e38888ac689d6099e3cf6ad2f378613dc160ae6b694ab482188c6cb6c3d0c338"),
+    ])
+    def test_mz_runs_at_its_bound(self, tmp_path, mode, sha):
+        cfg = write_config(tmp_path, "m.json", {"n_bits": MZ_N_BITS_BOUND, "mode": mode, "phi_turns": "1/4"})
+        assert main(["mz", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert read_json(tmp_path / "o" / "manifest.json")["output_sha256"] == sha
 
     def test_pbr_runs_at_any_n(self, tmp_path):
         cfg = write_config(tmp_path, "p.json", {"n_bits": 10**30, "alpha_turns": "1/2", "beta_turns": "1/6",
@@ -696,7 +706,8 @@ class TestManifest:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         written = (tmp_path / "o" / "manifest.json").read_bytes()
         manifest = json.loads(written)
-        echo = json.loads(json.dumps(emitted[0], default=report_mod._exact_str))
+        # the parsed config's rationals and angles as text, lists as JSON reads them back
+        echo = json.loads(json.dumps(emitted[0], default=lambda v: str(v.turns if isinstance(v, ExactAngle) else v)))
         assert written == _stable_json({
             "tool": "invset",
             "version": invset.__version__,
@@ -909,16 +920,16 @@ class TestCantorText:
         # 20,000 intervals only the report's depth, as the indented oracle takes about 2 s a wrap there
         wraps = (lambda x: {"cantor_intervals": x, "p": p}, lambda x: x, lambda x: [{"a": [x]}])
         for level in levels:
-            array = report_mod._CantorArray(p, level)
+            array = padic._CantorArray(p, level)
             records = [iv.record() for iv in cantor_iterates(p, level)]
             for wrap in wraps if p**level <= 20_000 else wraps[:1]:
                 assert _stable_json(wrap(array)) == _json_oracle(wrap(records))
 
     @pytest.mark.parametrize("p,level", [(2, 13), (3, 9), (4099, 1)])
     def test_pieces_hold_at_most_a_batch_of_intervals(self, p, level):
-        pieces = list(report_mod._cantor_text(report_mod._CantorArray(p, level), "\n"))
+        pieces = list(padic._cantor_text(padic._CantorArray(p, level), "\n"))
         counts = [piece.count('"left"') for piece in pieces]
-        assert sum(counts) == p**level and max(counts) <= report_mod.CANTOR_BATCH
+        assert sum(counts) == p**level and max(counts) <= padic.CANTOR_BATCH
 
     # q = 2p - 1: 3, 5, 9 = 3**2, 13, 15 = 3 * 5, 27 = 3**3, 33 = 3 * 11, 45 = 3**2 * 5
     @pytest.mark.parametrize("p,prime_power", [(2, True), (3, True), (5, True), (7, True), (8, False), (14, True),
@@ -932,7 +943,7 @@ class TestCantorText:
             if q**level > 50_000:
                 break
             for m in range(qt + 1):
-                g = report_mod._tail_gcd(m, qt, q)
+                g = padic._tail_gcd(m, qt, q)
                 if prime_power:  # the rule passes every tail strictly between 0 and q**t
                     assert (g != 0) == (0 < m < qt)
                 if g:
@@ -946,7 +957,7 @@ class TestCantorText:
             levels.append(level)
             return cantor_numerators(p, level)
 
-        monkeypatch.setattr(report_mod, "cantor_numerators", listing)
+        monkeypatch.setattr(padic, "cantor_numerators", listing)
         cfg = write_config(tmp_path, "c.json", {"p": 2, "pairs": [], "cantor_level": 11})
         assert main(["padic", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert sorted(levels) == [5, 6]
@@ -965,7 +976,7 @@ class TestStreamedReports:
     def test_each_cantor_piece_is_written_alone(self, tmp_path, monkeypatch):
         # no piece is joined into a larger text: every write is at most the largest piece, and each piece
         # is one write of its own
-        pieces = [text.encode() for text in report_mod._cantor_text(report_mod._CantorArray(2, 13), "\n  ")]
+        pieces = [text.encode() for text in padic._cantor_text(padic._CantorArray(2, 13), "\n  ")]
         writes = []
 
         class Recorder:
@@ -989,7 +1000,7 @@ class TestStreamedReports:
     def test_a_failed_write_leaves_no_report(self, tmp_path, monkeypatch, capsys, error):
         cfg = write_config(tmp_path, "c.json", self.CONFIG)
         out = tmp_path / "o"
-        cantor_text = report_mod._cantor_text
+        cantor_text = padic._cantor_text
         flushed = []
 
         def failing(array, newline):
@@ -1000,7 +1011,7 @@ class TestStreamedReports:
                     flushed.append(partial[0].name)
                     raise error
 
-        monkeypatch.setattr(report_mod, "_cantor_text", failing)
+        monkeypatch.setattr(padic, "_cantor_text", failing)
         if isinstance(error, OSError):
             assert main(["padic", "--config", cfg, "--out", str(out)]) == 1
             assert capsys.readouterr().err == f"error: {error}\n"
@@ -1009,6 +1020,23 @@ class TestStreamedReports:
                 main(["padic", "--config", cfg, "--out", str(out)])
         assert len(flushed) == 1
         assert list(out.iterdir()) == []
+
+
+    def test_a_failed_manifest_leaves_every_file_as_it_was(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "o"
+        earlier = write_config(tmp_path, "e.json", {"p": 3, "pairs": [["1", "2"]], "cantor_level": 1})
+        assert main(["padic", "--config", earlier, "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def failing(*args):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(report_mod, "_manifest", failing)
+        cfg = write_config(tmp_path, "c.json", self.CONFIG)
+        assert main(["padic", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: no space left on device\n"
+        assert sorted(before) == ["manifest.json", "report.csv", "report.json"]
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def _json_oracle(obj) -> bytes:

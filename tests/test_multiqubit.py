@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invset import checks, multiqubit
+from invset import checks, exactmath, multiqubit
 from invset.exactmath import ExactAngle, NotOnInvariantSet, ResourceBound, cos_exact, gate_amplitude, gate_phase
 from invset.multiqubit import (
     MultiSample,
@@ -181,6 +181,19 @@ class TestBell:
     def test_inadmissible_amplitude(self):
         with pytest.raises(NotOnInvariantSet):
             bell_sample_from_amplitude(Fraction(1, 3), 8)
+
+    def test_bell_sample_gates_its_amplitude_once(self, monkeypatch):
+        describable, calls = exactmath.is_describable, []
+
+        def counting(x, n_bits):
+            calls.append(x)
+            return describable(x, n_bits)
+
+        monkeypatch.setattr(exactmath, "is_describable", counting)
+        monkeypatch.setattr(multiqubit, "is_describable", counting)
+        ms = bell_sample(ExactAngle(Fraction(1, 6)), 6)
+        assert calls == [Fraction(3, 4)]
+        assert ms == bell_sample_from_amplitude(Fraction(3, 4), 6)
 
     @pytest.mark.parametrize("n_bits", range(6, 11))
     def test_rows_equal_the_composed_negated_pair(self, n_bits):

@@ -14,8 +14,7 @@ from invset.dirac import DispersionResult, FormalOperatorMatrix, SpinorSample, f
 from invset.exactmath import ExactAngle, ObstructionVerdict
 from invset.experiments import AngleSubstitution, ChshConfig, ChshReport, MzReport, PbrReport
 from invset.multiqubit import MultiSample, PredictedTwoQubit, TwoQubitParams
-from invset.padic import CantorInterval, PadicInt, ProbeReport
-from invset.report import _CantorArray
+from invset.padic import CantorInterval, PadicInt, ProbeReport, _CantorArray
 from invset.samplespace import BitString, HilbertShadow, OrbitDescriptor, phase_string, sample_from_counts
 
 

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invset.cli import main
+from invset.dirac import _DiracTrace
 from invset.exactmath import ExactAngle, fraction_str
-from invset.report import _DiracTrace, _Labels, _stable_json, _utc_now
+from invset.report import _Labels, _stable_json, _utc_now
 from invset.samplespace import BitString, rotation_table, sample, sample_from_counts, to_text
 
 
@@ -53,9 +54,10 @@ class TestDiracTrace:
     def test_csv_rows_equal_the_csv_module(self, case):
         n_bits, rotations = case
         out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows(
-            [entry["step"], c["component"], c["phase_turns"], c["first_count"]]
-            for entry in _trace_records(n_bits, rotations) for c in entry["components"])
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["step", "component", "phase_turns", "first_count"])
+        writer.writerows([entry["step"], c["component"], c["phase_turns"], c["first_count"]]
+                         for entry in _trace_records(n_bits, rotations) for c in entry["components"])
         assert _DiracTrace(n_bits, rotations).csv_rows() == out.getvalue()
 
 
