@@ -244,7 +244,7 @@ class _DiracTrace:
 
     def csv_rows(self) -> str:
         """report.csv's text: the header and rows (step, component, phase_turns, first_count)."""
-        f = self.first_count
+        f = str(self.first_count)  # 2**(N-1) in decimal once, not four times a step
         rows = (f"{k},1,{a},{f}\n{k},2,{b},{f}\n{k},3,{c},{f}\n{k},4,{d},{f}\n"
                 for k, (a, b, c, d) in enumerate(self.phases))
         return "".join(chain(["step,component,phase_turns,first_count\n"], rows))
