@@ -1021,7 +1021,6 @@ class TestStreamedReports:
         assert len(flushed) == 1
         assert list(out.iterdir()) == []
 
-
     def test_a_failed_manifest_leaves_every_file_as_it_was(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "o"
         earlier = write_config(tmp_path, "e.json", {"p": 3, "pairs": [["1", "2"]], "cantor_level": 1})
