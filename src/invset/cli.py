@@ -241,7 +241,7 @@ def cmd_chsh(args) -> int:
              se["substitution"]["cos"], se["correlation"], se["correlation_float_derived"]]
             for pair, se in rec["sub_ensembles"].items()]
     header = ["pair", "requested_turns", "first_count", "cos_substitute", "correlation", "correlation_float"]
-    _emit(args, {**cfg, "window_turns": config.window}, rec, _csv(header, rows))
+    _emit(args, {**cfg, "window_turns": config.window}, rec, lambda: _csv(header, rows))
     print(f"S = {rec['s_value']} ({rec['s_value_float_derived']:.6f})")
     return EXIT_OK
 
@@ -250,7 +250,7 @@ def cmd_mz(args) -> int:
     cfg = _config(args)
     report = mz_run(cfg["mode"], cfg["phi_turns"], cfg["n_bits"])
     rows = [[detector, fraction_str(p), float(p)] for detector, p in sorted(report.probabilities.items())]
-    _emit(args, cfg, report.record(), _csv(["detector", "probability", "probability_float"], rows))
+    _emit(args, cfg, report.record(), lambda: _csv(["detector", "probability", "probability_float"], rows))
     return EXIT_OK
 
 
@@ -258,7 +258,7 @@ def cmd_pbr(args) -> int:
     cfg = _config(args)
     rec = pbr_run(cfg["alpha_turns"], cfg["beta_turns"], cfg["theta_turns"], cfg["n_bits"]).record()
     rows = [[name, rec[name]["exact"] or "", rec[name]["float_derived"]] for name in ("X", "Z")]  # inexact: ""
-    _emit(args, cfg, rec, _csv(["quantity", "exact", "float"], rows))
+    _emit(args, cfg, rec, lambda: _csv(["quantity", "exact", "float"], rows))
     return EXIT_OK
 
 
@@ -287,7 +287,7 @@ def cmd_sample(args) -> int:
         table_lines = [_Labels(line) for line in rotation_table(n_bits)]
         report = {"n_bits": n_bits, "table_shifts": TABLE_SHIFTS, "strings": table_lines}
         rows = [[f"shift_{k}", line] for k, line in zip(TABLE_SHIFTS, table_lines)]
-    _emit(args, cfg, report, _csv(["name", "labels"], rows))
+    _emit(args, cfg, report, lambda: _csv(["name", "labels"], rows))
     return EXIT_OK
 
 
@@ -316,7 +316,7 @@ def cmd_padic(args) -> int:
         report["probe"] = probe.record()
     rows = [[d["a"], d["b"], d["distance"]] for d in distances]
     pairs = [row[:2] for row in rows]  # echoed as these texts, so the pair Fractions are formatted once
-    _emit(args, {**cfg, "pairs": pairs}, report, _csv(["a", "b", "distance"], rows))
+    _emit(args, {**cfg, "pairs": pairs}, report, lambda: _csv(["a", "b", "distance"], rows))
     return EXIT_OK
 
 
@@ -339,7 +339,7 @@ def cmd_dirac(args) -> int:
         "steps_per_application": steps,
         "trace": trace,
     }
-    _emit(args, cfg, report, trace.csv_rows())
+    _emit(args, cfg, report, trace.csv_rows)
     return EXIT_OK
 
 

@@ -219,8 +219,9 @@ class _DiracTrace:
     [{"component": i, "phase_turns": fraction_str(Fraction(x[i - 1],
     2**(N-1))), "first_count": 2**(N-1)} for i in 1..4]} for k, x in
     enumerate(rotations)]`` and report.csv's text, each step's entry and
-    rows from one template.  A phase is x / 2**(N-1) in lowest terms:
-    x // d over 2**(N-1) // d, d the lowest set bit of x."""
+    rows from one template, both in the pieces of report._pieces, whole steps
+    each.  A phase is x / 2**(N-1) in lowest terms: x // d over 2**(N-1) // d,
+    d the lowest set bit of x."""
 
     def __init__(self, n_bits: int, rotations: list[tuple[int, int, int, int]]) -> None:
         half = 1 << (n_bits - 1)
@@ -229,6 +230,8 @@ class _DiracTrace:
         self.phases = [[turns[x] for x in rotation] for rotation in rotations]
 
     def pieces(self, newline: str):
+        from .report import _pieces  # here, not at the top: `import invset` loads no report writer
+
         if not self.phases:
             return ["[]"]
         item, key = newline + "  ", newline + "    "
@@ -239,15 +242,19 @@ class _DiracTrace:
         c1 = "{" + key + '"components": [' + opens[0]
         c2, c3, c4 = (close + "," + text for text in opens[1:])
         step = close + key + "]," + key + '"step": '
-        entries = (f"{c1}{a}{c2}{b}{c3}{c}{c4}{d}{step}{k}{item}}}" for k, (a, b, c, d) in enumerate(self.phases))
-        return ["[" + item + ("," + item).join(entries) + newline + "]"]
+        entries = (f",{item}{c1}{a}{c2}{b}{c3}{c}{c4}{d}{step}{k}{item}}}"
+                   for k, (a, b, c, d) in enumerate(self.phases))
+        first = "[" + next(entries)[1:]  # the first step follows the opening bracket, not a comma
+        return _pieces(chain([first], entries, [newline + "]"]))
 
-    def csv_rows(self) -> str:
-        """report.csv's text: the header and rows (step, component, phase_turns, first_count)."""
+    def csv_rows(self):
+        """report.csv's text in pieces: the header and rows (step, component, phase_turns, first_count)."""
+        from .report import _pieces
+
         f = str(self.first_count)  # 2**(N-1) in decimal once, not four times a step
         rows = (f"{k},1,{a},{f}\n{k},2,{b},{f}\n{k},3,{c},{f}\n{k},4,{d},{f}\n"
                 for k, (a, b, c, d) in enumerate(self.phases))
-        return "".join(chain(["step,component,phase_turns,first_count\n"], rows))
+        return _pieces(chain(["step,component,phase_turns,first_count\n"], rows))
 
 
 def full_evolve(psi: SpinorSample, n_t: int, n_1: int, n_2: int, n_3: int) -> SpinorSample:

@@ -269,9 +269,6 @@ class _CantorArray(_Record):
         return _cantor_text(self, newline)
 
 
-CANTOR_BATCH = 4096  # most intervals the writer renders into one text
-
-
 def _digit_paths(p: int, digits: range, newline: str) -> list[str]:
     """JSON text of every path of the given digit positions, in
     lexicographic order, without the closing bracket: position 0 opens the
@@ -294,7 +291,9 @@ def _tail_gcd(m: int, qt: int, q: int) -> int:
 
 def _cantor_text(array: _CantorArray, newline: str):
     """The JSON text of `array` on a line whose newline and indent are
-    `newline`, in pieces of at most CANTOR_BATCH intervals.
+    `newline`, in pieces of whole intervals: as many as fit in
+    report.PIECE_BYTES at the widest text an interval of this p and level
+    can have (at least one).
 
     A path is a head of level - t digits and a tail of the last t = level // 2,
     so with q = 2p - 1 its left numerator over q**level is n = H * q**t + m,
@@ -306,13 +305,18 @@ def _cantor_text(array: _CantorArray, newline: str):
     a prime power.  The right endpoint is the same with m + 1.  A tail that
     passes for both carries its divisors and "/den" texts, so each of its
     intervals formats two integers; the others (for a prime power q, m = 0
-    and m + 1 = q**t) take both gcds per interval."""
+    and m + 1 = q**t) take both gcds per interval.  Each interval's text ends
+    with the comma that would follow it, so a piece is one join of its
+    intervals; the last interval's comma gives way to the closing bracket."""
+    from .report import PIECE_BYTES  # here, not at the top: `import invset` loads no report writer
+
     p, level = array.p, array.level
     q, t = 2 * p - 1, level // 2
     den, qt = q**level, q**t
     item, key = newline + "  ", newline + "    "
+    sep = "," + item
     left, right = "{" + key + '"left": "', "," + key + '"right": "'
-    fields, end = f'",{key}"level": {level},{key}"p": {p},{key}"path": ', '"' + item + "}"
+    fields, end = f'",{key}"level": {level},{key}"p": {p},{key}"path": ', '"' + item + "}" + sep
     close = key + "]" if level else "[]"
     tails = []  # (m, left divisor, left text after n, path close, right divisor, right text after n + 1)
     for m, path in zip(cantor_numerators(p, t), _digit_paths(p, range(level - t, level), key + "  ")):
@@ -321,23 +325,29 @@ def _cantor_text(array: _CantorArray, newline: str):
             g = h = 0  # depends on the head: both gcds per interval
         tails.append((m, g, f"/{den // g}{fields}" if g else "", path + close + right,
                       h, f"/{den // h}{end}" if h else ""))
-    heads = zip(cantor_numerators(p, level - t), _digit_paths(p, range(level - t), key + "  "))
-    gcd, opening, sep, parts = math.gcd, "[" + item, "," + item, []
-    for head_numerator, head in heads:
+    head_paths = _digit_paths(p, range(level - t), key + "  ")
+    # an endpoint's text is at most that of den/den; a piece holds whole runs of a head's tails
+    width = len(left + fields + end) + 2 * len(f"{den}/{den}") + max(map(len, head_paths)) + \
+        max(len(tail[3]) for tail in tails)
+    per_piece = max(1, PIECE_BYTES // width)
+    step = min(len(tails), per_piece)
+    runs = [tails[i:i + step] for i in range(0, len(tails), step)]
+    gcd, parts = math.gcd, ["[" + item]
+    for head_numerator, head in zip(cantor_numerators(p, level - t), head_paths):
         base = head_numerator * qt
-        for m, g, after_left, path, h, after_right in tails:
-            n = base + m
-            if g:
-                parts.append(f"{left}{n // g}{after_left}{head}{path}{(n + 1) // h}{after_right}")
-            else:
-                g, h = gcd(n, den), gcd(n + 1, den)
-                parts.append(f"{left}{n // g}/{den // g}{fields}{head}{path}{(n + 1) // h}/{den // h}{end}")
-        if len(parts) + len(tails) > CANTOR_BATCH:
-            yield opening + sep.join(parts)
-            opening, parts = sep, []
-    if parts:
-        yield opening + sep.join(parts)
-    yield newline + "]"
+        for run in runs:
+            if len(parts) + len(run) > per_piece:
+                yield "".join(parts)
+                parts.clear()
+            for m, g, after_left, path, h, after_right in run:
+                n = base + m
+                if g:
+                    parts.append(f"{left}{n // g}{after_left}{head}{path}{(n + 1) // h}{after_right}")
+                else:
+                    g, h = gcd(n, den), gcd(n + 1, den)
+                    parts.append(f"{left}{n // g}/{den // g}{fields}{head}{path}{(n + 1) // h}/{den // h}{end}")
+    parts[-1] = parts[-1][:-len(sep)] + newline + "]"
+    yield "".join(parts)
 
 
 def similarity_dimension(p: int) -> float:

@@ -5,7 +5,9 @@
 indent=2) + "\\n"`` with fewer calls per value.  Label strings (``_Labels``)
 are written as they are, and a value with a ``pieces`` method, such as the
 Cantor intervals of ``padic`` or the phase trace of ``dirac``, renders its
-own text in pieces.
+own text in pieces.  Such a value and report.csv stream: each piece holds
+whole entries (intervals, steps, lines) and at most PIECE_BYTES plus one
+entry, and is encoded, hashed and written before the next is built.
 """
 
 from __future__ import annotations
@@ -21,6 +23,27 @@ from pathlib import Path
 
 from . import __version__
 from .exactmath import ExactAngle
+
+
+#: Most characters of report text, which is ASCII, built into one piece before
+#: its last entry: small enough that a piece is encoded, hashed and written
+#: while it is in a core's cache (see _pieces).
+PIECE_BYTES = 1 << 16
+
+
+def _pieces(texts):
+    """`texts` joined, in order, into pieces: each piece ends with the first
+    text that brings it to PIECE_BYTES, so it holds whole texts and at most
+    PIECE_BYTES plus one text."""
+    parts, size, bound = [], 0, PIECE_BYTES
+    for text in texts:
+        parts.append(text)
+        size += len(text)
+        if size >= bound:
+            yield "".join(parts)
+            parts, size = [], 0
+    if parts:
+        yield "".join(parts)
 
 
 def _utc_now(seconds: float | None = None) -> str:
@@ -110,11 +133,11 @@ def _write_json(value, newline: str, out, flush=None) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _csv(header: list[str], rows) -> str:
-    """CSV text of `header` and `rows`, one comma-joined line each.  Every
-    field a command writes is a name, a number or fraction text, or 0/1
-    labels, none of which csv would quote."""
-    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+def _csv(header: list[str], rows):
+    """CSV text of `header` and `rows`, one comma-joined line each, in the
+    pieces of _pieces.  Every field a command writes is a name, a number or
+    fraction text, or 0/1 labels, none of which csv would quote."""
+    return _pieces(",".join(map(str, row)) + "\n" for row in (header, *rows))
 
 
 class _HashedFile:
@@ -147,11 +170,12 @@ def _echo(value):
     return str(value) if isinstance(value, Fraction) else value
 
 
-def _emit(args, cfg: dict, report: dict, csv_text: str) -> None:
-    """Write the report files and manifest.json to ``--out``; `csv_text` is
-    report.csv's text.  Each file goes to a temporary file there, each report
-    hashed as it is written, and all are moved into place only once every one
-    is complete, so a failed run leaves every file as it was."""
+def _emit(args, cfg: dict, report: dict, csv) -> None:
+    """Write the report files and manifest.json to ``--out``; `csv()` gives
+    report.csv's text in pieces, and is called only when ``--format`` writes
+    report.csv.  Each file goes to a temporary file there, each piece hashed
+    as it is written, and all are moved into place only once every one is
+    complete, so a failed run leaves every file as it was."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     names = [f"report.{kind}" for kind in ("csv", "json") if args.format in (kind, "both")]  # in name order
@@ -165,9 +189,11 @@ def _emit(args, cfg: dict, report: dict, csv_text: str) -> None:
                 if name == "report.json":
                     _write_json(report, "\n", sink.write, sink.flush)
                     sink.write("\n")
+                    sink.flush()
                 else:
-                    sink.write(csv_text)
-                sink.flush()
+                    for text in csv():
+                        sink.write(text)
+                        sink.flush()
         output_sha256 = digest.hexdigest()
         with open(temporary["manifest.json"], "wb") as fh:
             fh.write(_manifest(args.command, cfg, output_sha256))

@@ -4,10 +4,12 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import invset
 from invset import checks, cli, padic
+from invset import dirac as dirac_mod
 from invset import report as report_mod
 from invset.cli import CHSH_N_BITS_BOUND, MZ_N_BITS_BOUND, SCHEMAS, TRACE_LENGTH_BOUND, build_parser, main
 from invset.exactmath import ExactAngle
@@ -893,7 +896,7 @@ class TestCsvText:
         [["a", "", "b"], ["", ""], [" padded ", "\x00"], [report_mod._Labels("x"), report_mod._Labels("")]],
     ])
     def test_plain_rows_take_the_join(self, rows):
-        assert report_mod._csv(rows[0], rows[1:]) == _csv_oracle(rows)
+        assert "".join(report_mod._csv(rows[0], rows[1:])) == _csv_oracle(rows)
 
 
 class TestPrimalityOncePerP:
@@ -924,12 +927,6 @@ class TestCantorText:
             records = [iv.record() for iv in cantor_iterates(p, level)]
             for wrap in wraps if p**level <= 20_000 else wraps[:1]:
                 assert _stable_json(wrap(array)) == _json_oracle(wrap(records))
-
-    @pytest.mark.parametrize("p,level", [(2, 13), (3, 9), (4099, 1)])
-    def test_pieces_hold_at_most_a_batch_of_intervals(self, p, level):
-        pieces = list(padic._cantor_text(padic._CantorArray(p, level), "\n"))
-        counts = [piece.count('"left"') for piece in pieces]
-        assert sum(counts) == p**level and max(counts) <= padic.CANTOR_BATCH
 
     # q = 2p - 1: 3, 5, 9 = 3**2, 13, 15 = 3 * 5, 27 = 3**3, 33 = 3 * 11, 45 = 3**2 * 5
     @pytest.mark.parametrize("p,prime_power", [(2, True), (3, True), (5, True), (7, True), (8, False), (14, True),
@@ -964,8 +961,89 @@ class TestCantorText:
         assert len(read_json(tmp_path / "o" / "report.json")["cantor_intervals"]) == 2**11
 
 
+# A dirac run at N=24 over the longest trace: 4,097 steps of one entry and four
+# report.csv rows each.
+DIRAC_24 = {"n_bits": 24, "mass": "3", "wavevector": ["4", "0", "0"], "steps": [1, 1, 0, 0],
+            "trace_length": TRACE_LENGTH_BOUND}
+
+
+def _dirac_trace(payload):
+    """The trace value cmd_dirac writes for `payload`, a dirac config."""
+    psi = dirac_mod.spinor(payload["n_bits"], mass=Fraction(payload["mass"]),
+                           wavevector=tuple(map(Fraction, payload["wavevector"])))
+    operator = dirac_mod.evolution_operator(psi, *payload["steps"])
+    return dirac_mod._DiracTrace(payload["n_bits"],
+                                 dirac_mod.phase_trace(operator, psi.components, payload["trace_length"]))
+
+
+# Each streamed text, the pattern that starts each of its entries, and the
+# number of entries: Cantor intervals, dirac steps in report.json and in
+# report.csv (a step's four rows are one entry).
+STREAMED_TEXTS = {
+    **{f"cantor-{p}-{level}": (lambda p=p, level=level: padic._cantor_text(padic._CantorArray(p, level), "\n"),
+                               r'\{\n    "left"', p**level)
+       for p, level in ((2, 13), (3, 9), (4099, 1))},
+    "dirac-json-24": (lambda: _dirac_trace(DIRAC_24).pieces("\n"), r',?\n  \{\n    "components"',
+                      TRACE_LENGTH_BOUND + 1),
+    "dirac-csv-24": (lambda: _dirac_trace(DIRAC_24).csv_rows(), r"(?m)^\d+,1,", TRACE_LENGTH_BOUND + 1),
+}
+
+
 class TestStreamedReports:
     CONFIG = SCALED_PADIC_CONFIGS["2-11"][0]
+
+    @pytest.mark.parametrize("name", sorted(STREAMED_TEXTS))
+    def test_pieces_hold_at_most_the_bound_and_one_entry(self, name):
+        render, entry, count = STREAMED_TEXTS[name]
+        pieces = list(render())
+        text = "".join(pieces)
+        starts = [match.start() for match in re.finditer(entry, text)]
+        ends = list(accumulate(map(len, pieces)))
+        longest = max(b - a for a, b in zip(starts, [*starts[1:], len(text)]))
+        assert len(starts) == count and len(pieces) > 2
+        assert set(ends[:-1]) <= set(starts)  # a piece ends only where an entry starts
+        assert max(map(len, pieces)) <= report_mod.PIECE_BYTES + longest
+
+    @pytest.mark.parametrize("command,payload", [
+        ("padic", {"p": 2, "pairs": [["7", "3"]], "cantor_level": 13}),
+        ("padic", {"p": 3, "pairs": [["1/9", "2/3"]], "cantor_level": 9}),
+        ("padic", {"p": 4099, "pairs": [["1", "4100"]], "cantor_level": 1}),
+        ("dirac", {"n_bits": 3, "mass": "3", "wavevector": ["4", "0", "0"], "steps": [1, 1, 0, 0], "trace_length": 20}),
+        ("dirac", {"n_bits": 10, "mass": "2", "wavevector": ["1", "2", "4"], "steps": [3, 1, -2, 5],
+                   "trace_length": 16}),
+        ("dirac", DIRAC_24),
+    ], ids=["padic-2-13", "padic-3-9", "padic-4099-1", "dirac-3", "dirac-10", "dirac-24"])
+    def test_bytes_do_not_depend_on_the_piece_bound(self, tmp_path, monkeypatch, command, payload):
+        cfg = write_config(tmp_path, "c.json", payload)
+
+        def written(out):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 0
+            return ((tmp_path / out / "report.json").read_bytes(), (tmp_path / out / "report.csv").read_bytes(),
+                    read_json(tmp_path / out / "manifest.json")["output_sha256"])
+
+        default = written("default")
+        for bound in (1, 1 << 30):
+            monkeypatch.setattr(report_mod, "PIECE_BYTES", bound)
+            assert written(f"bound-{bound}") == default
+
+    @pytest.mark.parametrize("command", sorted(README_CONFIGS))
+    def test_a_json_run_builds_no_csv(self, tmp_path, monkeypatch, command):
+        payload, sha = README_CONFIGS[command]
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "both")]) == 0
+        assert read_json(tmp_path / "both" / "manifest.json")["output_sha256"] == sha
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "csv"), "--format", "csv"]) == 0
+        assert (tmp_path / "csv" / "report.csv").read_bytes() == (tmp_path / "both" / "report.csv").read_bytes()
+
+        def no_csv(*args):
+            raise AssertionError("report.csv text built for a run that writes no report.csv")
+
+        monkeypatch.setattr(cli, "_csv", no_csv)
+        monkeypatch.setattr(dirac_mod._DiracTrace, "csv_rows", no_csv)
+        out = tmp_path / "json"
+        assert main([command, "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["manifest.json", "report.json"]
+        assert (out / "report.json").read_bytes() == (tmp_path / "both" / "report.json").read_bytes()
 
     def test_out_holds_only_the_reports_and_the_manifest(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", self.CONFIG)

@@ -58,7 +58,7 @@ class TestDiracTrace:
         writer.writerow(["step", "component", "phase_turns", "first_count"])
         writer.writerows([entry["step"], c["component"], c["phase_turns"], c["first_count"]]
                          for entry in _trace_records(n_bits, rotations) for c in entry["components"])
-        assert _DiracTrace(n_bits, rotations).csv_rows() == out.getvalue()
+        assert "".join(_DiracTrace(n_bits, rotations).csv_rows()) == out.getvalue()
 
 
 def _strings(n_bits):
