@@ -380,11 +380,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parsing leaves it unchanged)."""
-    parser = _ArgumentParser(prog="invset", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+#: Each subcommand's function, help line and options, {flag: add_argument
+#: keywords}, stated once: build_parser builds its parsers from them, and
+#: _plain_args reads the plain form of argv by them.
+_REPORT_OPTIONS = {
+    "--config": {"type": str, "default": None, "help": "JSON config path"},
+    "--out": {"type": str, "default": "invset_reports", "help": "output directory"},
+    "--format": {"choices": ["json", "csv", "both"], "default": "both"},
+}
+_N_BITS_OPTION = {"--n-bits": {"type": int, "default": None, "help": "override config n_bits"}}
+COMMANDS: dict[str, tuple] = {
+    name: (func, help_text, _REPORT_OPTIONS | (_N_BITS_OPTION if "n_bits" in SCHEMAS[name] else {}))
     for name, func, help_text in (
         ("chsh", cmd_chsh, "four sub-ensemble correlations, S value, counterfactual matrix"),
         ("mz", cmd_mz, "which-way / interference run with gate verdicts"),
@@ -392,26 +398,57 @@ def build_parser() -> argparse.ArgumentParser:
         ("sample", cmd_sample, "construct a string or the rotation table"),
         ("padic", cmd_padic, "p-adic distances, Cantor intervals, probes"),
         ("dirac", cmd_dirac, "granular evolution trace"),
-    ):
+    )
+}
+COMMANDS["check"] = (cmd_check, "run an invariant suite", {
+    "--suite": {"type": str, "default": "all"},
+    "--seed": {"type": int, "default": None},  # None: checks.DEFAULT_SEED
+})
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
+    parser = _ArgumentParser(prog="invset", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", type=str, default=None, help="JSON config path")
-        p.add_argument("--out", type=str, default="invset_reports", help="output directory")
-        p.add_argument("--format", choices=["json", "csv", "both"], default="both")
-        if "n_bits" in SCHEMAS[name]:
-            p.add_argument("--n-bits", type=int, default=None, help="override config n_bits")
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
         p.set_defaults(func=func)
-
-    p_check = sub.add_parser("check", help="run an invariant suite")
-    p_check.add_argument("--suite", type=str, default="all")
-    p_check.add_argument("--seed", type=int, default=None)  # None: checks.DEFAULT_SEED
-    p_check.set_defaults(func=cmd_check)
-
     return parser
 
 
+def _plain_args(argv) -> argparse.Namespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, for argv of the plain
+    form: a command, then pairs of an option named in full and a value that
+    does not start with "-", passes the option's type and is among its
+    choices; the last of a repeated option wins.  None for any other argv,
+    which argparse reads, so help and every usage error stay its own."""
+    if not argv or argv[0] not in COMMANDS or not len(argv) % 2:
+        return None
+    func, _, options = COMMANDS[argv[0]]
+    values = {flag: keywords["default"] for flag, keywords in options.items()}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        keywords = options.get(flag)
+        if keywords is None or value.startswith("-") or value not in keywords.get("choices", [value]):
+            return None  # not an option, or a value argparse reads otherwise or refuses
+        if keywords.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        values[flag] = value
+    return argparse.Namespace(command=argv[0], func=func,
+                              **{flag[2:].replace("-", "_"): value for flag, value in values.items()})
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (NotOnInvariantSet, NoAdmissibleAngle) as exc:

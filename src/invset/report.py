@@ -2,12 +2,13 @@
 ``--out`` with a manifest that hashes it.
 
 ``_stable_json`` gives the bytes of ``json.dumps(obj, sort_keys=True,
-indent=2) + "\\n"`` with fewer calls per value.  Label strings (``_Labels``)
-are written as they are, and a value with a ``pieces`` method, such as the
-Cantor intervals of ``padic`` or the phase trace of ``dirac``, renders its
-own text in pieces.  Such a value and report.csv stream: each piece holds
-whole entries (intervals, steps, lines) and at most PIECE_BYTES plus one
-entry, and is encoded, hashed and written before the next is built.
+indent=2) + "\\n"`` with fewer calls per value.  A value with a ``pieces``
+method, such as the Cantor intervals of ``padic``, the phase trace of
+``dirac`` or a label string (``_Labels``), renders its own text in pieces.
+Such a value and report.csv stream: each piece holds whole entries
+(intervals, steps, lines) and at most PIECE_BYTES plus one entry, or one
+long text, such as a label string, alone; each piece is encoded, hashed and
+written before the next is built.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import os
 import time
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 from . import __version__
@@ -34,13 +35,18 @@ PIECE_BYTES = 1 << 16
 def _pieces(texts):
     """`texts` joined, in order, into pieces: each piece ends with the first
     text that brings it to PIECE_BYTES, so it holds whole texts and at most
-    PIECE_BYTES plus one text."""
+    PIECE_BYTES plus one text.  A text of PIECE_BYTES or more is a piece of
+    its own, passed on without a copy."""
     parts, size, bound = [], 0, PIECE_BYTES
     for text in texts:
-        parts.append(text)
-        size += len(text)
-        if size >= bound:
+        length = len(text)
+        if length >= bound and parts:
             yield "".join(parts)
+            parts, size = [], 0
+        parts.append(text)
+        size += length
+        if size >= bound:
+            yield "".join(parts)  # a join of one text is that text
             parts, size = [], 0
     if parts:
         yield "".join(parts)
@@ -73,18 +79,28 @@ def _json_float(value: float) -> str:
     return float.__repr__(value)
 
 
-class _Labels(str):
+class _Labels:
     """Label text as ``samplespace.to_text`` writes it: only 0s and 1s, which
-    JSON writes unescaped, so the writer quotes it without scanning it."""
+    JSON and CSV write unescaped.  Neither writer scans or copies it: JSON
+    quotes it as three pieces and report.csv gives it as a text of its own,
+    so each writer encodes it alone (see _pieces and _write_json)."""
 
-    __slots__ = ()
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __str__(self) -> str:
+        return self.text
+
+    def pieces(self, newline: str):
+        return '"', self.text, '"'
 
 
 _json_str = json.encoder.encode_basestring_ascii
 #: JSON text of each scalar type a report holds, looked up by exact type.
 _JSON_SCALARS = {
     str: _json_str,
-    _Labels: lambda text: '"' + text + '"',
     int: int.__repr__,
     float: _json_float,
     bool: {True: "true", False: "false"}.__getitem__,
@@ -135,9 +151,18 @@ def _write_json(value, newline: str, out, flush=None) -> None:
 
 def _csv(header: list[str], rows):
     """CSV text of `header` and `rows`, one comma-joined line each, in the
-    pieces of _pieces.  Every field a command writes is a name, a number or
-    fraction text, or 0/1 labels, none of which csv would quote."""
-    return _pieces(",".join(map(str, row)) + "\n" for row in (header, *rows))
+    pieces of _pieces.  A line with a _Labels field is given as its fields,
+    commas and newline, so the label text reaches _pieces as a text of its
+    own.  Every field a command writes is a name, a number or fraction text,
+    or 0/1 labels, none of which csv would quote."""
+    def texts():
+        for row in (header, *rows):
+            fields = list(map(str, row))  # the str of a _Labels is its text itself
+            if _Labels in map(type, row):
+                yield from chain.from_iterable(zip(fields, [*repeat(",", len(fields) - 1), "\n"]))
+            else:
+                yield ",".join(fields) + "\n"
+    return _pieces(texts())
 
 
 class _HashedFile:
@@ -176,10 +201,11 @@ def _emit(args, cfg: dict, report: dict, csv) -> None:
     report.csv.  Each file goes to a temporary file there, each piece hashed
     as it is written, and all are moved into place only once every one is
     complete, so a failed run leaves every file as it was."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = args.out or "."  # "" names the working directory, as Path("") does
+    if not os.path.isdir(out):
+        os.makedirs(out, exist_ok=True)
     names = [f"report.{kind}" for kind in ("csv", "json") if args.format in (kind, "both")]  # in name order
-    temporary = {name: os.path.join(out, f".{name}.{os.getpid()}.tmp") for name in (*names, "manifest.json")}
+    temporary = {name: f"{out}/.{name}.{os.getpid()}.tmp" for name in (*names, "manifest.json")}
     digest = hashlib.sha256()  # over each report's name and bytes, in name order
     try:
         for name in names:
@@ -198,7 +224,7 @@ def _emit(args, cfg: dict, report: dict, csv) -> None:
         with open(temporary["manifest.json"], "wb") as fh:
             fh.write(_manifest(args.command, cfg, output_sha256))
         for name, path in temporary.items():
-            os.replace(path, os.path.join(out, name))
+            os.replace(path, f"{out}/{name}")
     except BaseException:  # leave no partial file, whatever stopped the run
         for path in temporary.values():
             Path(path).unlink(missing_ok=True)

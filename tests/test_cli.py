@@ -9,7 +9,8 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from itertools import accumulate
+import random
+from itertools import accumulate, chain
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +20,8 @@ import invset
 from invset import checks, cli, padic
 from invset import dirac as dirac_mod
 from invset import report as report_mod
-from invset.cli import CHSH_N_BITS_BOUND, MZ_N_BITS_BOUND, SCHEMAS, TRACE_LENGTH_BOUND, build_parser, main
+from invset.cli import (CHSH_N_BITS_BOUND, COMMANDS, MZ_N_BITS_BOUND, SCHEMAS, TRACE_LENGTH_BOUND, build_parser,
+                        main)
 from invset.exactmath import ExactAngle
 from invset.report import _stable_json
 from invset.padic import cantor_iterates, cantor_numerators
@@ -579,6 +581,34 @@ class TestNBitsOption:
             main(["padic", "--n-bits", "4", "--out", str(tmp_path / "o")])
 
 
+# Option values for the plain argv reader: blanks and padding, signs, digit
+# separators, a non-ASCII digit, a non-number, an int past the digit limit,
+# each format and one that is not, and paths holding "=" or starting with "-".
+_ARGV_VALUES = ("", "0", " 7", "+7", "-7", "1_0", "\u0663", "abc", "9" * 5000, "json", "csv", "both", "xml",
+                "out", "a=b", "-out", "--out")
+# What argparse reads otherwise or refuses: an abbreviation, --flag=value, help,
+# the end of options and an unknown flag.
+_ARGV_EXTRAS = (["--conf", "c.json"], ["--config=c.json"], ["-h"], ["--"], ["--", "x"], ["--bogus", "x"], ["--out"])
+
+
+def _argv_grid():
+    """Argv for every command: each option with each value, and seeded draws of
+    up to four option/value pairs (subsets, orders and repeats), each draw also
+    with one of _ARGV_EXTRAS put in at a drawn place; and argv naming no
+    command or an unknown one."""
+    rng = random.Random(31)
+    yield from ([], ["bogus"], ["-h"], ["--help"], ["bogus", "--out", "o"], ["--out", "o", "sample"])
+    for command, (_, _, options) in COMMANDS.items():
+        pairs = [[flag, value] for flag in options for value in _ARGV_VALUES]
+        yield [command]
+        yield from ([command, *pair] for pair in pairs)
+        for _ in range(400):
+            tokens = list(chain.from_iterable(rng.choices(pairs, k=rng.randint(1, 4))))
+            yield [command, *tokens]
+            at = rng.randrange(0, len(tokens) + 1, 2)
+            yield [command, *tokens[:at], *rng.choice(_ARGV_EXTRAS), *tokens[at:]]
+
+
 class TestParser:
     @pytest.mark.parametrize(
         "argv, message",
@@ -604,6 +634,43 @@ class TestParser:
             main(["sample", "--help"])
         assert exc.value.code == 0
         assert "--n-bits" in capsys.readouterr().out
+
+    def test_plain_reader_agrees_with_argparse(self, capsys):
+        # the reader returns None or the Namespace argparse returns, and returns one for a good share of the grid
+        plain = 0
+        for argv in _argv_grid():
+            args = cli._plain_args(argv)
+            if args is None:
+                continue
+            try:
+                expected = vars(build_parser().parse_args(argv))
+            except SystemExit:
+                pytest.fail(f"argparse refuses {argv!r}, which the plain reader took")
+            assert vars(args) == expected, argv
+            plain += 1
+        capsys.readouterr()
+        assert plain > 500
+
+    @pytest.mark.parametrize("argv", [
+        *([command] for command in COMMANDS),
+        *([command, "--config", "c.json", "--out", "o", "--format", fmt, *(["--n-bits", "8"] * ("n_bits" in schema))]
+          for command, schema in SCHEMAS.items() for fmt in ("json", "csv", "both")),
+        ["check", "--suite", "algebra", "--seed", "3"],
+    ], ids=" ".join)
+    def test_readme_synopsis_forms_take_the_plain_path(self, argv):
+        args = cli._plain_args(argv)
+        assert args is not None and vars(args) == vars(build_parser().parse_args(argv))
+
+    def test_main_reads_sys_argv_on_both_paths(self, tmp_path, monkeypatch, capsys):
+        for flags in (["--out", str(tmp_path / "plain")], [f"--out={tmp_path / 'argparse'}"]):
+            monkeypatch.setattr(sys, "argv", ["invset", "sample", "--n-bits", "5", *flags])
+            assert main() == 0
+        assert (tmp_path / "plain" / "report.csv").read_bytes() == (tmp_path / "argparse" / "report.csv").read_bytes()
+        monkeypatch.setattr(sys, "argv", ["invset", "sample", "--bogus"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --bogus\n"
 
     def test_built_once(self):
         assert build_parser() is build_parser()
@@ -1050,6 +1117,51 @@ class TestStreamedReports:
         out = tmp_path / "o"
         assert main(["padic", "--config", cfg, "--out", str(out)]) == 0
         assert sorted(path.name for path in out.iterdir()) == ["manifest.json", "report.csv", "report.json"]
+
+    @pytest.mark.parametrize("out,message", [("afile", "error: [Errno 17] File exists: 'afile'\n"),
+                                             ("afile/sub", "error: [Errno 20] Not a directory: 'afile/sub'\n")])
+    def test_out_that_is_a_file_or_under_one_exits_one(self, tmp_path, monkeypatch, capsys, out, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("kept")
+        assert main(["sample", "--out", out]) == 1
+        assert capsys.readouterr().err == message
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["afile"]
+        assert (tmp_path / "afile").read_text() == "kept"
+
+    def test_an_existing_out_is_not_made_again(self, tmp_path, monkeypatch):
+        def no_mkdir(*args, **kwargs):
+            raise AssertionError("mkdir called for an existing --out")
+
+        (tmp_path / "o").mkdir()
+        monkeypatch.setattr(report_mod.os, "mkdir", no_mkdir)
+        assert main(["sample", "--out", str(tmp_path / "o")]) == 0
+        assert sorted(path.name for path in (tmp_path / "o").iterdir()) == ["manifest.json", "report.csv",
+                                                                             "report.json"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("payload", [{"n_bits": 16}, {"n_bits": 16, "theta_turns": "1/6", "phi_turns": "1/32"}],
+                             ids=["table", "string"])
+    def test_each_label_string_is_written_alone(self, tmp_path, monkeypatch, fmt, payload):
+        # each label text is one write of its own, joined to no other text, in either report
+        writes = []
+
+        class Recorder:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                writes.append(data)
+                return self.fh.write(data)
+
+        hashed_file = report_mod._HashedFile
+        monkeypatch.setattr(report_mod, "_HashedFile", lambda fh, digest: hashed_file(Recorder(fh), digest))
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o"), "--format", fmt]) == 0
+        text = (tmp_path / "o" / f"report.{fmt}").read_bytes()
+        labels = re.findall(rb"[01]{65536}", text)
+        assert len(labels) == (1 if "theta_turns" in payload else 4)
+        assert b"".join(writes) == text
+        assert all(label in writes for label in labels)
 
     def test_each_cantor_piece_is_written_alone(self, tmp_path, monkeypatch):
         # no piece is joined into a larger text: every write is at most the largest piece, and each piece
