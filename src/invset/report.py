@@ -19,7 +19,7 @@ import math
 import os
 import time
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__
@@ -159,7 +159,9 @@ def _csv(header: list[str], rows):
         for row in (header, *rows):
             fields = list(map(str, row))  # the str of a _Labels is its text itself
             if _Labels in map(type, row):
-                yield from chain.from_iterable(zip(fields, [*repeat(",", len(fields) - 1), "\n"]))
+                for field in fields[:-1]:
+                    yield from (field, ",")
+                yield from (fields[-1], "\n")
             else:
                 yield ",".join(fields) + "\n"
     return _pieces(texts())
