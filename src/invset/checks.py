@@ -29,7 +29,7 @@ class CheckResult(_Record):
     __slots__ = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str = "") -> None:
-        self._init(name, passed, detail)
+        super().__init__(name, passed, detail)
 
 
 def _row(name: str, passed: bool, detail: str = "") -> CheckResult:

@@ -35,7 +35,7 @@ from .padic import (
     similarity_dimension,
 )
 from .report import _csv, _emit, _Labels
-from .samplespace import TABLE_SHIFTS, fraction, hilbert_shadow, require_explicit, rotation_table, sample, to_text
+from .samplespace import TABLE_SHIFTS, canonical_string, fraction, hilbert_shadow, require_explicit, sample, to_text
 from . import dirac as dirac_mod
 
 EXIT_OK = 0
@@ -284,7 +284,8 @@ def cmd_sample(args) -> int:
         }
         rows = [["sample", report["string"]]]
     else:
-        table_lines = [_Labels(line) for line in rotation_table(n_bits)]
+        text = to_text(canonical_string(n_bits))  # a pair-shift by k rotates it left by 2k labels
+        table_lines = [_Labels(text, 2 * k % len(text)) for k in TABLE_SHIFTS]
         report = {"n_bits": n_bits, "table_shifts": TABLE_SHIFTS, "strings": table_lines}
         rows = [[f"shift_{k}", line] for k, line in zip(TABLE_SHIFTS, table_lines)]
     _emit(args, cfg, report, lambda: _csv(["name", "labels"], rows))

@@ -124,10 +124,6 @@ class SpinorSample(_Record):
 
     __slots__ = ("n_bits", "components", "mass", "wavevector", "omega", "omega_sq")
 
-    def __init__(self, n_bits: int, components: tuple[BitString, BitString, BitString, BitString], mass: Fraction,
-                 wavevector: tuple[Fraction, Fraction, Fraction], omega: Fraction | None, omega_sq: Fraction) -> None:
-        self._init(n_bits, components, mass, wavevector, omega, omega_sq)
-
 
 def spinor(
     n_bits: int,
@@ -267,9 +263,6 @@ class DispersionResult(_Record):
     """omega^2 and omega, its exact rational root when one exists, else None."""
 
     __slots__ = ("omega_sq", "omega")
-
-    def __init__(self, omega_sq: Fraction, omega: Fraction | None) -> None:
-        self._init(omega_sq, omega)
 
 
 def dispersion_check(mass: RationalLike, wavevector: tuple[RationalLike, RationalLike, RationalLike]) -> DispersionResult:

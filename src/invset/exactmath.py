@@ -35,8 +35,8 @@ _set = object.__setattr__  # how a record's __init__ fills its slots
 
 class _Record:
     """Base of invset's immutable records.  A subclass names its fields in
-    ``__slots__`` (a ``"__dict__"`` entry there is not a field) and fills them
-    in its ``__init__``; records of one class are equal when their field
+    ``__slots__`` (a ``"__dict__"`` entry there is not a field), which
+    ``__init__`` fills; records of one class are equal when their field
     tuples are, hash as that tuple and repr as ``Name(field=value, ...)``,
     and a field can be neither assigned nor deleted."""
 
@@ -48,10 +48,19 @@ class _Record:
         get = attrgetter(*fields)  # the field tuple, but the bare value of a lone field
         cls._values = (lambda self: get(self)) if len(fields) > 1 else (lambda self: (get(self),))
 
-    def _init(self, *values) -> None:
-        """Fill the fields in order: the __init__ of a record built at most once per operation."""
-        for name, value in zip(self._fields, values):
-            _set(self, name, value)
+    def __init__(self, *values, **named) -> None:
+        """Fill the fields in order from ``values``, then the rest by name from ``named``."""
+        fields, name = self._fields, type(self).__qualname__
+        if len(values) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields but {len(values)} were given")
+        for field, value in zip(fields, values):
+            _set(self, field, value)
+        for field in fields[len(values):]:
+            if field not in named:
+                raise TypeError(f"{name} is missing field {field!r}")
+            _set(self, field, named.pop(field))
+        if named:
+            raise TypeError(f"{name} got an unknown or repeated field {next(iter(named))!r}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -233,9 +242,6 @@ class ObstructionVerdict(_Record):
     """Outcome of the angle-addition describability test."""
 
     __slots__ = ("excluded", "reason")
-
-    def __init__(self, excluded: bool, reason: str) -> None:
-        self._init(excluded, reason)
 
     @property
     def verdict(self) -> str:

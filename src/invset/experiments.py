@@ -57,10 +57,6 @@ class AngleSubstitution(_Record):
 
     __slots__ = ("requested_turns", "first_count", "cos_value", "delta_turns_float")
 
-    def __init__(self, requested_turns: Fraction, first_count: int, cos_value: Fraction,
-                 delta_turns_float: float) -> None:
-        self._init(requested_turns, first_count, cos_value, delta_turns_float)
-
     def record(self, name: str) -> dict:
         return {
             "name": name,
@@ -173,7 +169,7 @@ class ChshConfig(_Record):
                  window_turns: Fraction | None = None) -> None:
         if window_turns is not None and type(window_turns) is not Fraction:
             window_turns = Fraction(window_turns)
-        self._init(n_bits, a1, a2, b1, b2, window_turns)
+        super().__init__(n_bits, a1, a2, b1, b2, window_turns)
 
     @property
     def window(self) -> Fraction:
@@ -187,10 +183,6 @@ class ChshReport(_Record):
     substituted cosine."""
 
     __slots__ = ("n_bits", "window_turns", "substitutions", "s_value", "admissibility")
-
-    def __init__(self, n_bits: int, window_turns: Fraction, substitutions: dict[str, AngleSubstitution],
-                 s_value: Fraction, admissibility: dict[str, dict[str, dict]]) -> None:
-        self._init(n_bits, window_turns, substitutions, s_value, admissibility)
 
     def record(self) -> dict:
         def sub_ensemble(pair: str) -> dict:
@@ -267,10 +259,6 @@ class MzReport(_Record):
     cos^2(phi/2) is describable by N bits."""
 
     __slots__ = ("mode", "phi_turns", "probabilities", "phase_gate", "amplitude_gate")
-
-    def __init__(self, mode: str, phi_turns: Fraction, probabilities: dict[str, Fraction], phase_gate: bool,
-                 amplitude_gate: bool) -> None:
-        self._init(mode, phi_turns, probabilities, phase_gate, amplitude_gate)
 
     def record(self) -> dict:
         """The other mode is the counterfactual, admissible where its gate
@@ -377,9 +365,6 @@ class PbrReport(_Record):
     obstruction's verdict."""
 
     __slots__ = ("x_value", "z_value", "simultaneity")
-
-    def __init__(self, x_value: object, z_value: object, simultaneity: dict) -> None:
-        self._init(x_value, z_value, simultaneity)
 
     def record(self) -> dict:
         def num(v):

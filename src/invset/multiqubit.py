@@ -179,19 +179,11 @@ class TwoQubitParams(_Record):
 
     __slots__ = ("theta1", "theta2", "theta3", "phi1", "phi2", "phi3")
 
-    def __init__(self, theta1: ExactAngle, theta2: ExactAngle, theta3: ExactAngle,
-                 phi1: ExactAngle, phi2: ExactAngle, phi3: ExactAngle) -> None:
-        self._init(theta1, theta2, theta3, phi1, phi2, phi3)
-
 
 class PredictedTwoQubit(_Record):
     """Amplitude-squared table and phases of the composed 2-qubit state."""
 
     __slots__ = ("probs", "phases")
-
-    def __init__(self, probs: tuple[Fraction, Fraction, Fraction, Fraction],
-                 phases: tuple[ExactAngle, ExactAngle, ExactAngle, ExactAngle]) -> None:
-        self._init(probs, phases)
 
 
 def two_qubit_predict(params: TwoQubitParams, n_bits: int) -> PredictedTwoQubit:

@@ -120,7 +120,7 @@ class PadicInt(_Record):
             raise ValueError("at least one digit required")
         if any(not 0 <= d < p for d in digits):
             raise ValueError(f"digits must lie in 0..{p - 1}")
-        self._init(p, tuple(digits))
+        super().__init__(p, tuple(digits))
 
     @property
     def precision(self) -> int:
@@ -262,9 +262,6 @@ class _CantorArray(_Record):
 
     __slots__ = ("p", "level")
 
-    def __init__(self, p: int, level: int) -> None:
-        self._init(p, level)
-
     def pieces(self, newline: str):
         return _cantor_text(self, newline)
 
@@ -278,6 +275,18 @@ def _digit_paths(p: int, digits: range, newline: str) -> list[str]:
         sep = ("[" if k == 0 else ",") + newline
         texts = [text + sep + str(c) for text in texts for c in range(p)]
     return texts
+
+
+def _heads(p: int, h: int, newline: str):
+    """(left numerator, path text) of every path of h digits, as
+    cantor_numerators and _digit_paths list them, from the p**(h - 1)
+    prefixes of the first h - 1 digits: a path's last digit is added as the
+    path is read."""
+    if not h:
+        return [(0, "")]
+    q, sep = 2 * p - 1, ("[" if h == 1 else ",") + newline
+    prefixes = zip(cantor_numerators(p, h - 1), _digit_paths(p, range(h - 1), newline))
+    return ((q * n + 2 * c, f"{path}{sep}{c}") for n, path in prefixes for c in range(p))
 
 
 def _tail_gcd(m: int, qt: int, q: int) -> int:
@@ -297,10 +306,11 @@ def _cantor_text(array: _CantorArray, newline: str):
 
     A path is a head of level - t digits and a tail of the last t = level // 2,
     so with q = 2p - 1 its left numerator over q**level is n = H * q**t + m,
-    H and m the head's and the tail's numerators: only about 2 * p**(level / 2)
-    numerators and path texts are built.  The gcd rule: if 0 < m and every
-    prime r of q has v_r(m) < v_r(q**t), then gcd(n, q**level) = gcd(m, q**t)
-    for every head, as v_r(H * q**t) >= v_r(q**t) > v_r(m) gives v_r(n) = v_r(m).
+    H and m the head's and the tail's numerators: only the numerators and path
+    texts of the p**t tails and the p**(level - t - 1) head prefixes are
+    listed (see _heads).  The gcd rule: if 0 < m and every prime r of q has
+    v_r(m) < v_r(q**t), then gcd(n, q**level) = gcd(m, q**t) for every head,
+    as v_r(H * q**t) >= v_r(q**t) > v_r(m) gives v_r(n) = v_r(m).
     _tail_gcd decides the condition; it holds for every 0 < m < q**t when q is
     a prime power.  The right endpoint is the same with m + 1.  A tail that
     passes for both carries its divisors and "/den" texts, so each of its
@@ -325,15 +335,15 @@ def _cantor_text(array: _CantorArray, newline: str):
             g = h = 0  # depends on the head: both gcds per interval
         tails.append((m, g, f"/{den // g}{fields}" if g else "", path + close + right,
                       h, f"/{den // h}{end}" if h else ""))
-    head_paths = _digit_paths(p, range(level - t), key + "  ")
-    # an endpoint's text is at most that of den/den; a piece holds whole runs of a head's tails
-    width = len(left + fields + end) + 2 * len(f"{den}/{den}") + max(map(len, head_paths)) + \
+    # an endpoint's text is at most that of den/den, and a head's path text at most that of digits p - 1;
+    # a piece holds whole runs of a head's tails
+    width = len(left + fields + end) + 2 * len(f"{den}/{den}") + (level - t) * len(f",{key}  {p - 1}") + \
         max(len(tail[3]) for tail in tails)
     per_piece = max(1, PIECE_BYTES // width)
     step = min(len(tails), per_piece)
     runs = [tails[i:i + step] for i in range(0, len(tails), step)]
     gcd, parts = math.gcd, ["[" + item]
-    for head_numerator, head in zip(cantor_numerators(p, level - t), head_paths):
+    for head_numerator, head in _heads(p, level - t, key + "  "):
         base = head_numerator * qt
         for run in runs:
             if len(parts) + len(run) > per_piece:
@@ -359,9 +369,6 @@ class ProbeReport(_Record):
     """Euclid-close versus p-adically-far demonstration record."""
 
     __slots__ = ("p", "a_value", "b_off", "euclid_gap", "padic_gap")
-
-    def __init__(self, p: int, a_value: int, b_off: Fraction, euclid_gap: Fraction, padic_gap: Fraction) -> None:
-        self._init(p, a_value, b_off, euclid_gap, padic_gap)
 
     def record(self) -> dict:
         return {

@@ -80,21 +80,23 @@ def _json_float(value: float) -> str:
 
 
 class _Labels:
-    """Label text as ``samplespace.to_text`` writes it: only 0s and 1s, which
-    JSON and CSV write unescaped.  Neither writer scans or copies it: JSON
-    quotes it as three pieces and report.csv gives it as a text of its own,
-    so each writer encodes it alone (see _pieces and _write_json)."""
+    """Label text as ``samplespace.to_text`` writes it, rotated left by
+    `start` labels: only 0s and 1s, which JSON and CSV write unescaped.  The
+    rotated text is built only as it is written, and neither writer scans or
+    copies it: JSON quotes it as three pieces and report.csv gives it as a
+    text of its own, so each writer encodes it alone (see _pieces and
+    _write_json)."""
 
-    __slots__ = ("text",)
+    __slots__ = ("text", "start")
 
-    def __init__(self, text: str) -> None:
-        self.text = text
+    def __init__(self, text: str, start: int = 0) -> None:
+        self.text, self.start = text, start
 
     def __str__(self) -> str:
-        return self.text
+        return self.text[self.start:] + self.text[:self.start]  # the text itself at start 0
 
     def pieces(self, newline: str):
-        return '"', self.text, '"'
+        return '"', str(self), '"'
 
 
 _json_str = json.encoder.encode_basestring_ascii

@@ -279,10 +279,7 @@ class HilbertShadow(_Record):
     to: cos(theta/2)|first> + e^(i phi) sin(theta/2)|negated>.
     ``phase_relevant`` is False for the pure states theta = 0, pi."""
 
-    __slots__ = ("amplitude_sq", "phase_turns", "phase_relevant")
-
-    def __init__(self, amplitude_sq: Fraction, phase_turns: Fraction, phase_relevant: bool) -> None:
-        self._init(amplitude_sq, phase_turns, phase_relevant)  # cos^2(theta/2), phi in turns
+    __slots__ = ("amplitude_sq", "phase_turns", "phase_relevant")  # cos^2(theta/2), phi in turns
 
 
 def hilbert_shadow(s: BitString) -> HilbertShadow:

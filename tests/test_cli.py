@@ -25,6 +25,7 @@ from invset.cli import (CHSH_N_BITS_BOUND, COMMANDS, MZ_N_BITS_BOUND, SCHEMAS, T
 from invset.exactmath import ExactAngle
 from invset.report import _stable_json
 from invset.padic import cantor_iterates, cantor_numerators
+from invset.samplespace import rotation_table
 
 OPTIMAL_CHSH = {
     "n_bits": 12,
@@ -159,6 +160,16 @@ class TestSampleCommand:
         report = read_json(out / "report.json")
         assert report["strings"][0] == "0000101011110101"
 
+    def test_table_lines_are_the_rotation_table(self, tmp_path):
+        # the command rotates one label text by 2k labels for a pair-shift by k; rotation_table applies pair_shift
+        for n_bits in range(3, 17):
+            out = tmp_path / str(n_bits)
+            assert main(["sample", "--n-bits", str(n_bits), "--out", str(out)]) == 0
+            table = rotation_table(n_bits)
+            assert read_json(out / "report.json")["strings"] == table
+            rows = list(csv.reader(io.StringIO((out / "report.csv").read_text(), newline="")))
+            assert rows == [["name", "labels"], *([f"shift_{k}", line] for k, line in zip((0, 1, 2, 4), table))]
+
     def test_construction_report(self, tmp_path):
         cfg = write_config(tmp_path, "s.json", {"n_bits": 5, "theta_turns": "1/6", "phi_turns": "1/16"})
         out = tmp_path / "out"
@@ -233,10 +244,40 @@ class TestDiracCommand:
         assert len(read_json(tmp_path / "o" / "report.json")["trace"]) == TRACE_LENGTH_BOUND + 1
 
 
+# The large-N runs that .github/large_n_smoke.py bounds in time and peak RSS,
+# and the output_sha256 each gives: (command, config, --format, output_sha256).
+LARGE_N_DIRAC = {"mass": "3", "wavevector": ["4", "0", "0"], "steps": [1, 1, 0, 0], "trace_length": TRACE_LENGTH_BOUND}
+LARGE_N_PINS = {
+    "padic-3-12": ("padic", {"p": 3, "pairs": [], "cantor_level": 12}, "both",
+                   "f1675e8c3e1e447de6a55f98a0c1c80989781018da1814d2db353ae75806611e"),
+    "chsh-1000": ("chsh", dict(OPTIMAL_CHSH, n_bits=1000), "both",
+                  "bcf8176e819630bd996d8e5d9dec731f7957c42229c156c68fa6115a04c3e73f"),
+    "chsh-8192": ("chsh", dict(OPTIMAL_CHSH, n_bits=CHSH_N_BITS_BOUND), "both",
+                  "61be323bf55e3483990a3933b77173a7c2544f54d9ba7c51b8ef378f183c0c81"),
+    "dirac-24": ("dirac", {"n_bits": 24, **LARGE_N_DIRAC}, "both",
+                 "8f25630d645d37041d6995ec6c566156b8cfc420ea522e189dcc3f6f505611bc"),
+    "dirac-14000-json": ("dirac", {"n_bits": 14000, **LARGE_N_DIRAC}, "json",
+                         "df1437a64d973b731246b2cdc2dddb8b4cc4fdabdf9ab0b5b6b8ae56c8561783"),
+    "dirac-14000-both": ("dirac", {"n_bits": 14000, **LARGE_N_DIRAC}, "both",
+                         "c7dc7cbf39a4d938f13d1b51bc8ff91627ce29da763e25edd896e504ef64bdb7"),
+    "sample-24-json": ("sample", {"n_bits": 24}, "json",
+                       "7865d4e2a9c9b61b85877b9dd751398a1e2b2564ffacfb3dcfeda6970f69ce21"),
+    "sample-24-csv": ("sample", {"n_bits": 24}, "csv",
+                      "344d6ed34bde802fd14d3de58bf58346c12f8b86d4a0daf76d515c5cd501f8b1"),
+}
+
+
 class TestLargeN:
     """Commands whose reports read only descriptors and closed forms run past
     the explicit-label limit of 2^24 labels; labels are built only where a
     report prints them."""
+
+    @pytest.mark.parametrize("name", sorted(LARGE_N_PINS))
+    def test_output_sha256_is_pinned(self, tmp_path, name):
+        command, payload, fmt, sha = LARGE_N_PINS[name]
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--format", fmt]) == 0
+        assert read_json(tmp_path / "o" / "manifest.json")["output_sha256"] == sha
 
     @pytest.mark.parametrize("n_bits", [25, 40, 1000, CHSH_N_BITS_BOUND])
     def test_chsh_runs_at_large_n(self, tmp_path, n_bits):
@@ -1027,8 +1068,22 @@ class TestCantorText:
         monkeypatch.setattr(padic, "cantor_numerators", listing)
         cfg = write_config(tmp_path, "c.json", {"p": 2, "pairs": [], "cantor_level": 11})
         assert main(["padic", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert sorted(levels) == [5, 6]
+        assert sorted(levels) == [5, 5]  # the tails' 5 digits and the 6-digit heads' prefixes
         assert len(read_json(tmp_path / "o" / "report.json")["cantor_intervals"]) == 2**11
+
+    def test_at_level_one_no_head_is_listed(self, monkeypatch):
+        # every interval is a head of one digit: one prefix and one tail are listed, not p numerators or paths
+        listed = []
+
+        def listing(p, level):
+            listed.append(cantor_numerators(p, level))
+            return listed[-1]
+
+        monkeypatch.setattr(padic, "cantor_numerators", listing)
+        p = 4099
+        text = "".join(padic._cantor_text(padic._CantorArray(p, 1), "\n"))
+        assert listed == [[0], [0]]
+        assert json.loads(text) == [iv.record() for iv in cantor_iterates(p, 1)]
 
 
 # A dirac run at N=24 over the longest trace: 4,097 steps of one entry and four

@@ -10,6 +10,7 @@ from invset import checks, exactmath
 from invset.exactmath import (
     ExactAngle,
     NotOnInvariantSet,
+    ObstructionVerdict,
     REASON_DESCRIBABLE,
     REASON_IRRATIONAL_SINE,
     ResourceBound,
@@ -366,3 +367,31 @@ class TestAdditionObstruction:
     def test_combine_degenerate_requires_degenerate(self):
         with pytest.raises(ValueError):
             combine_degenerate_cosine(Fraction(1, 2), Fraction(1, 2))
+
+
+class TestRecordConstructor:
+    """_Record's one constructor fills the fields in order, then by name, and
+    refuses what the positional-or-keyword signatures it stands for refused."""
+
+    def test_positional_then_named(self):
+        assert ObstructionVerdict(True, reason="r") == ObstructionVerdict(reason="r", excluded=True)
+        assert ObstructionVerdict(True, "r") == ObstructionVerdict(True, reason="r")
+
+    @pytest.mark.parametrize("args, named, message", [
+        ((True, "r", 1), {}, "ObstructionVerdict takes 2 fields but 3 were given"),
+        ((True,), {}, "ObstructionVerdict is missing field 'reason'"),
+        ((), {"reason": "r"}, "ObstructionVerdict is missing field 'excluded'"),
+        ((True,), {"reason": "r", "verdict": "x"}, "ObstructionVerdict got an unknown or repeated field 'verdict'"),
+        ((True, "r"), {"reason": "s"}, "ObstructionVerdict got an unknown or repeated field 'reason'"),
+    ], ids=["surplus", "missing", "missing-first", "unknown", "repeated"])
+    def test_refuses_a_surplus_missing_or_unknown_field(self, args, named, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            ObstructionVerdict(*args, **named)
+
+    def test_other_records_check_their_fields_the_same_way(self):
+        angles = [ExactAngle(Fraction(k, 8)) for k in range(6)]
+        assert TwoQubitParams(*angles).phi3 == angles[5]
+        with pytest.raises(TypeError, match="^TwoQubitParams is missing field 'phi3'$"):
+            TwoQubitParams(*angles[:5])
+        with pytest.raises(TypeError):
+            checks.CheckResult("x", True, "", "surplus")
