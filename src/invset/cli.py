@@ -10,12 +10,12 @@ reports; the manifest's timestamp is excluded from the output hash.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .exactmath import (
     ExactAngle,
@@ -37,6 +37,10 @@ from .padic import (
 from .report import _csv, _emit, _Labels
 from .samplespace import TABLE_SHIFTS, canonical_string, fraction, hilbert_shadow, require_explicit, sample, to_text
 from . import dirac as dirac_mod
+
+TYPE_CHECKING = False  # true for type checkers only; this module never imports typing
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -371,16 +375,6 @@ def _line(message: str) -> str:
     return line if len(line) <= LINE_BOUND else line[:LINE_BOUND - 3] + "..."
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Reports a usage error like every other usage error: one line on stderr
-    and exit 1, since exit 2 means an invariant-set exclusion.  Subparsers
-    are made of this class too."""
-
-    def error(self, message: str):
-        print(_line(f"error: {message}"), file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 #: Each subcommand's function, help line and options, {flag: add_argument
 #: keywords}, stated once: build_parser builds its parsers from them, and
 #: _plain_args reads the plain form of argv by them.
@@ -409,7 +403,20 @@ COMMANDS["check"] = (cmd_check, "run an invariant suite", {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parsing leaves it unchanged)."""
+    """The argument parser, built once per process (parsing leaves it unchanged).
+    argparse is imported here, not at the top: a run of the plain form never
+    needs it."""
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        """Reports a usage error like every other usage error: one line on
+        stderr and exit 1, since exit 2 means an invariant-set exclusion.
+        Subparsers are made of this class too."""
+
+        def error(self, message: str):
+            print(_line(f"error: {message}"), file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+
     parser = _ArgumentParser(prog="invset", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, options) in COMMANDS.items():
@@ -420,11 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _plain_args(argv) -> argparse.Namespace | None:
-    """What ``build_parser().parse_args(argv)`` returns, for argv of the plain
-    form: a command, then pairs of an option named in full and a value that
-    does not start with "-", passes the option's type and is among its
-    choices; the last of a repeated option wins.  None for any other argv,
+def _plain_args(argv) -> SimpleNamespace | None:
+    """The attributes ``build_parser().parse_args(argv)`` would give, for argv
+    of the plain form: a command, then pairs of an option named in full and a
+    value that does not start with "-", passes the option's type and is among
+    its choices; the last of a repeated option wins.  None for any other argv,
     which argparse reads, so help and every usage error stay its own."""
     if not argv or argv[0] not in COMMANDS or not len(argv) % 2:
         return None
@@ -440,8 +447,8 @@ def _plain_args(argv) -> argparse.Namespace | None:
             except ValueError:
                 return None
         values[flag] = value
-    return argparse.Namespace(command=argv[0], func=func,
-                              **{flag[2:].replace("-", "_"): value for flag, value in values.items()})
+    return SimpleNamespace(command=argv[0], func=func,
+                           **{flag[2:].replace("-", "_"): value for flag, value in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -11,9 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 from operator import attrgetter
-from typing import Union
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 PYTHAGOREAN_SCAN_BOUND = 20  # largest exponent the brute-force witness will scan
 

@@ -11,8 +11,8 @@ substitutes an angle or runs an oracle never loads it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
+TYPE_CHECKING = False  # true for type checkers only; this module never imports typing
 if TYPE_CHECKING:
     import mpmath
 

@@ -14,8 +14,8 @@ probability of an outcome prefix, is then not an integer.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
 
 from .exactmath import (
     ZERO_ANGLE,
@@ -37,6 +37,7 @@ from .samplespace import (
     sample_from_counts,
 )
 
+TYPE_CHECKING = False  # true for type checkers only; this module never imports typing
 if TYPE_CHECKING:
     import mpmath
 

@@ -10,10 +10,10 @@ digit a_k to the term 2*a_k/(2p-1)^(k+1).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable
 
 from .exactmath import RationalLike, ResourceBound, _Record, _set, fraction_str
 

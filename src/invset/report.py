@@ -20,7 +20,6 @@ import os
 import time
 from fractions import Fraction
 from itertools import repeat
-from pathlib import Path
 
 from . import __version__
 from .exactmath import ExactAngle
@@ -205,7 +204,7 @@ def _emit(args, cfg: dict, report: dict, csv) -> None:
     report.csv.  Each file goes to a temporary file there, each piece hashed
     as it is written, and all are moved into place only once every one is
     complete, so a failed run leaves every file as it was."""
-    out = args.out or "."  # "" names the working directory, as Path("") does
+    out = args.out or "."  # an empty --out names the working directory
     if not os.path.isdir(out):
         os.makedirs(out, exist_ok=True)
     names = [f"report.{kind}" for kind in ("csv", "json") if args.format in (kind, "both")]  # in name order
@@ -231,7 +230,10 @@ def _emit(args, cfg: dict, report: dict, csv) -> None:
             os.replace(path, f"{out}/{name}")
     except BaseException:  # leave no partial file, whatever stopped the run
         for path in temporary.values():
-            Path(path).unlink(missing_ok=True)
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                pass
         raise
     print(f"{args.command}: wrote {', '.join(names)} and manifest.json to {out} "
           f"(output_sha256={output_sha256[:16]}...)")
