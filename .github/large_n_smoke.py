@@ -24,12 +24,26 @@ ANGLES = {"A1": "0", "A2": "1/4", "B1": "1/8", "B2": "3/8"}
 DIRAC = {"mass": "3", "wavevector": ["4", "0", "0"], "steps": [1, 1, 0, 0], "trace_length": 4096}
 # r*u - 1 = 2^21000, so the 2-adic distance of r and 1/u has a 6,322-digit denominator
 UNPRINTABLE_PAIR = [str(2**14000 - 2**7000 + 1), f"1/{2**7000 + 1}"]
+P_1E9 = 1_000_000_007
 
-# name, invset arguments, config (None: no --config), timeout in s, peak-RSS bound in MB (None: none),
-# the text an exit-1 run's one stderr line holds (None: the run exits 0)
+
+def write_pairs_200k(fh) -> None:
+    """A padic config of 200,000 pairs at p = P_1E9, written pair by pair:
+    held whole, the list would raise this process's RSS, which every child
+    started after it reports as its own peak.  a - b = -p**(k % 4) / d with
+    d < p, so the distances run from 1/1 to 1/p**3; a is often unreduced."""
+    fh.write(f'{{"p": {P_1E9}, "pairs": [')
+    for k in range(200_000):
+        fh.write(f'{", " if k else ""}["{k}/{k % 997 + 1}", "{k + P_1E9 ** (k % 4)}/{k % 997 + 1}"]')
+    fh.write("]}")
+
+
+# name, invset arguments, config (None: no --config; a function: writes the config file), timeout in s,
+# peak-RSS bound in MB (None: none), the text an exit-1 run's one stderr line holds (None: the run exits 0)
 RUNS = [
     ("padic-3-12", ["padic"], {"p": 3, "pairs": [], "cantor_level": 12}, 30, 64, None),
     ("padic-1048573-1", ["padic"], {"p": 1048573, "pairs": [], "cantor_level": 1}, 30, 64, None),
+    ("padic-pairs-200k", ["padic", "--format", "both"], write_pairs_200k, 30, 250, None),
     ("chsh-1000", ["chsh"], {"n_bits": 1000, "angles": ANGLES}, 10, None, None),
     ("chsh-8192", ["chsh"], {"n_bits": 8192, "angles": ANGLES}, 10, None, None),
     ("dirac-24", ["dirac"], {"n_bits": 24, **DIRAC}, 10, None, None),
@@ -61,7 +75,7 @@ def run(tmp: str, name: str, args: list, config, timeout: int, bound, error) -> 
     command = ["timeout", str(timeout), sys.executable, "-m", "invset.cli", *args, "--out", f"{tmp}/{name}"]
     if config is not None:
         with open(f"{tmp}/{name}.json", "w") as fh:
-            json.dump(config, fh)
+            config(fh) if callable(config) else json.dump(config, fh)
         command += ["--config", f"{tmp}/{name}.json"]
     with tempfile.TemporaryFile() as err:
         start = time.perf_counter()

@@ -78,31 +78,41 @@ def _int_ord(n: int, p: int) -> int:
     return k
 
 
+def _ord_difference(a: RationalLike, b: RationalLike, p: int):
+    """ord_p(a - b) for ints or Fractions a = r/s and b = t/u, +infinity for
+    a = b: ord_p(r*u - t*s) - ord_p(s*u).  p is taken to be prime; each
+    public caller checks it once."""
+    s, u = a.denominator, b.denominator
+    difference = a.numerator * u - b.numerator * s
+    if not difference:
+        return Infinity
+    return _int_ord(difference, p) - _int_ord(s * u, p)
+
+
 def ord_p(x: RationalLike, p: int):
     """The p-adic order: highest power of p dividing x (ord of a minus ord of
     b for x = a/b); +infinity for x = 0."""
     _require_prime(p)
-    fr = Fraction(x)
-    if fr == 0:
-        return Infinity
-    return _int_ord(fr.numerator, p) - _int_ord(fr.denominator, p)
+    return _ord_difference(Fraction(x), 0, p)
+
+
+def _power_norm(o, p: int) -> Fraction:
+    """p**(-o), 0 for o = +infinity."""
+    if o == Infinity:
+        return Fraction(0)
+    return Fraction(1, p**o) if o >= 0 else Fraction(p ** (-o))
 
 
 def padic_norm(x: RationalLike, p: int) -> Fraction:
     """|x|_p = p**(-ord_p(x)) = d_p(x, 0); 0 for x = 0."""
-    return padic_dist(Fraction(x), 0, p)
+    return _power_norm(ord_p(x, p), p)
 
 
 def padic_dist(a: RationalLike, b: RationalLike, p: int) -> Fraction:
-    """The ultrametric d_p(a, b) = |a - b|_p, exact, for ints or Fractions
-    a = r/s and b = t/u: ord_p(a - b) = ord_p(r*u - t*s) - ord_p(s) - ord_p(u)."""
+    """The ultrametric d_p(a, b) = |a - b|_p = p**(-ord_p(a - b)), exact, for
+    ints or Fractions."""
     _require_prime(p)
-    s, u = a.denominator, b.denominator
-    difference = a.numerator * u - b.numerator * s
-    if not difference:
-        return Fraction(0)
-    o = _int_ord(difference, p) - _int_ord(s, p) - _int_ord(u, p)
-    return Fraction(1, p**o) if o >= 0 else Fraction(p ** (-o))
+    return _power_norm(_ord_difference(a, b, p), p)
 
 
 class PadicInt(_Record):

@@ -19,7 +19,7 @@ import math
 import os
 import time
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 
 from . import __version__
 from .exactmath import ExactAngle
@@ -57,14 +57,15 @@ def _utc_now(seconds: float | None = None) -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime(seconds))
 
 
-def _stable_json(obj) -> bytes:
-    """The bytes of ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.
+def _stable_json(obj, default=None) -> bytes:
+    """The bytes of ``json.dumps(obj, sort_keys=True, indent=2,
+    default=default) + "\\n"``, for a `default` that gives text.
 
     json writes an indented document with its pure-Python encoder; this
     writer makes the same choices (sorted keys, ASCII-escaped strings, the
     same number, key and error forms) with fewer calls per value."""
     chunks: list[str] = []
-    _write_json(obj, "\n", chunks.append)
+    _write_json(obj, "\n", chunks.append, default=default)
     chunks.append("\n")
     return "".join(chunks).encode()
 
@@ -98,6 +99,35 @@ class _Labels:
         return '"', str(self), '"'
 
 
+class _Records:
+    """Rows of texts, written as a JSON array of objects and as report.csv
+    lines.  `keys` are plain names in sorted order, the JSON key order, and
+    each row is a tuple of texts in that order that JSON and CSV write
+    unescaped, such as fraction text; so a row's JSON object and its CSV
+    line are each one %-format of the row.  ``pieces`` gives the text
+    _write_json gives ``[dict(zip(keys, row)) for row in rows]``, in the
+    pieces of _pieces, whole objects each."""
+
+    __slots__ = ("keys", "rows")
+
+    def __init__(self, keys: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
+        self.keys, self.rows = keys, rows
+
+    def pieces(self, newline: str):
+        if not self.rows:
+            return ["[]"]
+        item, key = newline + "  ", newline + "    "
+        entry = "," + item + "{" + ",".join(f'{key}"{name}": "%s"' for name in self.keys) + item + "}"
+        entries = map(entry.__mod__, self.rows)
+        first = "[" + next(entries)[1:]  # the first object follows the opening bracket, not a comma
+        return _pieces(chain([first], entries, [newline + "]"]))
+
+    def csv_rows(self):
+        """report.csv's text in pieces: the keys as its header, then one line per row."""
+        line = ",".join(["%s"] * len(self.keys)) + "\n"
+        return _pieces(chain([",".join(self.keys) + "\n"], map(line.__mod__, self.rows)))
+
+
 _json_str = json.encoder.encode_basestring_ascii
 #: JSON text of each scalar type a report holds, looked up by exact type.
 _JSON_SCALARS = {
@@ -109,7 +139,7 @@ _JSON_SCALARS = {
 }
 
 
-def _write_json(value, newline: str, out, flush=None) -> None:
+def _write_json(value, newline: str, out, flush=None, default=None) -> None:
     """Append the JSON text of `value`, indented 2 per level, to `out`;
     `newline` is a newline followed by the indent of the line `value` is on.
     Keys must be str and scalars of a type in _JSON_SCALARS (a subclass is
@@ -117,7 +147,9 @@ def _write_json(value, newline: str, out, flush=None) -> None:
     A value with a ``pieces`` method renders itself: ``pieces(newline)``
     gives its text in pieces, and `flush`, when given, is called before the
     first and after each one, so that a sink can write each piece out as it
-    is made, joined to no other text."""
+    is made, joined to no other text.  Any other value is written as the JSON
+    string of the text `default` gives it, or, with no `default`, is a
+    TypeError."""
     is_dict = isinstance(value, dict)
     if is_dict or isinstance(value, (list, tuple)):
         opening, closing = "{}" if is_dict else "[]"
@@ -134,7 +166,7 @@ def _write_json(value, newline: str, out, flush=None) -> None:
                 out(sep + prefix + encode(item))
             else:
                 out(sep + prefix)
-                _write_json(item, inner, out, flush)
+                _write_json(item, inner, out, flush, default)
             sep = comma
         out(newline + closing)
     elif type(value) in _JSON_SCALARS:
@@ -146,6 +178,8 @@ def _write_json(value, newline: str, out, flush=None) -> None:
             out(text)
             if flush is not None:
                 flush()
+    elif default is not None:
+        out(_json_str(default(value)))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -186,16 +220,14 @@ class _HashedFile:
         self.parts.clear()
 
 
-def _echo(value):
-    """A parsed config as JSON reads it back: rationals as their text, angles
-    as the text of their turns, tuples as lists."""
-    if isinstance(value, dict):
-        return {key: _echo(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_echo(item) for item in value]
+def _echo_text(value) -> str:
+    """A parsed config value of no JSON type as the config's echo writes it:
+    a rational as its text, an angle as the text of its turns."""
     if isinstance(value, ExactAngle):
         return str(value.turns)
-    return str(value) if isinstance(value, Fraction) else value
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(args, cfg: dict, report: dict, csv) -> None:
@@ -245,7 +277,7 @@ def _manifest(command: str, cfg: dict, output_sha256: str) -> bytes:
     bytes), timestamp and ``output_sha256``.  The echo is rendered once and
     its lines indented one level into the manifest's sorted-key layout; a
     JSON string holds no raw newline, so every newline in it is a line end."""
-    config = _stable_json(_echo(cfg))
+    config = _stable_json(cfg, _echo_text)
     echo = config[:-1].decode().replace("\n", "\n  ")
     return (f'{{\n  "command": {_json_str(command)},'
             f'\n  "config": {echo},'

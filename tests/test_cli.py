@@ -1,5 +1,6 @@
 import csv
 import enum
+import gc
 import hashlib
 import io
 import json
@@ -7,10 +8,13 @@ import math
 import random
 import re
 import sys
+import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import accumulate, chain
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +26,7 @@ from invset import dirac as dirac_mod
 from invset import report as report_mod
 from invset.cli import (CHSH_N_BITS_BOUND, COMMANDS, MZ_N_BITS_BOUND, SCHEMAS, TRACE_LENGTH_BOUND, build_parser,
                         main)
-from invset.exactmath import ExactAngle
+from invset.exactmath import ExactAngle, fraction_str
 from invset.report import _stable_json
 from invset.padic import cantor_iterates, cantor_numerators
 from invset.samplespace import rotation_table
@@ -207,6 +211,32 @@ class TestPadicCommand:
         assert [d["distance"] for d in report["distances"]] == ["1/4", "1/8"]
         assert len(report["cantor_intervals"]) == 4
         assert report["probe"]["padic_gap"] == "4/1"
+
+    @pytest.mark.parametrize("p", [2, 3, 13, 1_000_000_007, 2**61 - 1])
+    def test_distances_are_the_padic_dist_of_each_pair(self, tmp_path, p):
+        pairs = [["7", "3"], ["5", "5"], ["-0", "0/5"], ["2/4", "1/2"], ["0.5", "1/2"], ["-6/8", "0.25"],
+                 ["1.5", "-2.75"], ["1e3", "7"], [str(p), "0"], [f"1/{p}", "0"], [f"{p**3}/7", f"-{p**2}/11"],
+                 [f"{2 * p}/{4 * p * p}", "1"], [f"1/{p**2}", f"{p}/{p**3}"], [str(p**5 + 1), "1"]]
+        cfg = write_config(tmp_path, "p.json", {"p": p, "pairs": pairs})
+        out = tmp_path / "out"
+        assert main(["padic", "--config", cfg, "--out", str(out)]) == 0
+        rows = [(str(Fraction(a)), str(Fraction(b)), fraction_str(padic.padic_dist(Fraction(a), Fraction(b), p)))
+                for a, b in pairs]
+        assert [(d["a"], d["b"], d["distance"]) for d in read_json(out / "report.json")["distances"]] == rows
+        assert (out / "report.csv").read_text() == "a,b,distance\n" + "".join(f"{a},{b},{d}\n" for a, b, d in rows)
+        assert read_json(out / "manifest.json")["config"]["pairs"] == [[a, b] for a, b, _ in rows]
+
+    def test_a_run_leaves_the_collector_as_it_found_it(self, tmp_path):
+        bad = write_config(tmp_path, "bad.json", {"p": 2, "pairs": [["1", "x"]]})
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            try:
+                assert main(["padic", "--out", str(tmp_path / "o")]) == 0
+                assert gc.isenabled() is enabled
+                assert main(["padic", "--config", bad, "--out", str(tmp_path / "o")]) == 1
+                assert gc.isenabled() is enabled
+            finally:
+                gc.enable()
 
 
 class TestDiracCommand:
@@ -425,6 +455,28 @@ class TestFractionFastPath:
     def test_short_texts(self):
         for text in ["7", "-3/4", " 0.125 ", "1_000/3", "1e-3", "2.5E2", "-.5", "1/0", "", "e", "nan", "1e"]:
             assert _outcome(cli._fraction, text) == _outcome(_full_fraction, text)
+
+    # the plain [-]digits[/digits] texts that int() reads and every other form, JSON numbers and bools included
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.from_regex(r"-?[0-9]{1,6}(/[0-9]{1,6})?", fullmatch=True),
+                     st.text("0123456789-+/_.eE \t\n\u0663", max_size=12), st.integers(), st.floats(), st.booleans()))
+    def test_agrees_with_fraction_of_the_text(self, value):
+        _assert_agrees_with_fraction(value)
+
+    def test_edge_texts_agree_with_fraction(self):
+        for text in ["-0", "0/0", "-3/0", "03/4", "-007/010", "--3", "3/-4", "-/4", "3/", "/3", "-", "1/2/3", "+7",
+                     " 7", "7\n", "1_0/3", "\u0663/4", "\uff17", "2/4", "9" * 4300, "1/" + "9" * 4298]:
+            _assert_agrees_with_fraction(text)
+
+
+def _assert_agrees_with_fraction(value):
+    """cli._fraction(value) gives the value, or the error type and text, of
+    Fraction(str(value)), unless it refuses a power of ten past the digit limit."""
+    got = _outcome(cli._fraction, value)
+    if isinstance(got, tuple) and "exceeds the digit limit" in got[1]:
+        assert "e" in str(value).lower()  # Fraction would build that power
+    else:
+        assert got == _outcome(Fraction, str(value))
 
 
 class TestMalformedInput:
@@ -1101,13 +1153,28 @@ def _dirac_trace(payload):
                                  dirac_mod.phase_trace(operator, psi.components, payload["trace_length"]))
 
 
+def _padic_distances(payload):
+    """The distances value cmd_padic writes for `payload`, a padic config."""
+    reports = []
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "_emit", lambda args, cfg, report, csv: reports.append(report)):
+        assert main(["padic", "--config", write_config(Path(tmp), "c.json", payload)]) == 0
+    return reports[0]["distances"]
+
+
+# a - b = -p**(k % 4) / 7: distances 1/1 to 1/p**3
+PADIC_5000 = {"p": 1_000_000_007, "pairs": [[f"{k}/7", f"{k + 1_000_000_007 ** (k % 4)}/7"] for k in range(5000)]}
+
+
 # Each streamed text, the pattern that starts each of its entries, and the
-# number of entries: Cantor intervals, dirac steps in report.json and in
-# report.csv (a step's four rows are one entry).
+# number of entries: Cantor intervals, p-adic distances and dirac steps, each
+# in report.json and in report.csv (a step's four rows are one entry).
 STREAMED_TEXTS = {
     **{f"cantor-{p}-{level}": (lambda p=p, level=level: padic._cantor_text(padic._CantorArray(p, level), "\n"),
                                r'\{\n    "left"', p**level)
        for p, level in ((2, 13), (3, 9), (4099, 1))},
+    "distances-json-5000": (lambda: _padic_distances(PADIC_5000).pieces("\n"), r',?\n  \{\n    "a"', 5000),
+    "distances-csv-5000": (lambda: _padic_distances(PADIC_5000).csv_rows(), r"(?m)^[-\d]", 5000),
     "dirac-json-24": (lambda: _dirac_trace(DIRAC_24).pieces("\n"), r',?\n  \{\n    "components"',
                       TRACE_LENGTH_BOUND + 1),
     "dirac-csv-24": (lambda: _dirac_trace(DIRAC_24).csv_rows(), r"(?m)^\d+,1,", TRACE_LENGTH_BOUND + 1),
@@ -1133,11 +1200,12 @@ class TestStreamedReports:
         ("padic", {"p": 2, "pairs": [["7", "3"]], "cantor_level": 13}),
         ("padic", {"p": 3, "pairs": [["1/9", "2/3"]], "cantor_level": 9}),
         ("padic", {"p": 4099, "pairs": [["1", "4100"]], "cantor_level": 1}),
+        ("padic", PADIC_5000),
         ("dirac", {"n_bits": 3, "mass": "3", "wavevector": ["4", "0", "0"], "steps": [1, 1, 0, 0], "trace_length": 20}),
         ("dirac", {"n_bits": 10, "mass": "2", "wavevector": ["1", "2", "4"], "steps": [3, 1, -2, 5],
                    "trace_length": 16}),
         ("dirac", DIRAC_24),
-    ], ids=["padic-2-13", "padic-3-9", "padic-4099-1", "dirac-3", "dirac-10", "dirac-24"])
+    ], ids=["padic-2-13", "padic-3-9", "padic-4099-1", "padic-pairs-5000", "dirac-3", "dirac-10", "dirac-24"])
     def test_bytes_do_not_depend_on_the_piece_bound(self, tmp_path, monkeypatch, command, payload):
         cfg = write_config(tmp_path, "c.json", payload)
 
@@ -1315,6 +1383,15 @@ class TestStableJson:
     @given(_TREES)
     def test_equals_json_dumps_indent_2(self, tree):
         assert _stable_json(tree) == _json_oracle(tree)
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_records_equal_json_dumps_of_their_objects(self, count):
+        keys, rows = ("a", "b", "distance"), [(f"{k}/7", f"-{k}", f"1/{3**k}") for k in range(count)]
+        records = report_mod._Records(keys, rows)
+        objects = [dict(zip(keys, row)) for row in rows]
+        for wrap in (lambda x: x, lambda x: {"distances": x, "p": 3}, lambda x: [{"a": [x]}]):
+            assert _stable_json(wrap(records)) == _json_oracle(wrap(objects))
+        assert "".join(records.csv_rows()) == "a,b,distance\n" + "".join(",".join(row) + "\n" for row in rows)
 
     @pytest.mark.parametrize("tree", [{1: 0}, {None: 0}, [enum.IntEnum("E", "A B").B],
                                       {"k": type("Label", (str,), {})("v")}, [type("F", (float,), {})(0.5)]],

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invset import padic
 from invset.exactmath import ResourceBound, fraction_str
 from invset.padic import (
     MILLER_RABIN_LIMIT,
@@ -80,6 +81,35 @@ class TestOrder:
             ord_p(10, 6)
         with pytest.raises(ValueError):
             padic_dist(1, 2, 9)
+
+    @pytest.mark.parametrize("p", [2, 3, 13, 1_000_000_007])
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_order_of_a_difference_counts_the_factors_of_p(self, p, data):
+        def naive(x):  # ord_p of the nonzero Fraction x, one division by p at a time
+            k, n, d = 0, abs(x.numerator), x.denominator
+            while n % p == 0:
+                n, k = n // p, k + 1
+            while d % p == 0:
+                d, k = d // p, k - 1
+            return k
+
+        rational = st.builds(lambda n, d, e: Fraction(n, d) * Fraction(p) ** e,
+                             st.integers(-10**6, 10**6), st.integers(1, 10**6), st.integers(-3, 3))
+        a = data.draw(rational)
+        b = data.draw(st.one_of(st.just(a), rational, st.builds(lambda x, e: a + x * Fraction(p) ** e,
+                                                                  rational, st.integers(0, 4))))
+        want = math.inf if a == b else naive(a - b)
+        assert padic._ord_difference(a, b, p) == ord_p(a - b, p) == want
+        assert padic_dist(a, b, p) == padic_norm(a - b, p) == (0 if a == b else Fraction(p) ** -want)
+
+    @pytest.mark.parametrize("call", [lambda: ord_p(Fraction(9, 4), 3), lambda: padic_norm(Fraction(9, 4), 3),
+                                      lambda: padic_dist(Fraction(9, 4), 1, 3)], ids=["ord_p", "norm", "dist"])
+    def test_each_public_call_checks_the_prime_once(self, monkeypatch, call):
+        checked = []
+        monkeypatch.setattr(padic, "is_prime", lambda p: checked.append(p) or True)
+        call()
+        assert checked == [3]
 
 
 class TestMetric:
