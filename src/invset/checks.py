@@ -157,11 +157,12 @@ def bell_agreement_correlation(n_bits: int, stride: int) -> list[CheckResult]:
 
 def three_qubit_vs_expander(n_bits: int, count: int | None = None, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """The joint counts of the three-qubit sample at N, over 2**N, equal the
-    inductive amplitude expander's numerators, over 2**(3N), for every one of
-    the 5^7 trees of Niven amplitude angles when ``count`` is None, else for
-    ``count`` trees drawn from ``random.Random(seed)``.  The comparison is on
-    integers; the Fractions that joint_frequencies and amplitude_table wrap
-    around them are compared by two_qubit_gamma_table."""
+    inductive amplitude expander's numerators, over 2**(3N), and the counts
+    of its rows' labels, for every one of the 5^7 trees of Niven amplitude
+    angles when ``count`` is None, else for ``count`` trees drawn from
+    ``random.Random(seed)``.  The comparison is on integers; the Fractions
+    that joint_frequencies and amplitude_table wrap around them are compared
+    by two_qubit_gamma_table."""
     angles = range(len(NIVEN_THETAS))  # a tree is drawn as indices into NIVEN_THETAS
     if count is None:
         picks = itertools.product(angles, repeat=7)
@@ -174,9 +175,11 @@ def three_qubit_vs_expander(n_bits: int, count: int | None = None, seed: int = D
         no_shifts = [0] * 7
         for pick in picks:
             tree = [NIVEN_THETAS[i] for i in pick]
-            counts = multiqubit.joint_counts(multiqubit.multi_sample(n_bits, tree))
+            ms = multiqubit.multi_sample(n_bits, tree)
+            counts = multiqubit.joint_counts(ms)
+            labelled = multiqubit.joint_counts(multiqubit.MultiSample(n_bits, ms.rows))
             table = multiqubit.expand_counts([gated[i] for i in pick], no_shifts, n_bits)
-            if [counts[o] << (2 * n_bits) for o in range(8)] != [k for k, _ in table]:
+            if counts != labelled or [counts[o] << (2 * n_bits) for o in range(8)] != [k for k, _ in table]:
                 yield f"N={n_bits} thetas " + ", ".join(str(t.turns) for t in tree)
 
     return [_first_failure("three-qubit-vs-expander", failures())]

@@ -10,12 +10,19 @@ joint frequency equals its amplitude-squared prediction as an exact rational.
 A tree is refused with NotOnInvariantSet exactly when some joint probability
 is not a multiple of 2**-N: some node's conditional count, 2**N times the
 probability of an outcome prefix, is then not an integer.
+
+Each joint count of a tree is the length of one leaf interval of that fill,
+so a sample ``multi_sample`` builds keeps those lengths: its joint counts are
+read from the fill, and its rows of labels are built from the same fill only
+when they are read.  A sample made from given rows (``compose_pair``, the
+Bell samples, ``MultiSample(n_bits, rows)``) counts its labels.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import accumulate
 
 from .exactmath import (
     ZERO_ANGLE,
@@ -27,7 +34,6 @@ from .exactmath import (
     gate_phase,
     is_describable,
 )
-from .highprec import DEFAULT_PREC, to_mpf
 from .samplespace import (
     BitString,
     canonical_string,
@@ -37,18 +43,20 @@ from .samplespace import (
     sample_from_counts,
 )
 
-TYPE_CHECKING = False  # true for type checkers only; this module never imports typing
-if TYPE_CHECKING:
-    import mpmath
-
 _DEFAULT_TAGS = "abcdefgh"
 
 
 class MultiSample(_Record):
     """m aligned bit strings of common length 2**N realizing an m-qubit
-    sample space; row 1 is the independent source."""
+    sample space; row 1 is the independent source.
 
-    __slots__ = ("n_bits", "rows")
+    A sample ``multi_sample`` builds holds its joint counts instead of its
+    rows: the rows are built from those counts on first read and then kept,
+    so it equals, hashes and pickles as ``MultiSample(n_bits, rows)``.
+    """
+
+    __slots__ = ("n_bits", "rows", "__dict__")
+    _counts: dict[int, int] | None = None  # a built sample's joint counts, in its instance __dict__
 
     def __init__(self, n_bits: int, rows: tuple[BitString, ...]) -> None:
         if not rows:
@@ -59,9 +67,33 @@ class MultiSample(_Record):
         _set(self, "n_bits", n_bits)
         _set(self, "rows", tuple(rows))
 
+    def __getattr__(self, name: str):
+        """Reached only for a field not set: the rows of a built sample."""
+        if name != "rows" or self._counts is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        _set(self, "rows", _fill_rows(self.n_bits, self._counts))
+        return self.rows
+
     @property
     def size(self) -> int:
         return 1 << self.n_bits
+
+
+def _fill_rows(n_bits: int, counts: dict[int, int]) -> tuple[BitString, ...]:
+    """The rows whose joint cells, side by side from label 0 in outcome
+    order, have the lengths ``counts``: row i is negated on the runs of
+    2**(m-1-i) outcomes whose bit for row i is set."""
+    cells = list(counts.values())
+    m = len(cells).bit_length() - 1
+    ends = [0, *accumulate(cells)]
+    rows = []
+    for row in range(m):
+        run = 1 << (m - 1 - row)
+        bits = 0
+        for start in range(run, len(cells), 2 * run):
+            bits |= ((1 << (ends[start + run] - ends[start])) - 1) << ends[start]
+        rows.append(BitString(n_bits, bits, _DEFAULT_TAGS[row] if row < len(_DEFAULT_TAGS) else f"q{row}"))
+    return tuple(rows)
 
 
 def _select(mask: int, where_first: int, where_negated: int, full: int) -> int:
@@ -88,9 +120,13 @@ def joint_counts(ms: MultiSample) -> dict[int, int]:
     above it into its first-regime and negated part, so cells stay in outcome
     order.  The last row's split is only counted: a cell's first-regime count
     is its count less its negated part's, and no more than 2**(m-1) cells of
-    2**N bits are alive at once.
+    2**N bits are alive at once.  A sample multi_sample built already holds
+    its counts.
     """
-    full = full_mask(ms.size)
+    built = ms._counts
+    if built is not None:
+        return built.copy()
+    full = full_mask(1 << ms.n_bits)
     *heads, last = ms.rows
     cells = [full]
     for row in heads:
@@ -124,14 +160,15 @@ def row_descriptor_status(ms: MultiSample) -> list[bool]:
     return [r.descriptor is not None for r in ms.rows]
 
 
-def _realize(thetas: Sequence[ExactAngle], counts: Sequence[int], m: int, n_bits: int) -> list[int]:
-    """Negated-label bits of the m rows of the tree `counts` (preorder, gated
+def _realize(thetas: Sequence[ExactAngle], counts: Sequence[int], m: int, n_bits: int) -> dict[int, int]:
+    """Joint counts, in outcome order, of the tree `counts` (preorder, gated
     from `thetas`) over 2**n_bits labels.  Each node fills the label interval
     [lo, hi) of its branch: its first counts[i]*(hi - lo)/2**n_bits labels are
     the first regime, its left subtree fills that share and its right subtree
-    the rest.  Nodes are visited in preorder, so the node refused is the
-    first in preorder whose share is not an integer."""
-    rows = [0] * m
+    the rest, so a joint count is the length of a leaf interval.  Nodes are
+    visited in preorder, so the node refused is the first in preorder whose
+    share is not an integer, and the leaves come in outcome order."""
+    cells: dict[int, int] = {}
     low_bits = (1 << n_bits) - 1
     pending = [(0, 1 << n_bits, 0)]  # (lo, hi, depth) of the next nodes, the next one last
     for node, count in enumerate(counts):
@@ -143,10 +180,12 @@ def _realize(thetas: Sequence[ExactAngle], counts: Sequence[int], m: int, n_bits
                 f"N={n_bits} is not an integer: joint amplitude not describable"
             )
         mid = lo + (share >> n_bits)
-        rows[depth] |= ((1 << (hi - mid)) - 1) << mid
         if depth + 1 < m:
             pending += ((mid, hi, depth + 1), (lo, mid, depth + 1))
-    return rows
+        else:
+            cells[len(cells)] = mid - lo
+            cells[len(cells)] = hi - mid
+    return cells
 
 
 def _arity(angles: Sequence) -> int:
@@ -161,13 +200,15 @@ def multi_sample(n_bits: int, thetas: Sequence[ExactAngle]) -> MultiSample:
     """Realize the m-qubit sample space for a full binary tree of 2**m - 1
     amplitude angles (phases do not affect label statistics; they live in the
     amplitude table).  Past the explicit-label limit, once the amplitudes
-    are gated, it raises ResourceBound before building any row."""
+    are gated, it raises ResourceBound before the fill.  The sample holds the
+    fill's joint counts; its rows are built when first read."""
     m = _arity(thetas)
     counts = [gate_amplitude(t, n_bits) for t in thetas]
     require_explicit(n_bits)
-    rows_bits = _realize(thetas, counts, m, n_bits)
-    return MultiSample(n_bits, tuple(BitString(n_bits, rb, _DEFAULT_TAGS[i] if i < len(_DEFAULT_TAGS) else f"q{i}")
-                                     for i, rb in enumerate(rows_bits)))
+    ms = MultiSample.__new__(MultiSample)
+    _set(ms, "n_bits", n_bits)
+    _set(ms, "_counts", _realize(thetas, counts, m, n_bits))
+    return ms
 
 
 def two_qubit_sample(params: "TwoQubitParams", n_bits: int) -> MultiSample:
@@ -237,33 +278,6 @@ def expand_counts(counts: Sequence[int], shifts: Sequence[int], n_bits: int) -> 
             nxt += ((k * count, s, i + 1), (k * (length - count), (s + shifts[i]) % half, i + 1 + subtree))
         paths = nxt
     return [(k, s) for k, s, _ in paths]
-
-
-def amplitude_table_mp(
-    theta_turns: Sequence[Fraction], phi_turns: Sequence[Fraction], prec: int = DEFAULT_PREC
-) -> list[mpmath.mpc]:
-    """Numeric complex amplitudes of the same expansion at high precision,
-    for arbitrary (not necessarily admissible) angles."""
-    import mpmath
-
-    if len(theta_turns) != len(phi_turns):
-        raise ValueError("need equally many amplitude and phase angles")
-    _arity(theta_turns)
-
-    with mpmath.workprec(prec):
-
-        def rec(th: Sequence[Fraction], ph: Sequence[Fraction]) -> list[mpmath.mpc]:
-            half = mpmath.pi * to_mpf(th[0], prec)
-            c, s = mpmath.cos(half), mpmath.sin(half)
-            e = mpmath.expjpi(2 * to_mpf(ph[0], prec))
-            if len(th) == 1:
-                return [mpmath.mpc(c), e * s]
-            h = (len(th) - 1) // 2
-            left = rec(th[1 : 1 + h], ph[1 : 1 + h])
-            right = rec(th[1 + h :], ph[1 + h :])
-            return [c * x for x in left] + [e * s * x for x in right]
-
-        return rec(list(theta_turns), list(phi_turns))
 
 
 def bell_sample_from_amplitude(amp: Fraction, n_bits: int) -> MultiSample:

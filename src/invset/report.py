@@ -53,8 +53,10 @@ def _pieces(texts):
 
 def _utc_now(seconds: float | None = None) -> str:
     """The UTC time, now or at ``seconds`` after the epoch, to the second, as
-    ``datetime``'s ``isoformat()`` writes it."""
-    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime(seconds))
+    ``datetime``'s ``isoformat()`` writes it.  Now is read from
+    ``time.time()``: ``gmtime()`` without an argument reads a coarser clock
+    that can be a second behind it."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime(time.time() if seconds is None else seconds))
 
 
 def _stable_json(obj, default=None) -> bytes:

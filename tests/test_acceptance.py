@@ -22,8 +22,9 @@ from invset.experiments import (
     pbr_values,
 )
 from invset.highprec import to_mpf
-from invset.multiqubit import amplitude_table_mp
 from invset.samplespace import fraction, hilbert_shadow, phase_string, sample
+
+from numeric_oracles import amplitude_table_mp
 
 # all rational-turn angles with rational cosine, folded over [0, pi]
 ADMISSIBLE_THETA_TURNS = [

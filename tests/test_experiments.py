@@ -30,7 +30,8 @@ from invset.experiments import (
 )
 from invset import exactmath, experiments, multiqubit, samplespace
 from invset.highprec import to_mpf
-from invset.multiqubit import amplitude_table_mp
+
+from numeric_oracles import amplitude_table_mp
 
 
 def angle(num, den=1):

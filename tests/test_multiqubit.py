@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -15,7 +17,6 @@ from invset.multiqubit import (
     MultiSample,
     TwoQubitParams,
     amplitude_table,
-    amplitude_table_mp,
     bell_sample,
     bell_sample_from_amplitude,
     bell_statistics,
@@ -30,6 +31,8 @@ from invset.multiqubit import (
     two_qubit_sample,
 )
 from invset.samplespace import BitString, canonical_string, first_label_count, negate, pair_shift, sample_from_counts
+
+from numeric_oracles import amplitude_table_mp
 
 ZERO = ExactAngle(Fraction(0))
 # amplitude angles admissible for rational turns: cos in {1, 1/2, 0, -1/2, -1}
@@ -319,6 +322,96 @@ class TestComposeMany:
             multi_sample(25, quarter)
         with pytest.raises(NotOnInvariantSet):  # the amplitude gates come first
             multi_sample(25, [ExactAngle(Fraction(1, 8))] * 3)
+
+
+class TestFillRoute:
+    """multi_sample's joint counts are the lengths of its fill's leaf
+    intervals; its rows, built from the same fill when first read, count to
+    the same joint counts, and the sample is its raw twin
+    MultiSample(n_bits, rows) in every record operation."""
+
+    NIVEN_5 = [ExactAngle(Fraction(t)) for t in ("0", "1/6", "1/4", "1/3", "1/2")]
+
+    def trees(self):
+        """Every m <= 2 tree of NIVEN_5 at N 3..10, then 400 seeded m = 3 trees."""
+        for n_bits in range(3, 11):
+            for m in (1, 2):
+                for thetas in itertools.product(self.NIVEN_5, repeat=(1 << m) - 1):
+                    yield n_bits, list(thetas)
+        rng = random.Random(35)
+        for _ in range(400):
+            yield rng.randint(3, 10), [rng.choice(self.NIVEN_5) for _ in range(7)]
+
+    def test_counts_equal_the_counted_labels_of_the_rows(self):
+        built = 0
+        for n_bits, thetas in self.trees():
+            try:
+                ms = multi_sample(n_bits, thetas)
+            except NotOnInvariantSet:
+                continue
+            counts = joint_counts(ms)
+            assert counts == joint_counts(MultiSample(ms.n_bits, ms.rows)), (n_bits, thetas)
+            assert list(counts) == list(range(len(thetas) + 1))
+            built += 1
+        assert built > 1200
+
+    def test_counts_are_a_new_dict_on_every_call(self):
+        ms = multi_sample(6, self.NIVEN_5[1:4])
+        counts = joint_counts(ms)
+        counts[0] += 1
+        assert joint_counts(ms) == {0: 24, 1: 24, 2: 4, 3: 12} and joint_counts(ms) is not joint_counts(ms)
+
+    def test_joint_frequencies_builds_no_row(self, monkeypatch):
+        thetas = [self.NIVEN_5[i] for i in (1, 2, 3, 1, 2, 3, 4)]
+        params = TwoQubitParams(*self.NIVEN_5[1:4], ZERO, ZERO, ZERO)
+        monkeypatch.setattr(multiqubit, "BitString", lambda *args: pytest.fail("a row was built"))
+        tree = joint_frequencies(multi_sample(8, thetas))
+        pair = joint_frequencies(two_qubit_sample(params, 6))
+        monkeypatch.undo()
+        assert [tree[o] for o in range(8)] == [p for p, _ in amplitude_table(thetas, [ZERO] * 7, 8)]
+        assert [pair[o] for o in range(4)] == list(two_qubit_predict(params, 6).probs)
+
+    @pytest.mark.parametrize("n_bits, picks", [(6, (1, 2, 3)), (8, (3, 1, 2, 2, 0, 4, 1)), (10, (2,) * 15)])
+    def test_a_built_sample_is_its_raw_twin(self, n_bits, picks):
+        thetas = [self.NIVEN_5[i] for i in picks]
+        twin = MultiSample(n_bits, multi_sample(n_bits, thetas).rows)
+        # each operation on a sample whose rows have not been read yet
+        assert multi_sample(n_bits, thetas) == twin and twin == multi_sample(n_bits, thetas)
+        assert multi_sample(n_bits, thetas) == multi_sample(n_bits, thetas)
+        assert hash(multi_sample(n_bits, thetas)) == hash(twin)
+        assert repr(multi_sample(n_bits, thetas)) == repr(twin)
+        assert pickle.dumps(multi_sample(n_bits, thetas)) == pickle.dumps(twin)
+        for made in (copy.copy, copy.deepcopy, lambda ms: pickle.loads(pickle.dumps(ms))):
+            other = made(multi_sample(n_bits, thetas))
+            assert type(other) is MultiSample and other == twin and repr(other) == repr(twin)
+        ms = multi_sample(n_bits, thetas)
+        assert ms.rows is ms.rows and ms.n_bits == n_bits and ms.size == 1 << n_bits
+        assert multi_sample(n_bits, [self.NIVEN_5[0]] * len(thetas)) != twin
+        with pytest.raises(AttributeError):
+            ms.unlisted
+
+    def test_refusals_and_the_label_limit_are_pinned(self, monkeypatch):
+        cases = [(3, ("1/6", "1/6", "1/4"), "9/2 of preorder node 1 (theta=1/6 turns) at N=3"),
+                 (4, ("1/3", "1/6", "0", "1/6", "1/6", "1/4", "0"), "3/4 of preorder node 3 (theta=1/6 turns) at N=4")]
+        for n_bits, turns, where in cases:
+            message = f"conditional count {where} is not an integer: joint amplitude not describable"
+            with pytest.raises(NotOnInvariantSet, match=f"^{re.escape(message)}$"):
+                multi_sample(n_bits, [ExactAngle(Fraction(t)) for t in turns])
+        monkeypatch.setattr(multiqubit, "_realize", lambda *args: pytest.fail("the tree was filled"))
+        with pytest.raises(ResourceBound, match=r"^2\*\*25 labels exceed the explicit limit$"):
+            two_qubit_sample(params_for("1/2", "1/2", "1/2"), 25)
+
+    def test_three_qubit_check_counts_the_labels_of_the_rows(self, monkeypatch):
+        fill_rows = multiqubit._fill_rows
+
+        def one_label_flipped(n_bits, counts):
+            head, *rest = fill_rows(n_bits, counts)
+            return (BitString(n_bits, head.bits ^ 1, head.tag), *rest)
+
+        assert checks.three_qubit_vs_expander(6, count=5, seed=3)[0].passed
+        monkeypatch.setattr(multiqubit, "_fill_rows", one_label_flipped)
+        result = checks.three_qubit_vs_expander(6, count=5, seed=3)[0]
+        assert not result.passed and result.detail.startswith("N=6 thetas ")
 
 
 class TestAmplitudeExpander:

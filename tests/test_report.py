@@ -6,6 +6,7 @@ import csv
 import datetime
 import io
 import json
+import time
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -107,3 +108,7 @@ class TestTimestamp:
         stamp = datetime.datetime.fromisoformat(_utc_now())
         assert before <= stamp <= datetime.datetime.now(datetime.timezone.utc)
         assert stamp.utcoffset() == datetime.timedelta(0)
+
+    def test_now_is_the_second_time_time_reads(self, monkeypatch):
+        monkeypatch.setattr(time, "time", lambda: 1767225599.999)
+        assert _utc_now() == "2025-12-31T23:59:59+00:00"
