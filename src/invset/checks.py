@@ -10,10 +10,10 @@ failing row's detail names the first input that broke the law.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from collections.abc import Iterable
 from fractions import Fraction
-from importlib import resources
 
 from . import dirac, exactmath, multiqubit, padic, samplespace
 from .exactmath import ZERO_ANGLE, ExactAngle, _Record
@@ -44,7 +44,11 @@ def _first_failure(name: str, failures: Iterable[str]) -> CheckResult:
 
 
 def _golden_text(name: str) -> str:
-    return resources.files("invset.data").joinpath(name).read_text()
+    """A golden file of the ``data`` directory beside this module, read by a
+    plain open: ``importlib.resources`` loads ``inspect`` and ``typing`` on
+    Python 3.12 and later."""
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _random_fraction(rng: random.Random) -> Fraction:
@@ -143,13 +147,15 @@ def two_qubit_gamma_table(n_range: Iterable[int]) -> list[CheckResult]:
 
 def bell_agreement_correlation(n_bits: int, stride: int) -> list[CheckResult]:
     """For every ``stride``-th describable amplitude a at N, the Bell sample's
-    agreement is exactly a and its correlation exactly 2a - 1: the closed form chsh reports."""
+    agreement is exactly a and its correlation exactly 2a - 1: the closed form chsh reports.
+    Its joint counts also equal the counts of its rows' labels."""
 
     def failures() -> Iterable[str]:
         for count in range(0, (1 << n_bits) + 1, stride):
             amp = Fraction(count, 1 << n_bits)
             ms = multiqubit.bell_sample_from_amplitude(amp, n_bits)
-            if multiqubit.bell_statistics(ms) != (amp, 2 * amp - 1):
+            labelled = multiqubit.joint_counts(multiqubit.MultiSample(n_bits, ms.rows))
+            if multiqubit.bell_statistics(ms) != (amp, 2 * amp - 1) or multiqubit.joint_counts(ms) != labelled:
                 yield f"N={n_bits} amplitude {amp}"
 
     return [_first_failure("bell-agreement-correlation", failures())]

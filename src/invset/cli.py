@@ -36,7 +36,7 @@ from .padic import (
     require_cantor_size,
     similarity_dimension,
 )
-from .report import _csv, _emit, _Labels, _Records
+from .report import _csv, _emit, _Labels, _Records, _TextArrays
 from .samplespace import TABLE_SHIFTS, canonical_string, fraction, hilbert_shadow, require_explicit, sample, to_text
 from . import dirac as dirac_mod
 
@@ -344,7 +344,8 @@ def cmd_padic(args) -> int:
                                  f"limit {limit}")
             distance = texts[o] = f"1/{power}" if o >= 0 else f"{power}/1"
         rows.append((str(a), str(b), distance))
-    cfg["pairs"] = [row[:2] for row in rows]  # echoed as these texts; the pair Fractions are freed here
+    # echoed as these texts, written as they stand; the pair Fractions are freed here
+    cfg["pairs"] = _TextArrays(("a", "b"), [row[:2] for row in rows])
     distances = _Records(("a", "b", "distance"), rows)
     report: dict = {"p": p, "distances": distances, "similarity_dimension_float": similarity_dimension(p)}
     if "cantor_level" in cfg:

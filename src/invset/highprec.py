@@ -39,33 +39,3 @@ def cos_turns(turns: Fraction, prec: int = DEFAULT_PREC) -> mpmath.mpf:
 
     with mpmath.workprec(prec):
         return mpmath.cos(2 * mpmath.pi * to_mpf(turns, prec))
-
-
-def sin_turns(turns: Fraction, prec: int = DEFAULT_PREC) -> mpmath.mpf:
-    import mpmath
-
-    with mpmath.workprec(prec):
-        return mpmath.sin(2 * mpmath.pi * to_mpf(turns, prec))
-
-
-def mpf_to_fraction(x: mpmath.mpf) -> Fraction:
-    """Fixed-point rationalization of an mpf over 2**180 (error at most 2**-181)."""
-    import mpmath
-
-    with mpmath.workprec(DEFAULT_PREC):
-        n = int(mpmath.nint(x * (1 << 180)))
-    return Fraction(n, 1 << 180)
-
-
-def best_rational_approx(x: mpmath.mpf, max_denominator: int) -> Fraction:
-    """Closest rational with bounded denominator to a high-precision value."""
-    return mpf_to_fraction(x).limit_denominator(max_denominator)
-
-
-def nearest_describable(x: mpmath.mpf, n_bits: int) -> Fraction:
-    """Closest value of the form n/2**n_bits to a high-precision value."""
-    import mpmath
-
-    with mpmath.workprec(working_prec(n_bits)):
-        n = int(mpmath.nint(x * (1 << n_bits)))
-    return Fraction(n, 1 << n_bits)

@@ -14,13 +14,16 @@ probability of an outcome prefix, is then not an integer.
 Each joint count of a tree is the length of one leaf interval of that fill,
 so a sample ``multi_sample`` builds keeps those lengths: its joint counts are
 read from the fill, and its rows of labels are built from the same fill only
-when they are read.  A sample made from given rows (``compose_pair``, the
-Bell samples, ``MultiSample(n_bits, rows)``) counts its labels.
+when they are read.  The Bell samples keep their joint counts in closed form
+and build their rows, by the Bell construction, also only when read.  So
+both run at any N whose counts fit in N-bit integers; the explicit-label
+limit is checked where rows are built.  A sample made from given rows
+(``compose_pair``, ``MultiSample(n_bits, rows)``) counts its labels.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import accumulate
 
@@ -50,13 +53,16 @@ class MultiSample(_Record):
     """m aligned bit strings of common length 2**N realizing an m-qubit
     sample space; row 1 is the independent source.
 
-    A sample ``multi_sample`` builds holds its joint counts instead of its
-    rows: the rows are built from those counts on first read and then kept,
-    so it equals, hashes and pickles as ``MultiSample(n_bits, rows)``.
+    A sample ``multi_sample`` or a Bell sample builds holds its joint counts
+    and how its rows are made from them (the tree fill or the Bell
+    construction) instead of its rows: the rows are built on first read,
+    where the explicit-label limit is checked, and then kept, so it equals,
+    hashes and pickles as ``MultiSample(n_bits, rows)``.
     """
 
     __slots__ = ("n_bits", "rows", "__dict__")
     _counts: dict[int, int] | None = None  # a built sample's joint counts, in its instance __dict__
+    _rows_of: Callable[[int, dict[int, int]], tuple[BitString, ...]]  # set with _counts
 
     def __init__(self, n_bits: int, rows: tuple[BitString, ...]) -> None:
         if not rows:
@@ -68,15 +74,27 @@ class MultiSample(_Record):
         _set(self, "rows", tuple(rows))
 
     def __getattr__(self, name: str):
-        """Reached only for a field not set: the rows of a built sample."""
+        """Reached only for a field not set: the rows of a built sample,
+        refused with ResourceBound past the explicit-label limit."""
         if name != "rows" or self._counts is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        _set(self, "rows", _fill_rows(self.n_bits, self._counts))
+        require_explicit(self.n_bits)
+        _set(self, "rows", self._rows_of(self.n_bits, self._counts))
         return self.rows
 
     @property
     def size(self) -> int:
         return 1 << self.n_bits
+
+
+def _built(n_bits: int, counts: dict[int, int], rows_of: Callable) -> MultiSample:
+    """The sample of joint counts `counts` whose rows are ``rows_of(n_bits,
+    counts)``, built when first read."""
+    ms = MultiSample.__new__(MultiSample)
+    _set(ms, "n_bits", n_bits)
+    _set(ms, "_counts", counts)
+    _set(ms, "_rows_of", rows_of)
+    return ms
 
 
 def _fill_rows(n_bits: int, counts: dict[int, int]) -> tuple[BitString, ...]:
@@ -120,8 +138,8 @@ def joint_counts(ms: MultiSample) -> dict[int, int]:
     above it into its first-regime and negated part, so cells stay in outcome
     order.  The last row's split is only counted: a cell's first-regime count
     is its count less its negated part's, and no more than 2**(m-1) cells of
-    2**N bits are alive at once.  A sample multi_sample built already holds
-    its counts.
+    2**N bits are alive at once.  A built sample (multi_sample's, or a Bell
+    sample) already holds its counts.
     """
     built = ms._counts
     if built is not None:
@@ -199,16 +217,11 @@ def _arity(angles: Sequence) -> int:
 def multi_sample(n_bits: int, thetas: Sequence[ExactAngle]) -> MultiSample:
     """Realize the m-qubit sample space for a full binary tree of 2**m - 1
     amplitude angles (phases do not affect label statistics; they live in the
-    amplitude table).  Past the explicit-label limit, once the amplitudes
-    are gated, it raises ResourceBound before the fill.  The sample holds the
-    fill's joint counts; its rows are built when first read."""
+    amplitude table).  The sample holds the fill's joint counts; its rows are
+    built from the same fill when first read."""
     m = _arity(thetas)
     counts = [gate_amplitude(t, n_bits) for t in thetas]
-    require_explicit(n_bits)
-    ms = MultiSample.__new__(MultiSample)
-    _set(ms, "n_bits", n_bits)
-    _set(ms, "_counts", _realize(thetas, counts, m, n_bits))
-    return ms
+    return _built(n_bits, _realize(thetas, counts, m, n_bits), _fill_rows)
 
 
 def two_qubit_sample(params: "TwoQubitParams", n_bits: int) -> MultiSample:
@@ -299,17 +312,28 @@ def bell_sample(theta2: ExactAngle, n_bits: int) -> MultiSample:
 
 def _bell_sample(count: int, n_bits: int) -> MultiSample:
     """compose_pair(head, sb1, negate(sb1)) for the balanced head and sb1 of
-    `count` first labels: row b takes sb1's label where the head is first and
-    its negation elsewhere, sb1 xor head, built from sb1's labels once."""
+    `count` first labels, as its joint counts.  sb1 is the head with its
+    lowest labels flipped to reach `count`, so its first-regime labels
+    contain the head's h = 2**(N-1) when count >= h and lie inside them
+    otherwise: with lo, hi = min(count, h), max(count, h), row b (sb1's label
+    where the head is first, its negation elsewhere) gives the counts below."""
+    half, size = 1 << (n_bits - 1), 1 << n_bits
+    lo, hi = min(count, half), max(count, half)
+    return _built(n_bits, {0b00: lo, 0b01: half - lo, 0b10: size - hi, 0b11: hi - half}, _bell_rows)
+
+
+def _bell_rows(n_bits: int, counts: dict[int, int]) -> tuple[BitString, BitString]:
+    """The Bell construction's rows: the canonical head, and row b = sb1 xor
+    head for the sb1 of counts[00] + counts[11] first labels."""
     head = canonical_string(n_bits, "a")
-    sb1 = sample_from_counts(n_bits, count, 0, "b")
-    return MultiSample(n_bits, (head, BitString(n_bits, sb1.bits ^ head.bits, "b", None)))
+    sb1 = sample_from_counts(n_bits, counts[0b00] + counts[0b11], 0, "b")
+    return head, BitString(n_bits, sb1.bits ^ head.bits, "b", None)
 
 
 def bell_statistics(ms: MultiSample) -> tuple[Fraction, Fraction]:
-    """Agreement and correlation from one joint count.  The correlation is
-    agreement minus disagreement, 2*agreement - 1, and equals cos(theta2)
-    exactly."""
+    """Agreement and correlation from the joint counts, which a Bell sample
+    holds without building a row.  The correlation is agreement minus
+    disagreement, 2*agreement - 1, and equals cos(theta2) exactly."""
     counts = joint_counts(ms)
     agreement = Fraction(counts[0b00] + counts[0b11], ms.size)
     return agreement, 2 * agreement - 1

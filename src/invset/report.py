@@ -111,6 +111,7 @@ class _Records:
     pieces of _pieces, whole objects each."""
 
     __slots__ = ("keys", "rows")
+    brackets, label = "{}", '"{}": '  # of a row's JSON text, and the text before its field named {}
 
     def __init__(self, keys: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
         self.keys, self.rows = keys, rows
@@ -119,7 +120,8 @@ class _Records:
         if not self.rows:
             return ["[]"]
         item, key = newline + "  ", newline + "    "
-        entry = "," + item + "{" + ",".join(f'{key}"{name}": "%s"' for name in self.keys) + item + "}"
+        fields = ",".join(key + self.label.format(name) + '"%s"' for name in self.keys)
+        entry = "," + item + self.brackets[0] + fields + item + self.brackets[1]
         entries = map(entry.__mod__, self.rows)
         first = "[" + next(entries)[1:]  # the first object follows the opening bracket, not a comma
         return _pieces(chain([first], entries, [newline + "]"]))
@@ -128,6 +130,15 @@ class _Records:
         """report.csv's text in pieces: the keys as its header, then one line per row."""
         line = ",".join(["%s"] * len(self.keys)) + "\n"
         return _pieces(chain([",".join(self.keys) + "\n"], map(line.__mod__, self.rows)))
+
+
+class _TextArrays(_Records):
+    """Rows of texts written as a JSON array of arrays: ``pieces`` gives the
+    text _write_json gives ``[list(row) for row in rows]``.  `keys` only
+    counts a row's fields."""
+
+    __slots__ = ()
+    brackets, label = "[]", ""
 
 
 _json_str = json.encoder.encode_basestring_ascii

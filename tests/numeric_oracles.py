@@ -1,5 +1,6 @@
 """Numeric oracles the tests check the exact routes against: high-precision
-mpmath values for arbitrary, not necessarily admissible, angles."""
+mpmath values for arbitrary, not necessarily admissible, angles, and the
+rationals nearest to such values."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import mpmath
 
-from invset.highprec import DEFAULT_PREC, to_mpf
+from invset.highprec import DEFAULT_PREC, to_mpf, working_prec
 from invset.multiqubit import _arity
 
 
@@ -35,3 +36,28 @@ def amplitude_table_mp(
             return [c * x for x in left] + [e * s * x for x in right]
 
         return rec(list(theta_turns), list(phi_turns))
+
+
+def sin_turns(turns: Fraction, prec: int = DEFAULT_PREC) -> mpmath.mpf:
+    """sin(2*pi*turns) at the given binary precision."""
+    with mpmath.workprec(prec):
+        return mpmath.sin(2 * mpmath.pi * to_mpf(turns, prec))
+
+
+def mpf_to_fraction(x: mpmath.mpf) -> Fraction:
+    """Fixed-point rationalization of an mpf over 2**180 (error at most 2**-181)."""
+    with mpmath.workprec(DEFAULT_PREC):
+        n = int(mpmath.nint(x * (1 << 180)))
+    return Fraction(n, 1 << 180)
+
+
+def best_rational_approx(x: mpmath.mpf, max_denominator: int) -> Fraction:
+    """Closest rational with bounded denominator to a high-precision value."""
+    return mpf_to_fraction(x).limit_denominator(max_denominator)
+
+
+def nearest_describable(x: mpmath.mpf, n_bits: int) -> Fraction:
+    """Closest value of the form n/2**n_bits to a high-precision value."""
+    with mpmath.workprec(working_prec(n_bits)):
+        n = int(mpmath.nint(x * (1 << n_bits)))
+    return Fraction(n, 1 << n_bits)

@@ -872,8 +872,14 @@ class TestManifest:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         written = (tmp_path / "o" / "manifest.json").read_bytes()
         manifest = json.loads(written)
-        # the parsed config's rationals and angles as text, lists as JSON reads them back
-        echo = json.loads(json.dumps(emitted[0], default=lambda v: str(v.turns if isinstance(v, ExactAngle) else v)))
+        # the parsed config's rationals and angles as text, padic's pair texts as lists, lists as JSON reads
+        # them back
+        def default(v):
+            if isinstance(v, report_mod._TextArrays):
+                return [list(row) for row in v.rows]
+            return str(v.turns if isinstance(v, ExactAngle) else v)
+
+        echo = json.loads(json.dumps(emitted[0], default=default))
         assert written == _stable_json({
             "tool": "invset",
             "version": invset.__version__,
@@ -1392,6 +1398,14 @@ class TestStableJson:
         for wrap in (lambda x: x, lambda x: {"distances": x, "p": 3}, lambda x: [{"a": [x]}]):
             assert _stable_json(wrap(records)) == _json_oracle(wrap(objects))
         assert "".join(records.csv_rows()) == "a,b,distance\n" + "".join(",".join(row) + "\n" for row in rows)
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_text_arrays_equal_json_dumps_of_their_lists(self, count):
+        rows = [(f"{k}/7", f"-{k}") for k in range(count)]
+        arrays = report_mod._TextArrays(("a", "b"), rows)
+        lists = [list(row) for row in rows]
+        for wrap in (lambda x: x, lambda x: {"pairs": x, "p": 3}, lambda x: [{"a": [x]}]):
+            assert _stable_json(wrap(arrays)) == _json_oracle(wrap(lists))
 
     @pytest.mark.parametrize("tree", [{1: 0}, {None: 0}, [enum.IntEnum("E", "A B").B],
                                       {"k": type("Label", (str,), {})("v")}, [type("F", (float,), {})(0.5)]],

@@ -27,9 +27,11 @@ from invset.exactmath import (
 import mpmath
 
 from invset.experiments import mz_run
-from invset.highprec import best_rational_approx, cos_turns, nearest_describable, sin_turns, to_mpf
+from invset.highprec import cos_turns, to_mpf
 from invset.multiqubit import TwoQubitParams, amplitude_table, multi_sample, two_qubit_predict
 from invset.samplespace import phase_string, sample
+
+from numeric_oracles import best_rational_approx, nearest_describable, sin_turns
 
 TINY_150 = mpmath.mpf(2) ** -150
 GAP_100 = mpmath.mpf(2) ** -100

@@ -180,6 +180,7 @@ class TestBell:
             amp = Fraction(count, 256)
             ms = bell_sample_from_amplitude(amp, n_bits)
             assert bell_statistics(ms) == (amp, 2 * amp - 1)
+            assert joint_counts(ms) == joint_counts(MultiSample(n_bits, ms.rows))
 
     def test_inadmissible_amplitude(self):
         with pytest.raises(NotOnInvariantSet):
@@ -213,7 +214,44 @@ class TestBell:
         # chsh reports the closed form (agreement = count/2^N); the composed
         # and counted strings must give exactly the same statistics
         amp = Fraction(data.draw(st.integers(0, 1 << n_bits)), 1 << n_bits)
-        assert bell_statistics(bell_sample_from_amplitude(amp, n_bits)) == (amp, 2 * amp - 1)
+        ms = bell_sample_from_amplitude(amp, n_bits)
+        assert bell_statistics(ms) == (amp, 2 * amp - 1)
+        assert joint_counts(ms) == joint_counts(MultiSample(n_bits, ms.rows))
+
+    def test_closed_form_builds_no_row(self, monkeypatch):
+        for name in ("BitString", "canonical_string", "sample_from_counts"):
+            monkeypatch.setattr(multiqubit, name, lambda *args: pytest.fail("a row was built"))
+        counts = joint_counts(bell_sample_from_amplitude(Fraction(37, 256), 8))
+        statistics = bell_statistics(bell_sample(ExactAngle(Fraction(1, 6)), 6))
+        assert counts == {0b00: 37, 0b01: 91, 0b10: 128, 0b11: 0}
+        assert statistics == (Fraction(3, 4), Fraction(1, 2))
+
+    @pytest.mark.parametrize("n_bits, count", [(3, 0), (3, 5), (6, 32), (8, 37), (10, 1000)])
+    def test_a_built_sample_is_its_raw_twin(self, n_bits, count):
+        def built():
+            return bell_sample_from_amplitude(Fraction(count, 1 << n_bits), n_bits)
+
+        twin = MultiSample(n_bits, built().rows)
+        assert built() == twin and twin == built() and built() == built()
+        assert hash(built()) == hash(twin) and repr(built()) == repr(twin)
+        assert pickle.dumps(built()) == pickle.dumps(twin)
+        for made in (copy.copy, copy.deepcopy, lambda ms: pickle.loads(pickle.dumps(ms))):
+            other = made(built())
+            assert type(other) is MultiSample and other == twin and repr(other) == repr(twin)
+        ms = built()
+        assert ms.rows is ms.rows and ms.size == 1 << n_bits
+
+    def test_a_check_of_the_closed_form_counts_the_labels_of_the_rows(self, monkeypatch):
+        bell_rows = multiqubit._bell_rows
+
+        def one_label_flipped(n_bits, counts):
+            head, row_b = bell_rows(n_bits, counts)
+            return head, BitString(n_bits, row_b.bits ^ 1, row_b.tag)
+
+        assert checks.bell_agreement_correlation(6, 3)[0].passed
+        monkeypatch.setattr(multiqubit, "_bell_rows", one_label_flipped)
+        result = checks.bell_agreement_correlation(6, 3)[0]
+        assert not result.passed and result.detail == "N=6 amplitude 0"
 
 
 class TestComposeMany:
@@ -316,11 +354,14 @@ class TestComposeMany:
     def test_explicit_label_limit(self, monkeypatch):
         quarter = [ExactAngle(Fraction(1, 4))] * 3
         assert [first_label_count(r) for r in multi_sample(24, quarter).rows] == [1 << 23] * 2
-        # past the limit: the one ResourceBound, raised before any row is built
-        monkeypatch.setattr(multiqubit, "_realize", lambda *args: pytest.fail("rows were built"))
+        # past the limit the joint counts are read from the fill, and the one ResourceBound is raised
+        # when the rows are read, before any is built
+        ms = multi_sample(25, quarter)
+        assert joint_counts(ms) == {o: 1 << 23 for o in range(4)}
+        monkeypatch.setattr(multiqubit, "BitString", lambda *args: pytest.fail("a row was built"))
         with pytest.raises(ResourceBound, match=r"^2\*\*25 labels exceed the explicit limit$"):
-            multi_sample(25, quarter)
-        with pytest.raises(NotOnInvariantSet):  # the amplitude gates come first
+            ms.rows
+        with pytest.raises(NotOnInvariantSet):  # the amplitude gates come at the call
             multi_sample(25, [ExactAngle(Fraction(1, 8))] * 3)
 
 
@@ -397,9 +438,13 @@ class TestFillRoute:
             message = f"conditional count {where} is not an integer: joint amplitude not describable"
             with pytest.raises(NotOnInvariantSet, match=f"^{re.escape(message)}$"):
                 multi_sample(n_bits, [ExactAngle(Fraction(t)) for t in turns])
-        monkeypatch.setattr(multiqubit, "_realize", lambda *args: pytest.fail("the tree was filled"))
+        with pytest.raises(NotOnInvariantSet, match=r"^cos\(theta\) for theta=1/8 turns is irrational$"):
+            multi_sample(25, [ExactAngle(Fraction(1, 8))] * 3)  # the amplitude gates are decided at the call
+        ms = two_qubit_sample(params_for("1/2", "1/2", "1/2"), 25)
+        assert joint_counts(ms) == {o: 1 << 23 for o in range(4)}
+        monkeypatch.setattr(multiqubit, "BitString", lambda *args: pytest.fail("a row was built"))
         with pytest.raises(ResourceBound, match=r"^2\*\*25 labels exceed the explicit limit$"):
-            two_qubit_sample(params_for("1/2", "1/2", "1/2"), 25)
+            ms.rows
 
     def test_three_qubit_check_counts_the_labels_of_the_rows(self, monkeypatch):
         fill_rows = multiqubit._fill_rows
@@ -412,6 +457,59 @@ class TestFillRoute:
         monkeypatch.setattr(multiqubit, "_fill_rows", one_label_flipped)
         result = checks.three_qubit_vs_expander(6, count=5, seed=3)[0]
         assert not result.passed and result.detail.startswith("N=6 thetas ")
+
+
+class TestPastTheLabelLimit:
+    """A built sample's joint counts are exact at any N whose counts fit in
+    N-bit integers; past the explicit-label limit, each record operation,
+    which reads the rows, raises the one ResourceBound."""
+
+    TREE = [TestFillRoute.NIVEN_5[i] for i in (1, 2, 3, 0, 4, 2, 1)]
+
+    @classmethod
+    def tree_probabilities(cls, thetas):
+        """Per outcome, the product of cos^2 and sin^2 half-angles down its path, in outcome order."""
+        first = (1 + cos_exact(thetas[0])) / 2
+        if len(thetas) == 1:
+            return [first, 1 - first]
+        h = len(thetas) // 2
+        left, right = cls.tree_probabilities(thetas[1:1 + h]), cls.tree_probabilities(thetas[1 + h:])
+        return [first * p for p in left] + [(1 - first) * p for p in right]
+
+    @pytest.mark.parametrize("n_bits", [64, 1000, 10**4])
+    def test_bell_counts_equal_the_closed_form_and_the_expander(self, n_bits):
+        size, half = 1 << n_bits, 1 << (n_bits - 1)
+        for count in (0, 1, size // 8 * 3, half, half + 1, size - 1, size):
+            counts = joint_counts(bell_sample_from_amplitude(Fraction(count, size), n_bits))
+            lo, hi = min(count, half), max(count, half)
+            assert counts == {0b00: lo, 0b01: half - lo, 0b10: size - hi, 0b11: hi - half}
+            assert counts[0b00] + counts[0b11] == count and counts[0b00] + counts[0b01] == half
+            # the same table as the 2-qubit tree of a balanced head and b's conditional counts
+            table = expand_counts([half, 2 * lo, 2 * (size - hi)], [0] * 3, n_bits)
+            assert [k for k, _ in table] == [counts[o] << n_bits for o in range(4)]
+
+    @pytest.mark.parametrize("n_bits", [64, 1000, 10**4])
+    def test_tree_counts_equal_the_closed_form_and_the_expander(self, n_bits):
+        counts = joint_counts(multi_sample(n_bits, self.TREE))
+        assert [Fraction(counts[o], 1 << n_bits) for o in range(8)] == self.tree_probabilities(self.TREE)
+        table = expand_counts([gate_amplitude(t, n_bits) for t in self.TREE], [0] * 7, n_bits)
+        assert [k for k, _ in table] == [counts[o] << (2 * n_bits) for o in range(8)]
+
+    @pytest.mark.parametrize("n_bits", [25, 64])
+    @pytest.mark.parametrize("kind", ["bell", "tree"])
+    def test_record_operations_raise_the_label_limit(self, n_bits, kind):
+        def built():
+            if kind == "bell":
+                return bell_sample_from_amplitude(Fraction(3, 8), n_bits)
+            return multi_sample(n_bits, self.TREE)
+
+        message = rf"^2\*\*{n_bits} labels exceed the explicit limit$"
+        reads = [lambda ms: ms.rows, lambda ms: ms == built(), hash, repr, pickle.dumps, copy.copy]
+        for read in reads:
+            ms = built()
+            assert sum(joint_counts(ms).values()) == 1 << n_bits
+            with pytest.raises(ResourceBound, match=message):
+                read(ms)
 
 
 class TestAmplitudeExpander:
